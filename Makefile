@@ -19,7 +19,7 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# The race suite CI runs: the parallel replanning equivalence tests plus
+# The race suite CI runs: the serve and shard reader/writer hammers plus
 # everything else that is quick enough under the detector.
 race:
 	$(GO) test -short -race ./...

@@ -9,7 +9,7 @@
 //	         [-criterion C1..C5] [-eu LOG10|inf|-inf]
 //	         [-weights 1,10,100|1,5,10] [-scheduler heuristic|priority_first|
 //	          random_dijkstra|single_dij_random]
-//	         [-transfers] [-timeline] [-utilization] [-explain N] [-parallel N]
+//	         [-transfers] [-timeline] [-utilization] [-explain N]
 //	         [-metrics-out FILE] [-trace-out FILE] [-trace-ring N]
 //	         [-chrome-trace-out FILE] [-introspect-addr ADDR] [-pprof-addr ADDR]
 package main
@@ -60,7 +60,6 @@ func run(args []string, out io.Writer) error {
 	showUtil := fs.Bool("utilization", false, "print exact per-link/port/storage utilization and bottleneck attribution")
 	explainN := fs.Int("explain", 0, "diagnose up to N unsatisfied requests (why each went unserved)")
 	csvOut := fs.String("csvout", "", "write the transfer schedule as CSV to this file")
-	parallel := fs.Int("parallel", 0, "worker goroutines for forest replanning inside the run (0 = GOMAXPROCS)")
 	metricsOut := fs.String("metrics-out", "", "write a JSON metrics snapshot to this file after the run")
 	traceOut := fs.String("trace-out", "", "stream scheduling events to this file as JSON lines")
 	ringSize := fs.Int("trace-ring", 0, "tracer recent-event ring capacity (0 = default)")
@@ -145,7 +144,6 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cfg.Parallelism = *parallel
 		cfg.Obs = o
 		if err := cfg.Validate(); err != nil {
 			return err

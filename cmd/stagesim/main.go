@@ -9,7 +9,7 @@
 //	stagesim [-cases 40] [-seed 1] [-weights 1,10,100|1,5,10|both]
 //	         [-figures 2,3,4,5] [-extras] [-baseline] [-congestion]
 //	         [-csv DIR] [-height 16] [-quiet]
-//	         [-parallel N] [-plan-parallel N]
+//	         [-parallel N]
 //	         [-metrics-out FILE] [-trace-out FILE] [-trace-ring N]
 //	         [-chrome-trace-out FILE] [-introspect-addr ADDR] [-pprof-addr ADDR]
 package main
@@ -70,7 +70,6 @@ type options struct {
 	height         int
 	quiet          bool
 	parallel       int
-	planParallel   int
 	metricsOut     string
 	traceOut       string
 	traceRing      int
@@ -115,7 +114,6 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&o.height, "height", 16, "chart height in rows")
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress progress output")
 	fs.IntVar(&o.parallel, "parallel", 0, "concurrent scheduler runs (0 = GOMAXPROCS)")
-	fs.IntVar(&o.planParallel, "plan-parallel", 0, "worker goroutines for forest replanning inside each run (0 = serial; raise for the single-threaded sweeps)")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write a JSON metrics snapshot aggregated over the whole study to this file")
 	fs.StringVar(&o.traceOut, "trace-out", "", "stream scheduling events to this file as JSON lines (interleaved across concurrent runs; use -parallel 1 for a readable trace)")
 	fs.IntVar(&o.traceRing, "trace-ring", 0, "tracer recent-event ring capacity (0 = default)")
@@ -252,7 +250,7 @@ func runArrivals(out io.Writer, o options, w model.Weights) error {
 	if !o.quiet {
 		fmt.Fprintln(os.Stderr, "running online-arrival sweep...")
 	}
-	opts := experiment.Options{Params: gen.Default(), NumCases: o.cases, BaseSeed: o.seed, Weights: w, PlanParallelism: o.planParallel, Obs: o.obs}
+	opts := experiment.Options{Params: gen.Default(), NumCases: o.cases, BaseSeed: o.seed, Weights: w, Obs: o.obs}
 	pair := core.Pair{Heuristic: core.FullPathOneDest, Criterion: core.C4}
 	points, err := experiment.ArrivalSweep(opts, []float64{0, 0.25, 0.5, 0.75, 1}, pair, core.EUFromLog10(2))
 	if err != nil {
@@ -268,7 +266,7 @@ func runSerial(out io.Writer, o options, w model.Weights) error {
 	if !o.quiet {
 		fmt.Fprintln(os.Stderr, "running parallel-vs-serial comparison...")
 	}
-	opts := experiment.Options{Params: gen.Default(), NumCases: o.cases, BaseSeed: o.seed, Weights: w, PlanParallelism: o.planParallel, Obs: o.obs}
+	opts := experiment.Options{Params: gen.Default(), NumCases: o.cases, BaseSeed: o.seed, Weights: w, Obs: o.obs}
 	pair := core.Pair{Heuristic: core.FullPathOneDest, Criterion: core.C4}
 	pt, err := experiment.SerialComparison(opts, pair, core.EUFromLog10(2))
 	if err != nil {
@@ -291,7 +289,7 @@ func runGamma(out io.Writer, o options, w model.Weights) error {
 	if !o.quiet {
 		fmt.Fprintln(os.Stderr, "running gamma ablation...")
 	}
-	opts := experiment.Options{Params: gen.Default(), NumCases: o.cases, BaseSeed: o.seed, Weights: w, PlanParallelism: o.planParallel, Obs: o.obs}
+	opts := experiment.Options{Params: gen.Default(), NumCases: o.cases, BaseSeed: o.seed, Weights: w, Obs: o.obs}
 	pair := core.Pair{Heuristic: core.FullPathOneDest, Criterion: core.C4}
 	gammas := []time.Duration{0, time.Minute, 6 * time.Minute, 30 * time.Minute, 2 * time.Hour}
 	points, err := experiment.GammaSweep(opts, gammas, pair, core.EUFromLog10(2))
@@ -308,7 +306,7 @@ func runFailures(out io.Writer, o options, w model.Weights) error {
 	if !o.quiet {
 		fmt.Fprintln(os.Stderr, "running failure resilience sweep...")
 	}
-	opts := experiment.Options{Params: gen.Default(), NumCases: o.cases, BaseSeed: o.seed, Weights: w, PlanParallelism: o.planParallel, Obs: o.obs}
+	opts := experiment.Options{Params: gen.Default(), NumCases: o.cases, BaseSeed: o.seed, Weights: w, Obs: o.obs}
 	pair := core.Pair{Heuristic: core.FullPathOneDest, Criterion: core.C4}
 	points, err := experiment.FailureSweep(opts, []int{0, 5, 15, 40, 100}, pair, core.EUFromLog10(2))
 	if err != nil {
@@ -332,12 +330,11 @@ func writeChromeTrace(out io.Writer, o options, w model.Weights) error {
 	}
 	mem := &obs.MemorySink{}
 	res, err := core.Schedule(sc, core.Config{
-		Heuristic:   core.FullPathOneDest,
-		Criterion:   core.C4,
-		EU:          core.EUFromLog10(2),
-		Weights:     w,
-		Parallelism: 1,
-		Obs:         obs.NewTraced(mem, obs.WithRingSize(o.traceRing)),
+		Heuristic: core.FullPathOneDest,
+		Criterion: core.C4,
+		EU:        core.EUFromLog10(2),
+		Weights:   w,
+		Obs:       obs.NewTraced(mem, obs.WithRingSize(o.traceRing)),
 	})
 	if err != nil {
 		return err
@@ -393,13 +390,12 @@ func weightSchemes(s string) ([]weightScheme, error) {
 
 func runStudy(o options, ws weightScheme) (*experiment.Result, error) {
 	opts := experiment.Options{
-		Params:          gen.Default(),
-		NumCases:        o.cases,
-		BaseSeed:        o.seed,
-		Weights:         ws.weights,
-		Parallelism:     o.parallel,
-		PlanParallelism: o.planParallel,
-		Obs:             o.obs,
+		Params:      gen.Default(),
+		NumCases:    o.cases,
+		BaseSeed:    o.seed,
+		Weights:     ws.weights,
+		Parallelism: o.parallel,
+		Obs:         o.obs,
 	}
 	if o.extensions {
 		opts.Pairs = core.PairsWithExtensions()
@@ -506,12 +502,11 @@ func runCongestion(out io.Writer, o options, w model.Weights) error {
 		fmt.Fprintln(os.Stderr, "running congestion sweep...")
 	}
 	opts := experiment.Options{
-		Params:          gen.Default(),
-		NumCases:        o.cases,
-		BaseSeed:        o.seed,
-		Weights:         w,
-		PlanParallelism: o.planParallel,
-		Obs:             o.obs,
+		Params:   gen.Default(),
+		NumCases: o.cases,
+		BaseSeed: o.seed,
+		Weights:  w,
+		Obs:      o.obs,
 	}
 	pair := core.Pair{Heuristic: core.FullPathOneDest, Criterion: core.C4}
 	cr, err := experiment.CongestionSweep(opts, []int{10, 20, 30, 40, 50, 60}, pair, core.EUFromLog10(2))

@@ -64,12 +64,11 @@ func baseNetwork(o options) (*scenario.Scenario, error) {
 // full path/one destination with C4 at log10(E-U)=2, the study's best pair.
 func workloadConfig(o options, w model.Weights) core.Config {
 	return core.Config{
-		Heuristic:   core.FullPathOneDest,
-		Criterion:   core.C4,
-		EU:          core.EUFromLog10(2),
-		Weights:     w,
-		Parallelism: o.planParallel,
-		Obs:         o.obs,
+		Heuristic: core.FullPathOneDest,
+		Criterion: core.C4,
+		EU:        core.EUFromLog10(2),
+		Weights:   w,
+		Obs:       o.obs,
 	}
 }
 
@@ -258,7 +257,7 @@ func runSaturationSweep(out io.Writer, o options, w model.Weights, spec workload
 		fmt.Fprintf(os.Stderr, "running saturation sweep (%d cases)...\n", o.satCases)
 	}
 	opts := experiment.Options{Params: gen.Default(), NumCases: o.satCases, BaseSeed: o.seed,
-		Weights: w, PlanParallelism: o.planParallel, Obs: o.obs}
+		Weights: w, Obs: o.obs}
 	pair := core.Pair{Heuristic: core.FullPathOneDest, Criterion: core.C4}
 	agg, err := experiment.SaturationSweep(opts, spec, loads, pair, core.EUFromLog10(2))
 	if err != nil {

@@ -12,10 +12,10 @@
 //
 //	stagesvc [-addr :8080] [-in FILE | -seed N] [-with-items]
 //	         [-heuristic partial|full_one|full_all] [-criterion C1..C5]
-//	         [-eu LOG10|inf|-inf] [-weights 1,10,100] [-parallel N]
+//	         [-eu LOG10|inf|-inf] [-weights 1,10,100]
 //	         [-max-batch N] [-max-wait DUR] [-queue-cap N]
 //	         [-virtual-clock] [-time-scale X] [-preempt]
-//	         [-no-diagnose] [-force-full-replay] [-drain-timeout DUR]
+//	         [-no-diagnose] [-drain-timeout DUR]
 //	         [-replay-trace FILE] [-audit] [-audit-out FILE]
 //	         [-decision-slo DUR] [-chrome-trace-out FILE]
 //	         [-shards N] [-shard-map FILE] [-schedule-out FILE]
@@ -109,7 +109,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	criterionName := fs.String("criterion", "C4", "C1..C4, or the C5 extension")
 	euName := fs.String("eu", "2", "log10(W_E/W_U), or inf / -inf")
 	weightsName := fs.String("weights", "1,10,100", `"1,10,100" or "1,5,10"`)
-	parallel := fs.Int("parallel", 0, "worker goroutines for forest replanning (0 = GOMAXPROCS)")
 	maxBatch := fs.Int("max-batch", 16, "flush an admission epoch at this many pending submissions")
 	maxWait := fs.Duration("max-wait", 25*time.Millisecond,
 		"flush when the oldest pending submission has waited this long (wall clock)")
@@ -121,8 +120,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"let higher-priority arrivals displace not-yet-started lower-priority transfers")
 	noDiagnose := fs.Bool("no-diagnose", false,
 		"skip the explain blame on rejections (cheaper epochs for reject-heavy soaks)")
-	forceFullReplay := fs.Bool("force-full-replay", false,
-		"rebuild the world from history every epoch instead of replanning incrementally (baseline mode)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
 	replayTrace := fs.String("replay-trace", "",
 		"replay this canonical .trace.json against the service's own endpoint, print the outcome, and exit (requires -virtual-clock)")
@@ -193,7 +190,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg.Parallelism = *parallel
 	o := obs.New()
 	cfg.Obs = o
 
@@ -208,7 +204,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			"max-batch": fmt.Sprint(*maxBatch), "max-wait": maxWait.String(),
 			"queue-cap": fmt.Sprint(*queueCap), "virtual-clock": fmt.Sprint(*virtual),
 			"preempt": fmt.Sprint(*preempt), "weights": *weightsName,
-			"force-full-replay": fmt.Sprint(*forceFullReplay),
 		},
 	})
 
@@ -227,17 +222,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	engOpts := serve.Options{
-		Config:          cfg,
-		MaxBatch:        *maxBatch,
-		MaxWait:         *maxWait,
-		QueueCap:        *queueCap,
-		VirtualClock:    *virtual,
-		TimeScale:       *timeScale,
-		Preemption:      *preempt,
-		SkipDiagnosis:   *noDiagnose,
-		ForceFullReplay: *forceFullReplay,
-		Intro:           intro,
-		Audit:           recorder,
+		Config:        cfg,
+		MaxBatch:      *maxBatch,
+		MaxWait:       *maxWait,
+		QueueCap:      *queueCap,
+		VirtualClock:  *virtual,
+		TimeScale:     *timeScale,
+		Preemption:    *preempt,
+		SkipDiagnosis: *noDiagnose,
+		Intro:         intro,
+		Audit:         recorder,
 	}
 	var (
 		eng     *serve.Engine

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"datastaging/internal/dijkstra"
@@ -69,27 +68,6 @@ func BenchmarkScheduleParanoidRerun(b *testing.B) {
 		if _, err := scheduleParanoid(sc, cfg); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkScheduleParallel measures the production scheduler at several
-// replan-parallelism levels on a paper-scale scenario. On a multi-core host
-// the higher levels should show a wall-clock speedup over P1; on one core
-// they quantify the (small) goroutine overhead. Output is identical at
-// every level (TestParallelMatchesSerial).
-func BenchmarkScheduleParallel(b *testing.B) {
-	sc := gen.MustGenerate(gen.Default(), 42)
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("P%d", par), func(b *testing.B) {
-			cfg := Config{Heuristic: FullPathOneDest, Criterion: C4, EU: EUFromLog10(2),
-				Weights: model.Weights1x10x100, Parallelism: par}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Schedule(sc, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"datastaging/internal/model"
@@ -140,25 +139,6 @@ type Config struct {
 	// slack contributes its full weight, one with τ of slack half of it.
 	// Zero selects the default of ten minutes. Ignored by C1–C4.
 	C5Tau time.Duration
-	// Parallelism caps the worker goroutines used to recompute invalidated
-	// shortest-path forests at the top of each select-and-commit iteration.
-	// Zero (the default) uses GOMAXPROCS; 1 forces the fully serial path.
-	// The schedule produced is identical for every value — shortest-path
-	// computations only read the shared state and results are written back
-	// by item index — so this is purely a wall-clock knob. Callers that
-	// already fan out across whole scheduling runs (internal/experiment)
-	// should leave their per-run configs at 1 to avoid oversubscription.
-	Parallelism int
-	// DisableBatch turns off the batched relaxation kernel: invalidated
-	// forests are then recomputed one by one (serially, or by the
-	// work-stealing worker pool when Parallelism > 1) instead of in merged
-	// dijkstra.ComputeBatch walks that visit each link timeline once per
-	// batch. The schedule produced is identical either way — the batched
-	// kernel is bit-exact against serial Compute (the equivalence suites
-	// and FuzzBatchComputeEquivalence prove it) — so like Paranoid this is
-	// a debugging and differential-testing knob, never a production
-	// setting.
-	DisableBatch bool
 	// Paranoid drops every cached forest on every commit, reproducing the
 	// paper's re-run-Dijkstra-each-iteration implementation. The schedule
 	// produced is identical to the conflict-tracking cache (the
@@ -171,15 +151,6 @@ type Config struct {
 	// instrumentation at approximately zero cost. An Obs may be shared by
 	// concurrent runs; all instruments are atomic.
 	Obs *obs.Obs
-}
-
-// workers resolves the replan parallelism: Parallelism, or GOMAXPROCS when
-// it is zero.
-func (c Config) workers() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Validate rejects malformed configurations, including the twelfth pairing
@@ -209,9 +180,6 @@ func (c Config) Validate() error {
 	}
 	if c.C5Tau < 0 {
 		return errors.New("core: negative C5 tau")
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("core: negative parallelism %d", c.Parallelism)
 	}
 	return nil
 }

@@ -86,14 +86,13 @@ func (pp *Planner) Epoch(at simtime.Instant) (*Result, error) {
 // total), so the difference is exactly one epoch's work.
 func subStats(cur, prev Stats) Stats {
 	return Stats{
-		DijkstraRuns:    cur.DijkstraRuns - prev.DijkstraRuns,
-		CacheHits:       cur.CacheHits - prev.CacheHits,
-		Invalidations:   cur.Invalidations - prev.Invalidations,
-		Iterations:      cur.Iterations - prev.Iterations,
-		Commits:         cur.Commits - prev.Commits,
-		ReplanWall:      cur.ReplanWall - prev.ReplanWall,
-		ParallelBatches: cur.ParallelBatches - prev.ParallelBatches,
-		BatchedRuns:     cur.BatchedRuns - prev.BatchedRuns,
-		RelaxBatches:    cur.RelaxBatches - prev.RelaxBatches,
+		DijkstraRuns:  cur.DijkstraRuns - prev.DijkstraRuns,
+		CacheHits:     cur.CacheHits - prev.CacheHits,
+		Invalidations: cur.Invalidations - prev.Invalidations,
+		Iterations:    cur.Iterations - prev.Iterations,
+		Commits:       cur.Commits - prev.Commits,
+		ReplanWall:    cur.ReplanWall - prev.ReplanWall,
+		BatchedRuns:   cur.BatchedRuns - prev.BatchedRuns,
+		RelaxBatches:  cur.RelaxBatches - prev.RelaxBatches,
 	}
 }

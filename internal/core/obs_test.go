@@ -37,8 +37,6 @@ func statsFromTrace(events []obs.Event) Stats {
 			}
 		case obs.EvTransferBooked:
 			st.Commits++
-		case obs.EvParallelBatch:
-			st.ParallelBatches++
 		case obs.EvRelaxBatch:
 			st.RelaxBatches++
 			st.BatchedRuns += e.N
@@ -48,27 +46,24 @@ func statsFromTrace(events []obs.Event) Stats {
 }
 
 // TestQuickTraceStatsEquivalence: for any generated scenario and any
-// heuristic/criterion pair (at any replan parallelism, cached or
-// paranoid), the counters re-derived from the event trace must equal the
+// heuristic/criterion pair (cached or paranoid), the counters re-derived from the event trace must equal the
 // counters the scheduler reports.
 func TestQuickTraceStatsEquivalence(t *testing.T) {
 	params := smallParams()
 	pairs := PairsWithExtensions()
 	sweep := []EUWeights{EUUrgencyOnly, EUFromLog10(0), EUFromLog10(2), EUPriorityOnly}
-	parallelism := []int{1, 2, 4}
 
-	property := func(seed int64, pairIdx, euIdx, parIdx uint8, paranoid bool) bool {
+	property := func(seed int64, pairIdx, euIdx uint8, paranoid bool) bool {
 		sc := gen.MustGenerate(params, seed%4096)
 		pair := pairs[int(pairIdx)%len(pairs)]
 		mem := &obs.MemorySink{}
 		cfg := Config{
-			Heuristic:   pair.Heuristic,
-			Criterion:   pair.Criterion,
-			EU:          sweep[int(euIdx)%len(sweep)],
-			Weights:     model.Weights1x10x100,
-			Parallelism: parallelism[int(parIdx)%len(parallelism)],
-			Paranoid:    paranoid,
-			Obs:         obs.NewTraced(mem),
+			Heuristic: pair.Heuristic,
+			Criterion: pair.Criterion,
+			EU:        sweep[int(euIdx)%len(sweep)],
+			Weights:   model.Weights1x10x100,
+			Paranoid:  paranoid,
+			Obs:       obs.NewTraced(mem),
 		}
 		res, err := Schedule(sc, cfg)
 		if err != nil {
@@ -79,8 +74,8 @@ func TestQuickTraceStatsEquivalence(t *testing.T) {
 		want := res.Stats
 		want.ReplanWall = 0 // timing-dependent, not part of the oracle
 		if got != want {
-			t.Errorf("seed %d %v par=%d paranoid=%v:\n  trace-derived %+v\n  reported      %+v",
-				seed, pair, cfg.Parallelism, paranoid, got, want)
+			t.Errorf("seed %d %v paranoid=%v:\n  trace-derived %+v\n  reported      %+v",
+				seed, pair, paranoid, got, want)
 			return false
 		}
 		// The registry must agree with both.
@@ -90,7 +85,6 @@ func TestQuickTraceStatsEquivalence(t *testing.T) {
 			snap.Counters["core.cache_hits_total"] != int64(want.CacheHits) ||
 			snap.Counters["core.invalidations_total"] != int64(want.Invalidations) ||
 			snap.Counters["core.iterations_total"] != int64(want.Iterations) ||
-			snap.Counters["core.parallel_batches_total"] != int64(want.ParallelBatches) ||
 			snap.Counters["core.batched_runs_total"] != int64(want.BatchedRuns) ||
 			snap.Counters["core.relax_batches_total"] != int64(want.RelaxBatches) {
 			t.Errorf("seed %d %v: registry counters disagree with Stats: %+v vs %+v",

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"datastaging/internal/arena"
@@ -30,21 +28,16 @@ type Stats struct {
 	// Commits is the number of committed transfers (communication steps).
 	Commits int
 	// ReplanWall is the wall-clock time spent computing shortest-path
-	// forests, across both parallel batches and lazy recomputes, as
+	// forests, across both prefetch batches and lazy recomputes, as
 	// accumulated by the planner's obs.PhaseTimer. Unlike the counters
 	// above it is timing-dependent, not deterministic.
 	ReplanWall time.Duration
-	// ParallelBatches is how many iteration-top replan batches ran on
-	// more than one worker goroutine. Zero when Parallelism is 1.
-	ParallelBatches int
 	// BatchedRuns is how many forests were computed inside merged
 	// relaxation walks (dijkstra.ComputeBatch) rather than one-by-one
-	// serial Compute calls (a subset of DijkstraRuns). Zero when
-	// Config.DisableBatch is set.
+	// Compute calls (a subset of DijkstraRuns).
 	BatchedRuns int
-	// RelaxBatches is how many merged relaxation walks ran: a serial
-	// prefetch contributes one per iteration-top batch, a parallel
-	// prefetch one per worker chunk. Zero when Config.DisableBatch is set.
+	// RelaxBatches is how many merged relaxation walks ran: at most one per
+	// select-and-commit iteration.
 	RelaxBatches int
 }
 
@@ -59,15 +52,12 @@ type Stats struct {
 // on next use. The committed item's own forest is always dropped because it
 // gained a holder (its labels can improve).
 type planner struct {
-	st  *state.State
-	cfg Config
-	// workers is the resolved replan parallelism (cfg.Parallelism, or
-	// GOMAXPROCS when that is zero).
-	workers int
-	plans   []*dijkstra.Plan
-	// fresh[i] marks a plan computed by the batched prefetch but not yet
-	// consumed by plan(); its Dijkstra run is counted at first use so
-	// Stats are identical to the serial path.
+	st    *state.State
+	cfg   Config
+	plans []*dijkstra.Plan
+	// fresh[i] marks a plan computed by prefetch but not yet consumed by
+	// plan(); its Dijkstra run is counted at first use so Stats are
+	// identical to the lazy path.
 	fresh []bool
 	// dead[i] marks an item with no satisfiable open request; resources
 	// only shrink, so dead items never revive and are skipped forever.
@@ -86,16 +76,14 @@ type planner struct {
 	// freePlans recycles invalidated Plan structs: their slices back the
 	// next recompute instead of being reallocated.
 	freePlans []*dijkstra.Plan
-	// scratch backs serial (lazy) computes; workerScratch[w] backs worker
-	// w of a parallel batch. Each is owned by one goroutine at a time.
-	scratch       *dijkstra.Scratch
-	workerScratch []*dijkstra.Scratch
-	// batch enables merged-relaxation prefetch (ComputeBatch); see
-	// Config.DisableBatch. batchScratch backs serial batches and
-	// workerBatch[w] backs worker w's chunk of a parallel batch.
-	batch        bool
+	// scratch backs one-by-one computes, batchScratch the merged walks
+	// (allocated on the first one).
+	scratch      *dijkstra.Scratch
 	batchScratch *dijkstra.BatchScratch
-	workerBatch  []*dijkstra.BatchScratch
+	// mergedMin is the committed-history length at which prefetch switches
+	// to the merged walk: mergedMinHistory, except in the in-package
+	// differential test that raises it to force the one-by-one path.
+	mergedMin int
 	// Plan material is carved from grow-only arenas: a new Plan and its
 	// five per-machine label slices come from recycled slabs, pre-sized so
 	// the compute kernels never reallocate them. The arenas are never
@@ -154,7 +142,7 @@ type planner struct {
 	// deltas to the counters.
 	flushedScratch dijkstra.ScratchStats
 	mIterations, mCommits, mDijkstra, mCacheHits, mInvalidations,
-	mParallelBatches, mBatchedRuns, mRelaxBatches, mCostEvals, mSatisfied *obs.Counter
+	mBatchedRuns, mRelaxBatches, mCostEvals, mSatisfied *obs.Counter
 	hCandidates, hSlack *obs.Histogram
 }
 
@@ -167,9 +155,8 @@ func newPlanner(sc *scenario.Scenario, cfg Config) *planner {
 func plannerOn(st *state.State, cfg Config) *planner {
 	items := len(st.Scenario().Items)
 	p := &planner{
-		st:       st,
-		cfg:      cfg,
-		workers:  cfg.workers(),
+		st:         st,
+		cfg:        cfg,
 		plans:      make([]*dijkstra.Plan, items),
 		fresh:      make([]bool, items),
 		dead:       make([]bool, items),
@@ -178,9 +165,9 @@ func plannerOn(st *state.State, cfg Config) *planner {
 		candValid:  make([]bool, items),
 		openCache:  make([][]int, items),
 		openValid:  make([]bool, items),
-		scratch:  dijkstra.NewScratch(),
-		batch:    !cfg.DisableBatch,
-		paranoid: cfg.Paranoid,
+		scratch:    dijkstra.NewScratch(),
+		mergedMin:  mergedMinHistory,
+		paranoid:   cfg.Paranoid,
 	}
 	for i := range p.live {
 		p.live[i] = model.ItemID(i)
@@ -196,7 +183,6 @@ func plannerOn(st *state.State, cfg Config) *planner {
 		p.mDijkstra = o.Counter("core.dijkstra_runs_total")
 		p.mCacheHits = o.Counter("core.cache_hits_total")
 		p.mInvalidations = o.Counter("core.invalidations_total")
-		p.mParallelBatches = o.Counter("core.parallel_batches_total")
 		p.mBatchedRuns = o.Counter("core.batched_runs_total")
 		p.mRelaxBatches = o.Counter("core.relax_batches_total")
 		p.mCostEvals = o.Counter("core.cost_evaluations_total")
@@ -217,14 +203,8 @@ func (p *planner) flushScratchMetrics() {
 		return
 	}
 	ds := p.scratch.Stats()
-	for _, s := range p.workerScratch {
-		ds.Add(s.Stats())
-	}
 	if p.batchScratch != nil {
 		ds.Add(p.batchScratch.Stats())
-	}
-	for _, s := range p.workerBatch {
-		ds.Add(s.Stats())
 	}
 	prev := p.flushedScratch
 	p.flushedScratch = ds
@@ -338,8 +318,8 @@ func (p *planner) advanceFloor(at simtime.Instant) {
 func (p *planner) plan(item model.ItemID) *dijkstra.Plan {
 	if pl := p.plans[item]; pl != nil {
 		if p.fresh[item] {
-			// Computed by this iteration's parallel batch: count it as the
-			// Dijkstra run the serial path would have performed here.
+			// Computed by this iteration's prefetch: count it as the
+			// Dijkstra run the lazy path would have performed here.
 			p.fresh[item] = false
 			p.stats.DijkstraRuns++
 			p.mDijkstra.Inc()
@@ -367,18 +347,6 @@ func (p *planner) plan(item model.ItemID) *dijkstra.Plan {
 	return pl
 }
 
-// prefetch recomputes every invalidated forest the coming candidates pass
-// will need. With batching on (the default) the queue is relaxed in merged
-// dijkstra.ComputeBatch walks — one walk serially, or one contiguous chunk
-// per worker when Parallelism > 1 — so each link timeline is traversed once
-// per walk instead of once per (forest, link). With batching off the old
-// paths run: lazy one-by-one computes serially, or the work-stealing worker
-// pool in parallel. All four paths produce byte-identical forests (Compute
-// and ComputeBatch only read the shared state; results are written back by
-// item index; no commit happens between prefetch and use), and Stats are
-// path-independent because batch-computed forests are charged to
-// DijkstraRuns at first use via the fresh flags, exactly where the lazy
-// serial path would have computed them.
 // mergedMinHistory gates the merged relaxation walk on committed-history
 // length. The walk amortizes link-timeline scans across the whole batch,
 // which pays once timelines are long enough for scanning to dominate; on a
@@ -388,8 +356,16 @@ func (p *planner) plan(item model.ItemID) *dijkstra.Plan {
 // are bit-identical — this is purely a cost dispatch.
 const mergedMinHistory = 64
 
+// prefetch recomputes every invalidated forest the coming candidates pass
+// will need, on the caller's goroutine: in one merged dijkstra.ComputeBatch
+// walk once the committed history reaches mergedMin transfers — each link
+// timeline is then traversed once per walk instead of once per (forest,
+// link) — and one Scratch.Compute at a time below it. A lone recompute is
+// left to plan(). Both paths produce byte-identical forests (no commit
+// happens between prefetch and use), and Stats are path-independent because
+// prefetched forests are charged to DijkstraRuns at first use via the fresh
+// flags, exactly where the lazy path would have computed them.
 func (p *planner) prefetch() {
-	merged := p.batch && len(p.st.Transfers()) >= mergedMinHistory
 	queue := p.queue[:0]
 	for _, item := range p.live {
 		if p.dead[item] || p.plans[item] != nil || !p.st.IsReleased(item) {
@@ -414,95 +390,31 @@ func (p *planner) prefetch() {
 	p.reuse = reuse
 
 	span := p.replanTimer.Start()
-	relaxed := 0 // merged walks run (0 with batching off)
-	switch {
-	case merged && p.workers <= 1:
+	if len(p.st.Transfers()) >= p.mergedMin {
 		if p.batchScratch == nil {
 			p.batchScratch = dijkstra.NewBatchScratch()
 		}
 		p.batchScratch.ComputeBatch(p.st, queue, reuse)
-		relaxed = 1
+		p.stats.RelaxBatches++
+		p.stats.BatchedRuns += len(queue)
+		p.mRelaxBatches.Inc()
+		p.mBatchedRuns.Add(int64(len(queue)))
 		if p.tr.Enabled() {
 			p.tr.Emit(obs.Event{Kind: obs.EvRelaxBatch, N: len(queue)})
 		}
-	case merged:
-		workers := min(p.workers, len(queue))
-		for len(p.workerBatch) < workers {
-			p.workerBatch = append(p.workerBatch, dijkstra.NewBatchScratch())
-		}
-		chunk := (len(queue) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := min(lo+chunk, len(queue))
-			if lo >= hi {
-				break
-			}
-			relaxed++
-			if p.tr.Enabled() {
-				p.tr.Emit(obs.Event{Kind: obs.EvRelaxBatch, N: hi - lo})
-			}
-			bs := p.workerBatch[w]
-			wg.Add(1)
-			// Slices are passed as arguments, not captured: a captured
-			// queue/reuse would force the variables onto the heap for
-			// every prefetch call, including the empty steady-state ones.
-			go func(items []model.ItemID, plans []*dijkstra.Plan) {
-				defer wg.Done()
-				bs.ComputeBatch(p.st, items, plans)
-			}(queue[lo:hi], reuse[lo:hi])
-		}
-		wg.Wait()
-	case p.workers <= 1:
-		// Serial without the merged walk: compute the queued forests one
-		// at a time with the planner's own scratch — exactly the computes
-		// (and compute order) the lazy candidates pass would perform, but
-		// under a single phase-timer span instead of one time.Now pair
-		// per forest.
+	} else {
+		// Exactly the computes (and compute order) the lazy candidates pass
+		// would perform, but under a single phase-timer span instead of one
+		// time.Now pair per forest.
 		for k, item := range queue {
 			reuse[k] = p.scratch.Compute(p.st, item, reuse[k])
 		}
-	default:
-		workers := min(p.workers, len(queue))
-		for len(p.workerScratch) < workers {
-			p.workerScratch = append(p.workerScratch, dijkstra.NewScratch())
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			s := p.workerScratch[w]
-			wg.Add(1)
-			go func(items []model.ItemID, plans []*dijkstra.Plan) {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(items) {
-						return
-					}
-					plans[k] = s.Compute(p.st, items[k], plans[k])
-				}
-			}(queue, reuse)
-		}
-		wg.Wait()
 	}
 	span.Stop()
 	for k, item := range queue {
 		p.plans[item] = reuse[k]
 		p.fresh[item] = true
 		reuse[k] = nil // drop aliases to plans now owned by the cache
-	}
-	if relaxed > 0 {
-		p.stats.RelaxBatches += relaxed
-		p.stats.BatchedRuns += len(queue)
-		p.mRelaxBatches.Add(int64(relaxed))
-		p.mBatchedRuns.Add(int64(len(queue)))
-	}
-	if p.workers > 1 {
-		p.stats.ParallelBatches++
-		p.mParallelBatches.Inc()
-		if p.tr.Enabled() {
-			p.tr.Emit(obs.Event{Kind: obs.EvParallelBatch, N: len(queue)})
-		}
 	}
 }
 

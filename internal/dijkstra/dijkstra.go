@@ -24,10 +24,9 @@
 // DESIGN.md "Interval kernels".
 //
 // Compute only reads the state, so any number of Compute calls may run
-// concurrently against the same State (the planner in internal/core
-// recomputes invalidated forests in parallel). The per-computation working
-// memory lives in a Scratch, which is owned by exactly one goroutine at a
-// time; see DESIGN.md "Concurrency model".
+// concurrently against the same State. The per-computation working memory
+// lives in a Scratch, which is owned by exactly one goroutine at a time; see
+// DESIGN.md "Concurrency model".
 package dijkstra
 
 import (
@@ -81,7 +80,7 @@ type Hop struct {
 // the hold-end and visited labels plus the priority-queue backing array.
 // None of it survives into the returned Plan, so a Scratch can back any
 // number of sequential Compute calls without reallocating. A Scratch must
-// not be shared between concurrent computations; give each worker its own.
+// not be shared between concurrent computations.
 type Scratch struct {
 	holdEnd []simtime.Instant
 	done    []bool

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"datastaging/internal/core"
 	"datastaging/internal/gen"
 	"datastaging/internal/model"
 	"datastaging/internal/obs"
@@ -34,12 +33,10 @@ func outcomeKey(out *Outcome) string {
 		out.Transfers, out.Aborted)
 }
 
-// TestSimulateDeterministicAcrossParallelism pins the concurrency
-// contract for the dynamic simulator: epoch replans executed with a
-// serial planner, a 4-worker replan pool, and the paranoid
-// recompute-everything ablation must all produce byte-identical
-// outcomes. Run under -race this also shakes out data races in the
-// parallel replan path across repeated epochs.
+// TestSimulateDeterministicAcrossParallelism pins the plan cache across
+// repeated epochs of the dynamic simulator: epoch replans executed with the
+// conflict-tracking planner and with the paranoid recompute-everything
+// reference must produce byte-identical outcomes.
 func TestSimulateDeterministicAcrossParallelism(t *testing.T) {
 	params := gen.Default()
 	params.Machines = gen.IntRange{Min: 6, Max: 8}
@@ -49,39 +46,26 @@ func TestSimulateDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	variants := []struct {
-		name   string
-		mutate func(*core.Config)
-	}{
-		{"serial", func(cfg *core.Config) { cfg.Parallelism = 1 }},
-		{"parallel4", func(cfg *core.Config) { cfg.Parallelism = 4 }},
-		{"paranoid-parallel", func(cfg *core.Config) { cfg.Parallelism = 4; cfg.Paranoid = true }},
-	}
-
 	for _, seed := range seeds {
 		sc := gen.MustGenerate(params, seed)
 		events := determinismEvents(sc)
 
-		var want string
-		for i, v := range variants {
-			cfg := cfgC4()
-			v.mutate(&cfg)
-			out, err := Simulate(sc, cfg, events)
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, v.name, err)
-			}
-			got := outcomeKey(out)
-			if i == 0 {
-				want = got
-				if out.Replans < 2 {
-					t.Errorf("seed %d: only %d replans; event script did not trigger epochs", seed, out.Replans)
-				}
-				continue
-			}
-			if got != want {
-				t.Errorf("seed %d: %s outcome diverges from serial:\n  serial: %s\n  %s: %s",
-					seed, v.name, want, v.name, got)
-			}
+		cfg := cfgC4()
+		out, err := Simulate(sc, cfg, events)
+		if err != nil {
+			t.Fatalf("seed %d serial: %v", seed, err)
+		}
+		if out.Replans < 2 {
+			t.Errorf("seed %d: only %d replans; event script did not trigger epochs", seed, out.Replans)
+		}
+		cfg.Paranoid = true
+		ref, err := Simulate(sc, cfg, events)
+		if err != nil {
+			t.Fatalf("seed %d paranoid: %v", seed, err)
+		}
+		if got, want := outcomeKey(ref), outcomeKey(out); got != want {
+			t.Errorf("seed %d: paranoid outcome diverges from serial:\n  serial: %s\n  paranoid: %s",
+				seed, want, got)
 		}
 	}
 }

@@ -14,13 +14,6 @@
 //     network and the scheduler re-plans the rest. Requests whose
 //     deliveries were lost become open again.
 //
-// Each epoch replan is one core.ScheduleState call and inherits the
-// Config's Parallelism: invalidated shortest-path forests are recomputed
-// on a worker pool, so re-planning latency — the quantity that bounds how
-// fast the simulator can react to events — scales with cores while the
-// resulting schedule stays byte-identical (see DESIGN.md, "Concurrency
-// model").
-//
 // Link failures are where the paper's garbage-collection policy (§4.4)
 // earns its keep: copies retained at intermediate machines for γ after an
 // item's latest deadline are alternative sources for re-delivery, which is

@@ -262,56 +262,3 @@ func TestSimultaneousEventsOneEpoch(t *testing.T) {
 		t.Errorf("satisfied %d, want 1", len(out.Satisfied))
 	}
 }
-
-// TestSimulateParallelismMatchesSerial proves epoch replanning is
-// unaffected by the planner's replan parallelism: the whole event-driven
-// simulation — releases and failures included — produces the identical
-// outcome with one worker and with eight.
-func TestSimulateParallelismMatchesSerial(t *testing.T) {
-	sc := gen.MustGenerate(func() gen.Params {
-		p := gen.Default()
-		p.Machines = gen.IntRange{Min: 6, Max: 6}
-		p.RequestsPerMachine = gen.IntRange{Min: 8, Max: 8}
-		return p
-	}(), 9)
-	events := []Event{
-		{At: simtime.At(30 * time.Minute), Kind: ItemRelease, Item: 0},
-		{At: simtime.At(2 * time.Hour), Kind: LinkFail, Link: 0},
-		{At: simtime.At(4 * time.Hour), Kind: LinkFail, Link: 3},
-	}
-	serialCfg := cfgC4()
-	serialCfg.Parallelism = 1
-	parCfg := cfgC4()
-	parCfg.Parallelism = 8
-
-	serial, err := Simulate(sc, serialCfg, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Simulate(sc, parCfg, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par.Transfers) != len(serial.Transfers) {
-		t.Fatalf("transfers: parallel %d vs serial %d", len(par.Transfers), len(serial.Transfers))
-	}
-	for i := range par.Transfers {
-		if par.Transfers[i] != serial.Transfers[i] {
-			t.Fatalf("transfer %d differs: %+v vs %+v", i, par.Transfers[i], serial.Transfers[i])
-		}
-	}
-	if len(par.Satisfied) != len(serial.Satisfied) {
-		t.Fatalf("satisfied: parallel %d vs serial %d", len(par.Satisfied), len(serial.Satisfied))
-	}
-	for id, at := range serial.Satisfied {
-		if got, ok := par.Satisfied[id]; !ok || got != at {
-			t.Fatalf("request %v: parallel %v, serial %v", id, got, at)
-		}
-	}
-	if len(par.Aborted) != len(serial.Aborted) {
-		t.Fatalf("aborted: parallel %d vs serial %d", len(par.Aborted), len(serial.Aborted))
-	}
-	if err := validator.Validate(sc, par.Transfers); err != nil {
-		t.Fatalf("parallel outcome failed validation: %v", err)
-	}
-}

@@ -49,7 +49,7 @@ func GammaSweep(opts Options, gammas []time.Duration, pair core.Pair, eu core.EU
 			if err != nil {
 				return nil, fmt.Errorf("experiment: gamma %v case %d: %w", g, ci, err)
 			}
-			cfg := core.Config{Heuristic: pair.Heuristic, Criterion: pair.Criterion, EU: eu, Weights: opts.Weights, Parallelism: opts.PlanParallelism, Obs: opts.Obs}
+			cfg := core.Config{Heuristic: pair.Heuristic, Criterion: pair.Criterion, EU: eu, Weights: opts.Weights, Obs: opts.Obs}
 			res, err := core.Schedule(sc, cfg)
 			if err != nil {
 				return nil, err
@@ -96,7 +96,7 @@ func FailureSweep(opts Options, failureCounts []int, pair core.Pair, eu core.EUW
 	if len(failureCounts) == 0 {
 		return nil, fmt.Errorf("experiment: no failure levels")
 	}
-	cfg := core.Config{Heuristic: pair.Heuristic, Criterion: pair.Criterion, EU: eu, Weights: opts.Weights, Parallelism: opts.PlanParallelism, Obs: opts.Obs}
+	cfg := core.Config{Heuristic: pair.Heuristic, Criterion: pair.Criterion, EU: eu, Weights: opts.Weights, Obs: opts.Obs}
 	out := make([]FailurePoint, 0, len(failureCounts))
 	for _, k := range failureCounts {
 		if k < 0 {
@@ -164,7 +164,7 @@ func SerialComparison(opts Options, pair core.Pair, eu core.EUWeights) (*SerialP
 	if err := opts.fillDefaults(); err != nil {
 		return nil, err
 	}
-	cfg := core.Config{Heuristic: pair.Heuristic, Criterion: pair.Criterion, EU: eu, Weights: opts.Weights, Parallelism: opts.PlanParallelism, Obs: opts.Obs}
+	cfg := core.Config{Heuristic: pair.Heuristic, Criterion: pair.Criterion, EU: eu, Weights: opts.Weights, Obs: opts.Obs}
 	par := make([]float64, opts.NumCases)
 	ser := make([]float64, opts.NumCases)
 	var fracSum float64
@@ -231,7 +231,7 @@ func ArrivalSweep(opts Options, fractions []float64, pair core.Pair, eu core.EUW
 	if len(fractions) == 0 {
 		return nil, fmt.Errorf("experiment: no arrival fractions")
 	}
-	cfg := core.Config{Heuristic: pair.Heuristic, Criterion: pair.Criterion, EU: eu, Weights: opts.Weights, Parallelism: opts.PlanParallelism, Obs: opts.Obs}
+	cfg := core.Config{Heuristic: pair.Heuristic, Criterion: pair.Criterion, EU: eu, Weights: opts.Weights, Obs: opts.Obs}
 	out := make([]ArrivalPoint, 0, len(fractions))
 	for _, frac := range fractions {
 		if frac < 0 || frac > 1 {

@@ -60,7 +60,7 @@ func CongestionSweep(opts Options, loads []int, pair core.Pair, eu core.EUWeight
 			if err != nil {
 				return nil, fmt.Errorf("experiment: congestion load %d case %d: %w", load, ci, err)
 			}
-			cfg := core.Config{Heuristic: pair.Heuristic, Criterion: pair.Criterion, EU: eu, Weights: opts.Weights, Parallelism: opts.PlanParallelism, Obs: opts.Obs}
+			cfg := core.Config{Heuristic: pair.Heuristic, Criterion: pair.Criterion, EU: eu, Weights: opts.Weights, Obs: opts.Obs}
 			res, err := core.Schedule(sc, cfg)
 			if err != nil {
 				return nil, err

@@ -56,13 +56,6 @@ type Options struct {
 	Pairs []core.Pair
 	// Parallelism caps concurrent scheduler runs; defaults to GOMAXPROCS.
 	Parallelism int
-	// PlanParallelism is the worker count each individual run uses to
-	// recompute invalidated shortest-path forests (core.Config.Parallelism).
-	// Defaults to 1: the study already fans whole runs out across
-	// Parallelism workers, so nesting more goroutines inside each run only
-	// adds overhead there. The single-threaded sweeps (gamma, failures,
-	// arrivals, congestion, serial comparison) do benefit from raising it.
-	PlanParallelism int
 	// Progress, if set, is called after each completed run with the done
 	// and total counts. It must be safe for concurrent use.
 	Progress func(done, total int)
@@ -94,9 +87,6 @@ func (o *Options) fillDefaults() error {
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.PlanParallelism <= 0 {
-		o.PlanParallelism = 1
 	}
 	return nil
 }
@@ -252,12 +242,11 @@ func Run(opts Options) (*Result, error) {
 				pi, si := pi, si
 				jobs <- func() error {
 					cfg := core.Config{
-						Heuristic:   opts.Pairs[pi].Heuristic,
-						Criterion:   opts.Pairs[pi].Criterion,
-						EU:          opts.Sweep[si].EU,
-						Weights:     opts.Weights,
-						Parallelism: opts.PlanParallelism,
-						Obs:         opts.Obs,
+						Heuristic: opts.Pairs[pi].Heuristic,
+						Criterion: opts.Pairs[pi].Criterion,
+						EU:        opts.Sweep[si].EU,
+						Weights:   opts.Weights,
+						Obs:       opts.Obs,
 					}
 					res, err := core.Schedule(cases[ci], cfg)
 					if err != nil {

@@ -48,7 +48,7 @@ func SaturationSweep(opts Options, spec workload.Spec, loads []float64, pair cor
 		return nil, fmt.Errorf("experiment: no saturation loads")
 	}
 	cfg := core.Config{Heuristic: pair.Heuristic, Criterion: pair.Criterion, EU: eu,
-		Weights: opts.Weights, Parallelism: opts.PlanParallelism, Obs: opts.Obs}
+		Weights: opts.Weights, Obs: opts.Obs}
 
 	perCase := make([]*workload.SaturationResult, opts.NumCases)
 	for ci := 0; ci < opts.NumCases; ci++ {

@@ -26,11 +26,10 @@ func lineTrace(t *testing.T) ([]byte, *core.Result) {
 	sc := testnet.Line(3, 1<<20, testnet.KBPS(1000), time.Hour)
 	mem := &obs.MemorySink{}
 	res, err := core.Schedule(sc, core.Config{
-		Heuristic:   core.PartialPath,
-		Criterion:   core.C3,
-		Weights:     model.Weights1x5x10,
-		Parallelism: 1,
-		Obs:         obs.NewTraced(mem),
+		Heuristic: core.PartialPath,
+		Criterion: core.C3,
+		Weights:   model.Weights1x5x10,
+		Obs:       obs.NewTraced(mem),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +143,8 @@ func TestAddEventsOnly(t *testing.T) {
 	mem := &obs.MemorySink{}
 	if _, err := core.Schedule(sc, core.Config{
 		Heuristic: core.PartialPath, Criterion: core.C3,
-		Weights: model.Weights1x5x10, Parallelism: 1,
-		Obs: obs.NewTraced(mem),
+		Weights: model.Weights1x5x10,
+		Obs:     obs.NewTraced(mem),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -363,7 +363,7 @@ func TestPromName(t *testing.T) {
 
 func TestEventKindNames(t *testing.T) {
 	kinds := []EventKind{EvIteration, EvForestComputed, EvForestCacheHit, EvForestInvalidated,
-		EvParallelBatch, EvTransferBooked, EvRequestSatisfied, EvItemDead, EvEpochReplan}
+		EvTransferBooked, EvRequestSatisfied, EvItemDead, EvEpochReplan, EvRelaxBatch}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		n := k.String()

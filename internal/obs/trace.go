@@ -17,9 +17,9 @@ const (
 	// candidate communication steps considered.
 	EvIteration EventKind = iota + 1
 	// EvForestComputed is one Dijkstra run charged to the schedule: Item
-	// is the item whose forest was (re)computed. Forests prefetched by a
-	// parallel batch emit this at first use, exactly where the serial
-	// path would have computed them.
+	// is the item whose forest was (re)computed. Prefetched forests emit
+	// this at first use, exactly where the lazy path would have computed
+	// them.
 	EvForestComputed
 	// EvForestCacheHit is a reuse of a cached forest where the paper's
 	// described implementation would have re-run Dijkstra.
@@ -27,9 +27,6 @@ const (
 	// EvForestInvalidated is a dropped cached forest; Reason says why and
 	// Item whose.
 	EvForestInvalidated
-	// EvParallelBatch is one iteration-top replan batch run on the worker
-	// pool; N is the number of forests computed in the batch.
-	EvParallelBatch
 	// EvTransferBooked is a committed transfer: Item over Link arriving
 	// at Machine, At the start instant (ns), Value the duration in
 	// seconds.
@@ -46,9 +43,8 @@ const (
 	// event batch.
 	EvEpochReplan
 	// EvRelaxBatch is one merged-relaxation walk (dijkstra.ComputeBatch):
-	// N is the number of forests relaxed together in the walk. A parallel
-	// prefetch emits one per worker chunk; a serial prefetch emits one per
-	// iteration-top batch.
+	// N is the number of forests relaxed together in the walk, at most one
+	// walk per select-and-commit iteration.
 	EvRelaxBatch
 )
 
@@ -57,7 +53,6 @@ var eventKindNames = map[EventKind]string{
 	EvForestComputed:    "forest_computed",
 	EvForestCacheHit:    "forest_cache_hit",
 	EvForestInvalidated: "forest_invalidated",
-	EvParallelBatch:     "parallel_batch",
 	EvTransferBooked:    "transfer_booked",
 	EvRequestSatisfied:  "request_satisfied",
 	EvItemDead:          "item_dead",

@@ -15,11 +15,10 @@ import (
 func schedule(t *testing.T, sc *scenario.Scenario) *core.Result {
 	t.Helper()
 	res, err := core.Schedule(sc, core.Config{
-		Heuristic:   core.PartialPath,
-		Criterion:   core.C4,
-		EU:          core.EUFromLog10(0),
-		Weights:     model.Weights1x5x10,
-		Parallelism: 1,
+		Heuristic: core.PartialPath,
+		Criterion: core.C4,
+		EU:        core.EUFromLog10(0),
+		Weights:   model.Weights1x5x10,
 	})
 	if err != nil {
 		t.Fatal(err)

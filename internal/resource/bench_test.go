@@ -45,8 +45,8 @@ func capacityBenchQueries(n int) []simtime.Interval {
 
 // BenchmarkCapacityMinAvailable measures the interval-minimum query on a
 // dense ~1k-segment profile: the segment-min indexed kernel, O(1) per query
-// after the lazily rebuilt index. BenchmarkCapacityMinAvailableSlow is the
-// same workload on the linear reference walk — the before/after pair in
+// after the lazily rebuilt index. BenchmarkCapacityMinAvailableLinear is the
+// same workload on the linear walk — the before/after pair in
 // BENCH_core.json.
 func BenchmarkCapacityMinAvailable(b *testing.B) {
 	const n = 1000
@@ -61,17 +61,17 @@ func BenchmarkCapacityMinAvailable(b *testing.B) {
 	}
 }
 
-// BenchmarkCapacityMinAvailableSlow runs the identical workload through the
-// pre-index linear reference (the differential-test oracle), so the cost the
-// index removes stays measured in BENCH_core.json.
-func BenchmarkCapacityMinAvailableSlow(b *testing.B) {
+// BenchmarkCapacityMinAvailableLinear runs the identical workload through the
+// linear walk (the small-profile path and differential-test oracle), so the
+// cost the index removes stays measured in BENCH_core.json.
+func BenchmarkCapacityMinAvailableLinear(b *testing.B) {
 	const n = 1000
 	c := benchCapacity(n)
 	queries := capacityBenchQueries(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c.minAvailableSlow(queries[i%len(queries)]) < 0 {
+		if c.minAvailableLinear(queries[i%len(queries)]) < 0 {
 			b.Fatal("negative availability")
 		}
 	}

@@ -42,9 +42,9 @@ type Capacity struct {
 	// Release) mark it dirty; the first MinAvailable on a large profile
 	// afterwards rebuilds it under mu, so the rebuild cost is amortized
 	// over the many feasibility queries between commits. Queries may run
-	// concurrently with each other (the planner's parallel replanning
-	// does), but never concurrently with a mutation — the same contract
-	// the rest of the state bookkeeping already has.
+	// concurrently with each other, but never concurrently with a
+	// mutation — the same contract the rest of the state bookkeeping
+	// already has.
 	idx   minTable
 	dirty atomic.Bool
 	mu    sync.Mutex
@@ -97,14 +97,15 @@ func NewCapacity(total int64) *Capacity {
 //
 // On profiles larger than minIndexCutoff the query is served from the
 // segment-min index in O(log n): two binary searches for the boundary
-// segments and one constant-time sparse-table lookup. minAvailableSlow is
-// the linear reference the differential tests pin this against.
+// segments and one constant-time sparse-table lookup. At or below the
+// cutoff minAvailableLinear answers, which is also the reference the
+// differential tests pin the index against.
 func (c *Capacity) MinAvailable(iv simtime.Interval) int64 {
 	if iv.End <= iv.Start {
 		return c.segs[c.segIndex(iv.Start)].avail
 	}
 	if len(c.segs) <= minIndexCutoff {
-		return c.minAvailableSlow(iv)
+		return c.minAvailableLinear(iv)
 	}
 	c.ensureIndex()
 	i := c.segIndex(iv.Start)
@@ -114,11 +115,12 @@ func (c *Capacity) MinAvailable(iv simtime.Interval) int64 {
 	return c.idx.min(i, j)
 }
 
-// minAvailableSlow is the pre-index reference implementation: a linear
-// walk over every segment the interval touches. Kept as the oracle for
-// the differential kernel tests and FuzzKernelEquivalence (exported to
-// tests via export_test.go).
-func (c *Capacity) minAvailableSlow(iv simtime.Interval) int64 {
+// minAvailableLinear is a linear walk over every segment the interval
+// touches: the live MinAvailable path on profiles of at most minIndexCutoff
+// segments, and on larger ones the oracle the differential kernel tests and
+// FuzzKernelEquivalence hold the index to (exported to tests via
+// export_test.go).
+func (c *Capacity) minAvailableLinear(iv simtime.Interval) int64 {
 	if iv.End < iv.Start {
 		iv.End = iv.Start
 	}

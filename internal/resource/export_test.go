@@ -2,10 +2,10 @@ package resource
 
 import "datastaging/internal/simtime"
 
-// MinAvailableSlow exposes the linear-walk reference implementation to the
-// differential kernel tests and FuzzKernelEquivalence.
-func (c *Capacity) MinAvailableSlow(iv simtime.Interval) int64 {
-	return c.minAvailableSlow(iv)
+// MinAvailableLinear exposes the linear walk, whatever the profile size, to
+// the differential kernel tests and FuzzKernelEquivalence.
+func (c *Capacity) MinAvailableLinear(iv simtime.Interval) int64 {
+	return c.minAvailableLinear(iv)
 }
 
 // MinIndexCutoff exposes the profile size above which MinAvailable uses

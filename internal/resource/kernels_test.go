@@ -51,7 +51,7 @@ func TestMinAvailableMatchesSlow(t *testing.T) {
 			case 1:
 				iv.End = simtime.Forever
 			}
-			got, want := c.MinAvailable(iv), c.MinAvailableSlow(iv)
+			got, want := c.MinAvailable(iv), c.MinAvailableLinear(iv)
 			if got != want {
 				t.Fatalf("step %d (%d segments): MinAvailable(%v) = %d, want %d",
 					step, c.Segments(), iv, got, want)
@@ -193,7 +193,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 				}
 			}
 			q := simtime.Interval{Start: start.Add(-30 * time.Second), End: start.Add(time.Duration(data[i+2]%90) * time.Second)}
-			if got, want := c.MinAvailable(q), c.MinAvailableSlow(q); got != want {
+			if got, want := c.MinAvailable(q), c.MinAvailableLinear(q); got != want {
 				t.Fatalf("op %d (%d segments): MinAvailable(%v) = %d, want %d", i/3, c.Segments(), q, got, want)
 			}
 		}

@@ -23,8 +23,8 @@ type LinkTimeline struct {
 	// starts exactly where the last one ended; a stale hint is detected
 	// and falls back to the indexed search, so correctness never depends
 	// on it. Commit and Block invalidate it (the free set changed).
-	// Atomic because concurrent forest recomputations share the timeline
-	// read-only; the hint is the one cell they may both touch.
+	// Atomic because concurrent readers share the timeline read-only; the
+	// hint is the one cell they may both touch.
 	hint atomic.Int64
 }
 

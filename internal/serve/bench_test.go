@@ -67,16 +67,16 @@ func BenchmarkServeSoak(b *testing.B) {
 		}
 		sc := bd.Build("soak")
 		eng, err := New(sc, Options{
-			Config:          cfgC4(nil),
-			VirtualClock:    true,
-			MaxBatch:        1 << 20, // flush only on Advance
-			QueueCap:        1 << 20,
-			SkipDiagnosis:   true,
-			ForceFullReplay: full,
+			Config:        cfgC4(nil),
+			VirtualClock:  true,
+			MaxBatch:      1 << 20, // flush only on Advance
+			QueueCap:      1 << 20,
+			SkipDiagnosis: true,
 		})
 		if err != nil {
 			panic(err)
 		}
+		eng.dyn.SetFullReplay(full)
 		return eng
 	}
 	for _, mode := range []struct {

@@ -98,10 +98,6 @@ type Options struct {
 	// dominates epoch cost in long reject-heavy soaks; soak drivers that
 	// only care about admission latency turn it off.
 	SkipDiagnosis bool
-	// ForceFullReplay pins every admission epoch to the full-replay
-	// rebuild path (the incremental engine's correctness oracle). Used by
-	// benchmarks and soak baselines; production keeps it off.
-	ForceFullReplay bool
 	// Intro, when non-nil, receives the live epoch phase for /runinfo.
 	Intro *introspect.Server
 	// Audit, when non-nil, receives one lifecycle record per admission
@@ -312,9 +308,6 @@ func New(base *scenario.Scenario, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e.dyn = dyn
-	if opts.ForceFullReplay {
-		dyn.SetFullReplay(true)
-	}
 	if opts.VirtualClock {
 		// Virtual-clock runs must replay byte-identically; strip wall-clock
 		// fields from every audit record.

@@ -2,13 +2,51 @@ package simtime
 
 import "time"
 
-// EarliestFitSlow exposes the linear-scan reference implementation to the
+// EarliestFitSlow is the pre-index reference implementation of EarliestFit:
+// a linear scan from the front of the set. It is the oracle for the
 // differential kernel tests and FuzzKernelEquivalence.
 func (s *Set) EarliestFitSlow(ready Instant, d time.Duration) (Instant, bool) {
-	return s.earliestFitSlow(ready, d)
+	if d < 0 {
+		d = 0
+	}
+	for _, iv := range s.ivs {
+		if iv.End < ready {
+			continue
+		}
+		start := MaxInstant(iv.Start, ready)
+		if d == 0 {
+			if iv.Contains(start) {
+				return start, true
+			}
+			continue
+		}
+		if start.Add(d) <= iv.End {
+			return start, true
+		}
+	}
+	return Never, false
 }
 
-// SubtractSlow exposes the rebuild-into-fresh-array reference
-// implementation of Subtract to the differential kernel tests and
+// SubtractSlow is the pre-splice reference implementation of Subtract:
+// rebuild the whole set into a fresh array, filtering each interval against
+// iv. It is the oracle for the differential kernel tests and
 // FuzzKernelEquivalence.
-func (s *Set) SubtractSlow(iv Interval) { s.subtractSlow(iv) }
+func (s *Set) SubtractSlow(iv Interval) {
+	if iv.IsEmpty() || len(s.ivs) == 0 {
+		return
+	}
+	out := s.ivs[:0:0]
+	for _, ex := range s.ivs {
+		if !ex.Overlaps(iv) {
+			out = append(out, ex)
+			continue
+		}
+		if left := (Interval{Start: ex.Start, End: iv.Start}); !left.IsEmpty() {
+			out = append(out, left)
+		}
+		if right := (Interval{Start: iv.End, End: ex.End}); !right.IsEmpty() {
+			out = append(out, right)
+		}
+	}
+	s.ivs = out
+}

@@ -322,30 +322,6 @@ func (s *Set) Subtract(iv Interval) {
 	}
 }
 
-// subtractSlow is the pre-splice reference implementation: rebuild the
-// whole set into a fresh array, filtering each interval against iv. Kept
-// as the oracle for the differential kernel tests and FuzzKernelEquivalence
-// (exported to tests via export_test.go).
-func (s *Set) subtractSlow(iv Interval) {
-	if iv.IsEmpty() || len(s.ivs) == 0 {
-		return
-	}
-	out := s.ivs[:0:0]
-	for _, ex := range s.ivs {
-		if !ex.Overlaps(iv) {
-			out = append(out, ex)
-			continue
-		}
-		if left := (Interval{Start: ex.Start, End: iv.Start}); !left.IsEmpty() {
-			out = append(out, left)
-		}
-		if right := (Interval{Start: iv.End, End: ex.End}); !right.IsEmpty() {
-			out = append(out, right)
-		}
-	}
-	s.ivs = out
-}
-
 // IntersectSet returns the instants common to both sets. The output is
 // preallocated at min(len(a), len(b)) intervals, which covers the typical
 // case in one allocation (the true bound is len(a)+len(b)-1; append grows
@@ -384,8 +360,8 @@ func (s *Set) IntersectSet(other *Set) Set {
 // The query binary-searches to the first interval that can still serve
 // ready and scans forward from there, so a query deep into a dense
 // timeline costs O(log n + k) for k intervals actually inspected instead
-// of an O(n) walk from the front (earliestFitSlow, the reference the
-// differential tests pin this against).
+// of an O(n) walk from the front (EarliestFitSlow in export_test.go, the
+// reference the differential tests pin this against).
 func (s *Set) EarliestFit(ready Instant, d time.Duration) (Instant, bool) {
 	t, _, ok := s.earliestFitFrom(s.search(ready), ready, d)
 	return t, ok
@@ -435,32 +411,6 @@ func (s *Set) EarliestFitHint(hint int, ready Instant, d time.Duration) (t Insta
 	}
 	t, next, ok = s.earliestFitFrom(s.search(ready), ready, d)
 	return t, next, ok, false
-}
-
-// earliestFitSlow is the pre-index reference implementation of EarliestFit:
-// a linear scan from the front of the set. It is kept as the oracle for the
-// differential kernel tests and FuzzKernelEquivalence (exported to tests
-// via export_test.go) and must not be called on hot paths.
-func (s *Set) earliestFitSlow(ready Instant, d time.Duration) (Instant, bool) {
-	if d < 0 {
-		d = 0
-	}
-	for _, iv := range s.ivs {
-		if iv.End < ready {
-			continue
-		}
-		start := MaxInstant(iv.Start, ready)
-		if d == 0 {
-			if iv.Contains(start) {
-				return start, true
-			}
-			continue
-		}
-		if start.Add(d) <= iv.End {
-			return start, true
-		}
-	}
-	return Never, false
 }
 
 // Clone returns a deep copy of the set.

@@ -90,8 +90,7 @@ type State struct {
 
 	// Slot-query metrics, wired by SetObs (nil — disabled — otherwise;
 	// obs instruments are nil-safe and atomic, so the hot path calls them
-	// unconditionally and concurrent forest recomputations may share
-	// them).
+	// unconditionally and concurrent readers may share them).
 	mSlotQuery, mSlotFast *obs.Counter
 }
 
@@ -267,8 +266,8 @@ func (st *State) SetObs(o *obs.Obs) {
 // single-link query rides the link's monotone cursor hint, and the
 // serialized query is the fused three-way intersect-fit kernel
 // (simtime.EarliestFitN), bit-identical to intersecting the three free
-// sets first (earliestTransferSlotSlow, which the differential tests pin
-// it against) without building them.
+// sets first (EarliestTransferSlotSlow in export_test.go, which the
+// differential tests pin it against) without building them.
 func (st *State) EarliestTransferSlot(id model.LinkID, ready simtime.Instant, d time.Duration) (simtime.Instant, bool) {
 	st.mSlotQuery.Inc()
 	if st.sendPort == nil {
@@ -345,21 +344,6 @@ func (st *State) EarliestTransferSlotCursors(c *SlotCursors, id model.LinkID, re
 		st.links[id].Free(), st.sendPort[l.From].Free(), st.recvPort[l.To].Free())
 	c.link[id], c.send[l.From], c.recv[l.To] = cur[0], cur[1], cur[2]
 	return t, ok
-}
-
-// earliestTransferSlotSlow is the pre-kernel reference implementation of
-// EarliestTransferSlot: in serialized mode it materializes the
-// intersection of the three availability sets (two intermediate Set
-// allocations per query) and runs the earliest-fit on the result. Kept as
-// the oracle for the differential tests (exported via export_test.go).
-func (st *State) earliestTransferSlotSlow(id model.LinkID, ready simtime.Instant, d time.Duration) (simtime.Instant, bool) {
-	if st.sendPort == nil {
-		return st.links[id].Free().EarliestFit(ready, d)
-	}
-	l := st.sc.Network.Link(id)
-	free := st.links[id].Free().IntersectSet(st.sendPort[l.From].Free())
-	free = free.IntersectSet(st.recvPort[l.To].Free())
-	return free.EarliestFit(ready, d)
 }
 
 // Capacity returns the capacity profile of one machine. Callers must not

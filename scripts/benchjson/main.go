@@ -41,7 +41,7 @@ type File struct {
 
 // benchLine matches e.g.
 //
-//	BenchmarkScheduleParallel/P4-8  12  9876 ns/op  123 B/op  45 allocs/op
+//	BenchmarkServeSoak/incremental-8  12  9876 ns/op  123 B/op  45 allocs/op
 var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9]+) B/op)?(?:\s+([0-9]+) allocs/op)?`)
 
