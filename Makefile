@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-json bench-regress bench-smoke serve-smoke soak-smoke saturation-smoke audit-smoke shard-smoke trace-check cover cover-check fuzz study examples clean
+.PHONY: all build vet test test-short race bench bench-json bench-regress bench-smoke e2e-bench serve-smoke soak-smoke saturation-smoke audit-smoke shard-smoke trace-check cover cover-check fuzz study examples clean
 
 all: build vet test
 
@@ -49,6 +49,16 @@ bench-regress:
 bench-smoke:
 	$(GO) test -run='^$$' -bench='EarliestFit|CapacityMinAvailable' -benchtime=1x \
 		./internal/simtime/ ./internal/resource/
+
+# A short pass of the end-to-end benchmark (BENCHMARK.json, benchmark/):
+# five seconds of each workload, one at a time. A run exits non-zero only
+# when an operation failed or an output check did not hold — timings are
+# printed, not gated, and a workload invariant outside its band is an
+# INVARIANT: line, not a failure. Builds and writes under .bench_build/.
+e2e-bench:
+	@for w in offline_paper paper_oversub fed_single fed_sharded; do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 || exit 1; \
+	done
 
 # Boot the admission daemon on a loopback port, drive 200 submissions
 # through the closed-loop load generator, and require at least one admit

@@ -312,12 +312,13 @@ func run(args []string, out io.Writer) error {
 		if len(open) == 0 {
 			fmt.Fprintln(out, "  every request was satisfied")
 		}
+		var diag explain.Diagnoser
 		for i, id := range open {
 			if i >= *explainN {
 				fmt.Fprintf(out, "  ... %d more unsatisfied requests (raise -explain)\n", len(open)-i)
 				break
 			}
-			rep, err := explain.Diagnose(sc, res.Transfers, id)
+			rep, err := diag.Diagnose(sc, res.Transfers, id)
 			if err != nil {
 				return err
 			}

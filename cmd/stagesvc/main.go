@@ -15,7 +15,7 @@
 //	         [-eu LOG10|inf|-inf] [-weights 1,10,100]
 //	         [-max-batch N] [-max-wait DUR] [-queue-cap N]
 //	         [-virtual-clock] [-time-scale X] [-preempt]
-//	         [-no-diagnose] [-drain-timeout DUR]
+//	         [-drain-timeout DUR]
 //	         [-replay-trace FILE] [-audit] [-audit-out FILE]
 //	         [-decision-slo DUR] [-chrome-trace-out FILE]
 //	         [-shards N] [-shard-map FILE] [-schedule-out FILE]
@@ -118,8 +118,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	timeScale := fs.Float64("time-scale", 1, "simulated seconds per wall second (wall clock)")
 	preempt := fs.Bool("preempt", false,
 		"let higher-priority arrivals displace not-yet-started lower-priority transfers")
-	noDiagnose := fs.Bool("no-diagnose", false,
-		"skip the explain blame on rejections (cheaper epochs for reject-heavy soaks)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
 	replayTrace := fs.String("replay-trace", "",
 		"replay this canonical .trace.json against the service's own endpoint, print the outcome, and exit (requires -virtual-clock)")
@@ -222,16 +220,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	engOpts := serve.Options{
-		Config:        cfg,
-		MaxBatch:      *maxBatch,
-		MaxWait:       *maxWait,
-		QueueCap:      *queueCap,
-		VirtualClock:  *virtual,
-		TimeScale:     *timeScale,
-		Preemption:    *preempt,
-		SkipDiagnosis: *noDiagnose,
-		Intro:         intro,
-		Audit:         recorder,
+		Config:       cfg,
+		MaxBatch:     *maxBatch,
+		MaxWait:      *maxWait,
+		QueueCap:     *queueCap,
+		VirtualClock: *virtual,
+		TimeScale:    *timeScale,
+		Preemption:   *preempt,
+		Intro:        intro,
+		Audit:        recorder,
 	}
 	var (
 		eng     *serve.Engine

@@ -20,7 +20,9 @@ import (
 // the planning floor advances monotonically (forests whose planned hops all
 // start at or after the new floor recompute bit-identically, see
 // dijkstra.Plan.EarliestHopStart), resources only shrink (so dead items
-// stay dead and cached forests obey the usual conflict-invalidation rule),
+// stay dead — dijkstra.Scratch.ComputeBound covers the one gate a rising
+// floor loosens — and cached forests obey the usual conflict-invalidation
+// rule),
 // and the scenario only grows by appended items (Epoch picks them up via
 // State.GrowItems). Anything that rewrites the past — link failure
 // backdated before committed transfers, history splices, rollbacks — is
@@ -48,11 +50,12 @@ func (pp *Planner) State() *state.State { return pp.p.st }
 
 // ItemRetired reports whether the planner has permanently retired the item:
 // every open request is either satisfied or proven unsatisfiable at all
-// future floors (resources only shrink, so dead items never revive).
-// Capacity-blocked items are never retired — a later floor can shorten a
-// hold interval back into feasibility — so a false result means the item
-// may still be scheduled by a future epoch. Items the planner has not yet
-// tracked are not retired.
+// future floors (resources only shrink, so dead items never revive). A
+// capacity-blocked item is retired too once dijkstra's optimistic bound
+// shows that no floor can shorten a hold interval enough to deliver in
+// time; the ones the bound still reaches stay live, so a false result means
+// the item may yet be scheduled by a future epoch. Items the planner has
+// not yet tracked are not retired.
 func (pp *Planner) ItemRetired(item model.ItemID) bool {
 	p := pp.p
 	return int(item) < len(p.dead) && p.dead[item]
@@ -78,6 +81,17 @@ func (pp *Planner) Epoch(at simtime.Instant) (*Result, error) {
 		return nil, err
 	}
 	res.Stats = subStats(res.Stats, prev)
+	if p.obsOn {
+		// The last candidates pass leaves the items it retired on the live
+		// list for the next pass to compact; they are not backlog.
+		live := 0
+		for _, item := range p.live {
+			if !p.dead[item] {
+				live++
+			}
+		}
+		p.gLive.Set(float64(live))
+	}
 	return res, nil
 }
 

@@ -59,8 +59,9 @@ type planner struct {
 	// plan(); its Dijkstra run is counted at first use so Stats are
 	// identical to the lazy path.
 	fresh []bool
-	// dead[i] marks an item with no satisfiable open request; resources
-	// only shrink, so dead items never revive and are skipped forever.
+	// dead[i] marks an item with no open request that any future epoch could
+	// satisfy (see markDead); dead items never revive and are skipped
+	// forever.
 	dead []bool
 	// live lists the not-yet-dead items in ascending ID order; candidate
 	// passes iterate it (compacting dead entries away) instead of scanning
@@ -142,7 +143,8 @@ type planner struct {
 	// deltas to the counters.
 	flushedScratch dijkstra.ScratchStats
 	mIterations, mCommits, mDijkstra, mCacheHits, mInvalidations,
-	mBatchedRuns, mRelaxBatches, mCostEvals, mSatisfied *obs.Counter
+	mBatchedRuns, mRelaxBatches, mCostEvals, mSatisfied, mRetired *obs.Counter
+	gLive               *obs.Gauge
 	hCandidates, hSlack *obs.Histogram
 }
 
@@ -187,6 +189,8 @@ func plannerOn(st *state.State, cfg Config) *planner {
 		p.mRelaxBatches = o.Counter("core.relax_batches_total")
 		p.mCostEvals = o.Counter("core.cost_evaluations_total")
 		p.mSatisfied = o.Counter("core.requests_satisfied_total")
+		p.mRetired = o.Counter("core.items_retired_total")
+		p.gLive = o.Gauge("core.live_items")
 		p.hCandidates = o.Histogram("core.iteration_candidates", obs.CountBuckets)
 		p.hSlack = o.Histogram("core.satisfaction_slack_seconds", obs.SlackBuckets)
 	}
@@ -264,13 +268,18 @@ func (p *planner) invalidate(item model.ItemID, why obs.Reason) {
 	}
 }
 
-// markDead retires an item forever (resources only shrink, so dead items
-// never revive). Its cached forest, if any, is recycled on the spot: a dead
-// item's forest is never consulted again, and a long-lived incremental
-// planner must not pin one Plan per retired item for the life of the world.
-// The next candidates pass drops the item from the live list.
+// markDead retires an item forever. Callers have proven that no open request
+// of the item can be satisfied in this state or any the planner can move it
+// to: free link time and storage only shrink and the floor only rises, which
+// settles it for a forest that met no storage rejection, and a cap-blocked
+// forest is settled by the optimistic bound (boundAdmits). Its cached forest,
+// if any, is recycled on the spot: a dead item's forest is never consulted
+// again, and a long-lived incremental planner must not pin one Plan per
+// retired item for the life of the world. The next candidates pass drops the
+// item from the live list.
 func (p *planner) markDead(item model.ItemID, why obs.Reason) {
 	p.dead[item] = true
+	p.mRetired.Inc()
 	p.invalidate(item, why)
 	if p.tr.Enabled() {
 		p.tr.Emit(obs.Event{Kind: obs.EvItemDead, Item: int(item), Reason: why})
@@ -299,9 +308,11 @@ func (p *planner) grow() {
 // forest the advance could reshape: forests that planned a hop starting
 // before the new floor, and cap-blocked forests (a failed capacity check
 // can flip to success at a later floor because the hold interval shrinks —
-// see dijkstra.Plan.CapBlocked). Everything else is exactly what a fresh
-// computation would produce (see dijkstra.Plan.EarliestHopStart), so it
-// carries across the epoch boundary and its item skips a Dijkstra rerun.
+// see dijkstra.Plan.CapBlocked; the cap-blocked items no floor can help
+// were retired by buildItemCands and hold no forest). Everything else is
+// exactly what a fresh computation would produce (see
+// dijkstra.Plan.EarliestHopStart), so it carries across the epoch boundary
+// and its item skips a Dijkstra rerun.
 func (p *planner) advanceFloor(at simtime.Instant) {
 	if at == p.st.Floor() {
 		return
@@ -321,11 +332,7 @@ func (p *planner) plan(item model.ItemID) *dijkstra.Plan {
 			// Computed by this iteration's prefetch: count it as the
 			// Dijkstra run the lazy path would have performed here.
 			p.fresh[item] = false
-			p.stats.DijkstraRuns++
-			p.mDijkstra.Inc()
-			if p.tr.Enabled() {
-				p.tr.Emit(obs.Event{Kind: obs.EvForestComputed, Item: int(item)})
-			}
+			p.countRun(item)
 		} else {
 			p.stats.CacheHits++
 			p.mCacheHits.Inc()
@@ -339,12 +346,40 @@ func (p *planner) plan(item model.ItemID) *dijkstra.Plan {
 	pl := p.scratch.Compute(p.st, item, p.takePlan())
 	span.Stop()
 	p.plans[item] = pl
+	p.countRun(item)
+	return pl
+}
+
+// countRun charges one shortest-path computation for the item to the stats,
+// the registry and the trace, which must agree run for run.
+func (p *planner) countRun(item model.ItemID) {
 	p.stats.DijkstraRuns++
 	p.mDijkstra.Inc()
 	if p.tr.Enabled() {
 		p.tr.Emit(obs.Event{Kind: obs.EvForestComputed, Item: int(item)})
 	}
-	return pl
+}
+
+// boundAdmits reports whether any open request of the item is still within
+// reach of some future epoch: whether dijkstra's optimistic bound forest,
+// which no real forest this planner will ever compute can beat, arrives at
+// one of them by its deadline. It costs one Dijkstra run, counted as one.
+func (p *planner) boundAdmits(item model.ItemID, open []int) bool {
+	span := p.replanTimer.Start()
+	pl := p.scratch.ComputeBound(p.st, item, p.takePlan())
+	span.Stop()
+	p.countRun(item)
+	it := p.st.Scenario().Item(item)
+	admits := false
+	for _, k := range open {
+		rq := &it.Requests[k]
+		if !pl.Arrival[rq.Machine].After(rq.Deadline) {
+			admits = true
+			break
+		}
+	}
+	p.freePlans = append(p.freePlans, pl)
+	return admits
 }
 
 // mergedMinHistory gates the merged relaxation walk on committed-history
@@ -484,7 +519,7 @@ func (p *planner) candidates() []candidate {
 // buildItemCands rebuilds one item's candidate groups into its cache slot
 // (recycling the slot's previous group and dest backing arrays) and marks
 // the cache valid, or marks the item dead when no open request remains
-// satisfiable.
+// satisfiable now or at any later floor.
 func (p *planner) buildItemCands(item model.ItemID) {
 	groups := p.candGroups[item][:0]
 	defer func() { p.candGroups[item] = groups }()
@@ -536,10 +571,12 @@ func (p *planner) buildItemCands(item model.ItemID) {
 		// candidate, and other commits only consume resources. The one
 		// exception is a cap-blocked forest — a later planning floor
 		// shortens hold intervals, so a destination unreachable for
-		// lack of storage today can open up at a future epoch; such
-		// items stay live (with a cached empty group) and are rebuilt
+		// lack of storage today can open up at a future epoch. The
+		// optimistic bound decides which of those can: an item it
+		// cannot deliver in time is as dead as the rest, and the few it
+		// can stay live (with a cached empty group) and are rebuilt
 		// when the floor advance invalidates the forest.
-		if !pl.CapBlocked {
+		if !pl.CapBlocked || !p.boundAdmits(item, open) {
 			p.markDead(item, obs.ReasonUnsatisfiable)
 			return
 		}

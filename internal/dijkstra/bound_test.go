@@ -1,0 +1,123 @@
+package dijkstra
+
+import (
+	"math/rand"
+	"testing"
+	"testing/quick"
+	"time"
+
+	"datastaging/internal/gen"
+	"datastaging/internal/model"
+	"datastaging/internal/simtime"
+	"datastaging/internal/state"
+)
+
+// commitRandomPaths books n whole planned paths of randomly chosen items
+// into the state, the way the heuristics extend a schedule, and records
+// which items gained a holder.
+func commitRandomPaths(t *testing.T, st *state.State, rng *rand.Rand, n int, touched map[model.ItemID]bool) {
+	t.Helper()
+	sc := st.Scenario()
+	for ; n > 0; n-- {
+		item := model.ItemID(rng.Intn(len(sc.Items)))
+		pl := Compute(st, item)
+		var reach []model.MachineID
+		for m := range pl.Arrival {
+			if mid := model.MachineID(m); pl.Reachable(mid) && !pl.IsRoot(mid) {
+				reach = append(reach, mid)
+			}
+		}
+		if len(reach) == 0 {
+			continue
+		}
+		hops, _ := pl.PathTo(reach[rng.Intn(len(reach))])
+		for _, h := range hops {
+			if _, err := st.Commit(item, h.Link, h.Start); err != nil {
+				t.Fatalf("item %d hop %+v: %v", item, h, err)
+			}
+		}
+		touched[item] = true
+	}
+}
+
+// TestQuickBoundIsLowerBound pins ComputeBound's claim on random committed
+// states with storage tight enough to reject: the bound arrival is at or
+// before the exact arrival at every machine the exact forest reaches by the
+// item's latest deadline, and an item's bound taken now still holds after
+// further commits of other items and a floor advance. The generator is
+// seeded so the storage-rejection count below cannot come out zero by luck.
+func TestQuickBoundIsLowerBound(t *testing.T) {
+	params := quickParams()
+	params.CapacityBytes = gen.Int64Range{Min: 1 << 20, Max: 64 << 20}
+	var compared, capBlocked, tighter int
+	var s Scratch
+
+	property := func(seed int64) bool {
+		sc := gen.MustGenerate(params, seed%100000)
+		rng := rand.New(rand.NewSource(seed))
+		st := state.New(sc)
+		n := len(sc.Items)
+		commitRandomPaths(t, st, rng, n/2, map[model.ItemID]bool{})
+
+		bounds := make([]*Plan, n)
+		for i := range bounds {
+			bounds[i] = s.ComputeBound(st, model.ItemID(i), nil)
+			if bounds[i].CapBlocked {
+				t.Logf("seed %d item %d: bound forest flagged CapBlocked", seed, i)
+				return false
+			}
+		}
+		// holds checks every item whose holders have not moved since its
+		// bound was taken.
+		holds := func(stage string, touched map[model.ItemID]bool) bool {
+			for i, b := range bounds {
+				item := model.ItemID(i)
+				if touched[item] {
+					continue
+				}
+				exact := s.Compute(st, item, nil)
+				if exact.CapBlocked {
+					capBlocked++
+				}
+				latest := sc.Item(item).LatestDeadline()
+				for m, at := range exact.Arrival {
+					if at.After(latest) {
+						continue
+					}
+					compared++
+					if b.Arrival[m] < at {
+						tighter++
+					}
+					if b.Arrival[m].After(at) {
+						t.Logf("seed %d %s item %d machine %d: bound %v after exact %v (latest deadline %v)",
+							seed, stage, i, m, b.Arrival[m], at, latest)
+						return false
+					}
+				}
+			}
+			return true
+		}
+		touched := map[model.ItemID]bool{}
+		if !holds("at once", touched) {
+			return false
+		}
+		commitRandomPaths(t, st, rng, n/4, touched)
+		st.SetFloor(simtime.At(time.Duration(rng.Int63n(int64(45 * time.Minute)))))
+		commitRandomPaths(t, st, rng, n/4, touched)
+		return holds("later", touched)
+	}
+	// On this seed a "bound" that keeps the exact storage gate is beaten
+	// after the floor advance — the non-monotonicity Plan.CapBlocked
+	// documents; found by running the property against that mutation.
+	if !property(8316047019281803308) {
+		t.Error("failed on the pinned seed")
+	}
+	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(property, cfg); err != nil {
+		t.Error(err)
+	}
+	if compared == 0 || capBlocked == 0 || tighter == 0 {
+		t.Errorf("vacuous: %d labels compared, %d cap-blocked exact forests, %d labels where the bound was strictly earlier",
+			compared, capBlocked, tighter)
+	}
+}

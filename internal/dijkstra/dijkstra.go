@@ -62,8 +62,9 @@ type Plan struct {
 	// other gate (slot fit, copy lifetime, label domination) only gets
 	// harder. A cap-blocked forest therefore cannot be carried across a
 	// floor advance, and an item whose forest is cap-blocked cannot be
-	// written off as permanently unsatisfiable; see the incremental
-	// planner in internal/core.
+	// written off as permanently unsatisfiable on this forest's evidence
+	// alone: the incremental planner in internal/core asks
+	// Scratch.ComputeBound before retiring it.
 	CapBlocked bool
 }
 
@@ -134,10 +135,53 @@ func Compute(st *state.State, item model.ItemID) *Plan {
 // is non-nil its slices are recycled for the returned Plan (which may or
 // may not be reuse itself); the caller must no longer use reuse afterwards.
 func (s *Scratch) Compute(st *state.State, item model.ItemID, reuse *Plan) *Plan {
+	return s.compute(st, item, reuse, false)
+}
+
+// ComputeBound runs Compute's relaxation under the most permissive storage
+// gate any useful arrival could ever face, and returns an optimistic forest:
+// a lower bound on every arrival the item can still achieve in time, in this
+// state and in every state the incremental planner can move it to. It is
+// identical to Compute except that, with L the item's latest request
+// deadline, the gate at machine v tests CanReserve over
+// [max(arrival, L), HoldEnd(item, v)) — passing outright when that interval
+// is empty — and never sets CapBlocked. Paths are not meant to be committed.
+//
+// The claim: let a real forest be computed later, after any number of
+// commits (of other items) and floor advances, and let a' be its arrival at
+// some machine with a' ≤ L. Then the bound arrival there is ≤ a'. Arrivals
+// after L serve no request, so an item none of whose open requests the bound
+// reaches by its deadline can never be scheduled again. Why it holds:
+//
+//   - every gate other than storage is monotone: on the incremental path
+//     free link time only shrinks and the floor only rises, so a slot a
+//     later computation finds is free now, and a query from an earlier ready
+//     time returns it or something earlier (the EarliestHopStart argument);
+//   - the bound's storage gate is the weakest a useful arrival can meet: a
+//     real arrival a' ≤ L reserves [a', E) ⊇ [L, E), and free storage only
+//     shrinks, so if the real check passes then, [L, E) passes now;
+//   - so by induction along the real path from a holder, each hop relaxes
+//     here from a ready time no later than the real one, through every gate,
+//     to an arrival no later than the real one (for arrivals ≤ L the bound's
+//     gate does not depend on the arrival, so label-setting stays exact);
+//   - the holders the induction starts from do not move: an item with no
+//     candidate commits nothing.
+//
+// Whatever rewrites the past instead of extending it (a dropped or rolled
+// back history, a link failure) is outside the claim; the planner is rebuilt
+// then and re-derives retirement from scratch.
+func (s *Scratch) ComputeBound(st *state.State, item model.ItemID, reuse *Plan) *Plan {
+	return s.compute(st, item, reuse, true)
+}
+
+// compute is the relaxation loop behind Compute (bound false: the exact
+// storage gate, failures flagged CapBlocked) and ComputeBound (bound true).
+func (s *Scratch) compute(st *state.State, item model.ItemID, reuse *Plan, bound bool) *Plan {
 	sc := st.Scenario()
 	net := sc.Network
 	m := net.NumMachines()
 	size := sc.Item(item).SizeBytes
+	latest := sc.Item(item).LatestDeadline()
 
 	s.stats.Computes++
 	if cap(s.holdEnd) < m {
@@ -216,7 +260,12 @@ func (s *Scratch) Compute(st *state.State, item model.ItemID, reuse *Plan) *Plan
 					continue
 				}
 				hold := st.HoldInterval(item, v, arrival)
-				if !st.Capacity(v).CanReserve(size, hold) {
+				if bound {
+					gate := simtime.Interval{Start: simtime.MaxInstant(arrival, latest), End: hold.End}
+					if !gate.IsEmpty() && !st.Capacity(v).CanReserve(size, gate) {
+						continue
+					}
+				} else if !st.Capacity(v).CanReserve(size, hold) {
 					p.CapBlocked = true
 					continue
 				}

@@ -295,7 +295,8 @@ func (e *Engine) Satisfied() map[model.RequestID]simtime.Instant {
 // floors, so no later epoch can schedule more of it — short of a history
 // rewrite, after which the rebuilt planner re-derives retirement from
 // scratch. False before the first ReplanAt, for untracked items, and for
-// capacity-blocked items (a later floor can bring those back).
+// the capacity-blocked items a later floor could still bring back (those
+// the planner's optimistic bound reaches in time).
 func (e *Engine) ItemRetired(item model.ItemID) bool {
 	return e.pl != nil && e.pl.ItemRetired(item)
 }

@@ -70,8 +70,32 @@ type Report struct {
 	Blockers []state.Transfer
 }
 
-// Diagnose explains one request's outcome under a committed schedule.
+// Diagnose explains one request's outcome under a committed schedule. It is
+// a one-shot Diagnoser; a caller diagnosing more than one request of the same
+// scenario should hold a Diagnoser instead.
 func Diagnose(sc *scenario.Scenario, transfers []state.Transfer, id model.RequestID) (*Report, error) {
+	var d Diagnoser
+	return d.Diagnose(sc, transfers, id)
+}
+
+// Diagnoser diagnoses any number of requests against one idle world. The
+// idle-network view of a request depends only on the scenario, so the idle
+// state.State (every link timeline, two slices per item, the physical-link
+// groups) is built once and then follows the scenario as it grows instead of
+// being rebuilt per request; the shortest-path scratch and forest are
+// recycled too. Reports are exactly those of the package-level Diagnose.
+//
+// The zero value is ready to use. Between calls the scenario a Diagnoser has
+// seen may only grow by appended items (the state.GrowItems contract); a
+// different *Scenario starts a fresh idle world. Not safe for concurrent use.
+type Diagnoser struct {
+	idle    *state.State
+	scratch dijkstra.Scratch
+	ideal   *dijkstra.Plan
+}
+
+// Diagnose explains one request's outcome under a committed schedule.
+func (d *Diagnoser) Diagnose(sc *scenario.Scenario, transfers []state.Transfer, id model.RequestID) (*Report, error) {
 	if int(id.Item) < 0 || int(id.Item) >= len(sc.Items) {
 		return nil, fmt.Errorf("explain: unknown item %d", id.Item)
 	}
@@ -83,10 +107,14 @@ func Diagnose(sc *scenario.Scenario, transfers []state.Transfer, id model.Reques
 	rep := &Report{Request: id, Deadline: rq.Deadline}
 
 	// Idle-network view.
-	idle := state.New(sc)
-	ideal := dijkstra.Compute(idle, id.Item)
-	rep.IdealArrival = ideal.Arrival[rq.Machine]
-	if hops, ok := ideal.PathTo(rq.Machine); ok {
+	if d.idle == nil || d.idle.Scenario() != sc {
+		d.idle = state.New(sc)
+	} else {
+		d.idle.GrowItems()
+	}
+	d.ideal = d.scratch.Compute(d.idle, id.Item, d.ideal)
+	rep.IdealArrival = d.ideal.Arrival[rq.Machine]
+	if hops, ok := d.ideal.PathTo(rq.Machine); ok {
 		rep.IdealPath = hops
 	}
 

@@ -1,6 +1,7 @@
 package explain
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"datastaging/internal/model"
 	"datastaging/internal/scenario"
 	"datastaging/internal/simtime"
+	"datastaging/internal/state"
 	"datastaging/internal/testnet"
 )
 
@@ -141,5 +143,75 @@ func TestVerdictString(t *testing.T) {
 		if got := tc.v.String(); got != tc.want {
 			t.Errorf("got %q want %q", got, tc.want)
 		}
+	}
+}
+
+// TestDiagnoserFollowsGrowingScenario: one Diagnoser kept across calls, over
+// a scenario that gains an item between them (the admission service's use),
+// must return exactly the reports a fresh idle world per call does, for
+// every verdict class — and start over when handed another scenario.
+func TestDiagnoserFollowsGrowingScenario(t *testing.T) {
+	b := testnet.NewBuilder()
+	ms := b.Machines(2, 1<<30)
+	link := b.Link(ms[0], ms[1], 0, 24*time.Hour, 8000) // 1 KB ≈ 1.02 s
+	b.Link(ms[1], ms[0], 0, 24*time.Hour, 8000)
+	for _, rq := range []model.Request{
+		testnet.Req(ms[1], 2*time.Second, model.High),        // delivered first
+		testnet.Req(ms[1], 2*time.Second, model.Low),         // displaced by it
+		testnet.Req(ms[1], 500*time.Millisecond, model.Low),  // too tight even alone
+		testnet.Req(ms[1], 1500*time.Millisecond, model.Low), // delivered second, late
+	} {
+		b.Item(1024, []model.Source{testnet.Src(ms[0], 0)}, []model.Request{rq})
+	}
+	full := b.Build("four-verdicts")
+	st := state.New(full)
+	first, err := st.Commit(0, link, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Commit(3, link, first.Arrival); err != nil {
+		t.Fatal(err)
+	}
+
+	var d Diagnoser
+	sc := *full
+	seen := map[Verdict]bool{}
+	for n := 1; n <= len(full.Items); n++ {
+		sc.Items = full.Items[:n]
+		var committed []state.Transfer
+		for _, tr := range st.Transfers() {
+			if int(tr.Item) < n {
+				committed = append(committed, tr)
+			}
+		}
+		for _, id := range sc.Requests() {
+			got, err := d.Diagnose(&sc, committed, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Diagnose(&sc, committed, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d items, %v:\n got %+v\nwant %+v", n, id, got, want)
+			}
+			seen[got.Verdict] = true
+		}
+	}
+	for _, v := range []Verdict{Satisfied, Starved, InfeasibleAlone, DeliveredLate} {
+		if !seen[v] {
+			t.Errorf("fixture never produced %v", v)
+		}
+	}
+
+	other := testnet.Line(3, 1024, 8000, time.Hour)
+	id := model.RequestID{Item: 0, Index: 0}
+	got, err := d.Diagnose(other, nil, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := Diagnose(other, nil, id); !reflect.DeepEqual(got, want) {
+		t.Errorf("after switching scenarios:\n got %+v\nwant %+v", got, want)
 	}
 }

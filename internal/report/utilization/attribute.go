@@ -52,12 +52,13 @@ type Attribution struct {
 func Attribute(sc *scenario.Scenario, transfers []state.Transfer, satisfied map[model.RequestID]simtime.Instant) (*Attribution, error) {
 	a := &Attribution{}
 	byLink := make(map[model.LinkID]*Bottleneck)
+	var diag explain.Diagnoser
 	for _, id := range sc.Requests() {
 		if _, ok := satisfied[id]; ok {
 			continue
 		}
 		a.Unsatisfied++
-		rep, err := explain.Diagnose(sc, transfers, id)
+		rep, err := diag.Diagnose(sc, transfers, id)
 		if err != nil {
 			return nil, fmt.Errorf("utilization: %v: %w", id, err)
 		}

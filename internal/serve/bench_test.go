@@ -67,11 +67,10 @@ func BenchmarkServeSoak(b *testing.B) {
 		}
 		sc := bd.Build("soak")
 		eng, err := New(sc, Options{
-			Config:        cfgC4(nil),
-			VirtualClock:  true,
-			MaxBatch:      1 << 20, // flush only on Advance
-			QueueCap:      1 << 20,
-			SkipDiagnosis: true,
+			Config:       cfgC4(nil),
+			VirtualClock: true,
+			MaxBatch:     1 << 20, // flush only on Advance
+			QueueCap:     1 << 20,
 		})
 		if err != nil {
 			panic(err)

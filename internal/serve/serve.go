@@ -93,11 +93,6 @@ type Options struct {
 	// transfers of strictly lower-priority items when that strictly
 	// increases the weighted objective.
 	Preemption bool
-	// SkipDiagnosis leaves fresh rejections without an explain blame.
-	// Diagnosis walks the whole committed schedule per rejection, which
-	// dominates epoch cost in long reject-heavy soaks; soak drivers that
-	// only care about admission latency turn it off.
-	SkipDiagnosis bool
 	// Intro, when non-nil, receives the live epoch phase for /runinfo.
 	Intro *introspect.Server
 	// Audit, when non-nil, receives one lifecycle record per admission
@@ -204,6 +199,7 @@ type Engine struct {
 	mu        sync.Mutex
 	dyn       *dynamic.Engine
 	sc        scenario.Scenario // private copy; Items grows as submissions are admitted
+	diag      explain.Diagnoser // the idle world every rejection's blame is computed against
 	queue     []*Ticket
 	flushed   []*Ticket // tickets whose epoch has run, in admission order
 	unsettled []*Ticket // flushed tickets with an unsatisfied request (late-admission candidates)
@@ -216,8 +212,8 @@ type Engine struct {
 	// displacement in the in-flight epoch (0 when none happened); audit
 	// records of preempted tickets carry it.
 	epochObjDelta float64
-	oldest    time.Time // wall enqueue time of the oldest pending submission
-	fatal     error     // first replan failure; the engine wedges closed
+	oldest        time.Time // wall enqueue time of the oldest pending submission
+	fatal         error     // first replan failure; the engine wedges closed
 
 	// totalReqs is the request count across every item the engine has ever
 	// seen (base scenario plus all flushed submissions), maintained
@@ -903,14 +899,12 @@ func (e *Engine) settleTicketLocked(t *Ticket, sat map[model.RequestID]simtime.I
 
 // diagnoseLocked fills a fresh rejection's blame via explain: the verdict
 // class and, for contention, the most-obstructed link of the ideal path.
-// With SkipDiagnosis the rejection is left unexplained (diagnosis walks
-// the whole committed schedule, which dominates reject-heavy soaks).
+// The engine's one Diagnoser keeps the idle world across calls — rebuilding
+// it per rejection, not the walk over the ideal path's links, was what made
+// diagnosis expensive — so this stays inline: the ?wait=1 verdict carries
+// the blame.
 func (e *Engine) diagnoseLocked(v *RequestVerdict) {
-	if e.opts.SkipDiagnosis {
-		v.Reason = "rejected (diagnosis disabled)"
-		return
-	}
-	rep, err := explain.Diagnose(&e.sc, e.dyn.Transfers(), v.Request)
+	rep, err := e.diag.Diagnose(&e.sc, e.dyn.Transfers(), v.Request)
 	if err != nil {
 		v.Reason = "undiagnosed: " + err.Error()
 		return

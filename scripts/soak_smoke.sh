@@ -31,10 +31,9 @@ go build -o "$bindir/stagesvc" ./cmd/stagesvc
 go build -o "$bindir/stageload" ./cmd/stageload
 
 # An hour of simulated time per wall second keeps the generated deadlines
-# ahead of the service clock for the whole soak; -no-diagnose keeps
-# rejection handling off the measured path.
+# ahead of the service clock for the whole soak.
 "$bindir/stagesvc" -addr 127.0.0.1:0 -seed 3 -max-wait 2ms -time-scale 3600 \
-    -no-diagnose > "$logfile" 2>&1 &
+    > "$logfile" 2>&1 &
 svcpid=$!
 
 addr=""
