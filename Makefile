@@ -86,9 +86,9 @@ audit-smoke:
 	sh scripts/audit_smoke.sh
 
 # Replay the bursty builtin trace through stagesvc single-world and at
-# -shards 4, require a validator-clean merged schedule, the merged JSON
-# artifact, and a sharded weighted objective within the documented
-# tolerance of the single world's.
+# -shards 4, require a validator-clean final schedule from both, the
+# merged JSON artifact, and a sharded weighted objective within the
+# documented tolerance of the single world's.
 shard-smoke:
 	sh scripts/shard_smoke.sh
 

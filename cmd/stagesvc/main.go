@@ -25,11 +25,13 @@
 // {"shards": [[0,1],[2,3]]} document instead), runs one admission engine
 // per region, admits in-shard submissions with zero coordination, and
 // settles cross-shard submissions through a two-level offer/commit round.
-// The HTTP surface is unchanged; GET /v1/schedule merges all shards,
-// GET /v1/info reports the partition, and GET /v1/shards/{k}/info one
-// region. Requires starting empty (no -with-items); -chrome-trace-out is
-// single-engine only. -schedule-out FILE writes the final (merged)
-// schedule view as JSON on exit in either mode.
+// The HTTP surface is the same code in both modes (serve.NewHandler over
+// the engine or over the sharded service); GET /v1/schedule merges all
+// shards, GET /v1/info reports the partition, and the one extra route
+// GET /v1/shards/{k}/info describes one region. Requires starting empty
+// (no -with-items); -chrome-trace-out is single-engine only. In either
+// mode the independent validator re-checks the final schedule on exit and
+// -schedule-out FILE writes its (merged) view as JSON.
 //
 // Replay mode: -replay-trace FILE (requires -virtual-clock) starts the
 // service, replays the canonical trace against its own HTTP endpoint —
@@ -79,6 +81,7 @@ import (
 	"datastaging/internal/obs/chrometrace"
 	"datastaging/internal/obs/introspect"
 	"datastaging/internal/obs/lifecycle"
+	"datastaging/internal/scenario"
 	"datastaging/internal/serve"
 	"datastaging/internal/shard"
 	"datastaging/internal/validator"
@@ -92,6 +95,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stagesvc:", err)
 		os.Exit(1)
 	}
+}
+
+// service is what the daemon needs from its admission service: a
+// *serve.Engine, or a *shard.Service with -shards / -shard-map.
+type service interface {
+	Handler() http.Handler
+	Schedule() serve.ScheduleView
+	Drain(context.Context) error
+	Scenario() *scenario.Scenario
 }
 
 // testHookReady, when set by tests, receives the bound listen address once
@@ -219,7 +231,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		recorder = lifecycle.New(lifecycle.Options{Obs: o, Sink: sink, SLO: *decisionSLO})
 	}
 
-	engOpts := serve.Options{
+	opts := serve.Options{
 		Config:       cfg,
 		MaxBatch:     *maxBatch,
 		MaxWait:      *maxWait,
@@ -230,11 +242,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Intro:        intro,
 		Audit:        recorder,
 	}
-	var (
-		eng     *serve.Engine
-		svc     *shard.Service
-		handler http.Handler
-	)
+	var svc service
 	if sharded {
 		var plan *shard.Plan
 		if *shardMap != "" {
@@ -245,38 +253,18 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		prep := plan.Report(sc.Network)
-		so := engOpts
-		so.Intro = nil // the service registers per-shard live stats itself
-		svc, err = shard.New(sc, plan, shard.Options{Engine: so, Intro: intro})
-		if err != nil {
+		if svc, err = shard.New(sc, plan, opts); err != nil {
 			return err
 		}
-		handler = svc.Handler()
+		prep := plan.Report(sc.Network)
 		fmt.Fprintf(out, "stagesvc: partitioned into %d shards (%d cut links, %d bps cut bandwidth)\n",
 			prep.Shards, prep.CutLinks, prep.CutBandwidthBPS)
 		if len(prep.Disconnected) > 0 {
 			fmt.Fprintf(out, "stagesvc: warning: shards %v are internally disconnected; "+
 				"requests needing a cross-region route there will be rejected\n", prep.Disconnected)
 		}
-	} else {
-		eng, err = serve.New(sc, engOpts)
-		if err != nil {
-			return err
-		}
-		handler = eng.Handler()
-	}
-	schedule := func() serve.ScheduleView {
-		if sharded {
-			return svc.Schedule()
-		}
-		return eng.Schedule()
-	}
-	drain := func(ctx context.Context) error {
-		if sharded {
-			return svc.Drain(ctx)
-		}
-		return eng.Drain(ctx)
+	} else if svc, err = serve.New(sc, opts); err != nil {
+		return err
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -289,65 +277,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		testHookReady(ln.Addr().String())
 	}
 
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: svc.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
-
-	// finish reports the drained service's final schedule plus the audit
-	// artifacts; both exit paths (replay mode and graceful drain) share it.
-	finish := func() error {
-		sv := schedule()
-		fmt.Fprintf(out, "stagesvc: final schedule: %d epochs, %d/%d requests satisfied, "+
-			"%d transfers, weighted value %.1f\n",
-			sv.Epochs, sv.Satisfied, sv.TotalRequests, len(sv.Transfers), sv.WeightedValue)
-		if sharded {
-			// The per-shard engines each guarantee their own world; the merge
-			// plus the coordinator's cut transfers is what only the
-			// independent validator can vouch for.
-			if err := validator.Validate(svc.Scenario(), sv.Transfers); err != nil {
-				return fmt.Errorf("merged schedule failed validation: %w", err)
-			}
-			fmt.Fprintf(out, "stagesvc: validator: merged schedule clean across %d shards\n",
-				svc.Plan().NumShards())
-		}
-		if *scheduleOut != "" {
-			b, err := json.MarshalIndent(sv, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*scheduleOut, append(b, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "stagesvc: wrote final schedule to %s\n", *scheduleOut)
-		}
-		if recorder != nil {
-			if err := recorder.SinkErr(); err != nil {
-				return fmt.Errorf("audit sink: %w", err)
-			}
-			if *auditOut != "" {
-				fmt.Fprintf(out, "stagesvc: wrote %d audit records to %s\n",
-					recorder.Len(), *auditOut)
-			}
-		}
-		if *chromeOut != "" {
-			f, err := os.Create(*chromeOut)
-			if err != nil {
-				return err
-			}
-			ct := chrometrace.New()
-			ct.AddResult(eng.Scenario(), eng.Result())
-			ct.AddLifecycle(recorder.Records())
-			if err := ct.Encode(f); err != nil {
-				f.Close()
-				return fmt.Errorf("chrome trace: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "stagesvc: wrote chrome trace to %s\n", *chromeOut)
-		}
-		return nil
-	}
 
 	if tr != nil {
 		rep, err := serve.ReplayTrace(ctx, &serve.Client{BaseURL: "http://" + ln.Addr().String()}, tr)
@@ -356,34 +288,75 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "stagesvc: replayed trace %s: %d arrivals, %d admitted, %d rejected\n",
 			tr.Name, rep.Requests, rep.Admitted, rep.Rejected)
-		dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := drain(dctx); err != nil {
-			return fmt.Errorf("drain: %w", err)
+	} else {
+		select {
+		case err := <-errCh:
+			return err
+		case <-ctx.Done():
 		}
-		if err := srv.Shutdown(dctx); err != nil {
-			return fmt.Errorf("shutdown: %w", err)
-		}
-		return finish()
-	}
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
+		fmt.Fprintln(out, "stagesvc: draining")
 	}
 
 	// Graceful drain: close intake and finish the in-flight epoch first, so
 	// blocked ?wait=1 requests resolve; then shut the HTTP server down.
-	fmt.Fprintln(out, "stagesvc: draining")
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	drainErr := drain(dctx)
+	drainErr := svc.Drain(dctx)
 	if err := srv.Shutdown(dctx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
 	if drainErr != nil {
 		return fmt.Errorf("drain: %w", drainErr)
 	}
-	return finish()
+
+	// Both exit paths (replay mode and a signal) report the drained
+	// service's final schedule and the audit artifacts.
+	sv := svc.Schedule()
+	fmt.Fprintf(out, "stagesvc: final schedule: %d epochs, %d/%d requests satisfied, "+
+		"%d transfers, weighted value %.1f\n",
+		sv.Epochs, sv.Satisfied, sv.TotalRequests, len(sv.Transfers), sv.WeightedValue)
+	// The independent validator re-checks whatever is reported: a sharded
+	// merge plus cut transfers has nothing else to vouch for it.
+	if err := validator.Validate(svc.Scenario(), sv.Transfers); err != nil {
+		return fmt.Errorf("final schedule failed validation: %w", err)
+	}
+	fmt.Fprintln(out, "stagesvc: validator: final schedule clean")
+	if *scheduleOut != "" {
+		b, err := json.MarshalIndent(sv, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(*scheduleOut, append(b, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "stagesvc: wrote final schedule to %s\n", *scheduleOut)
+	}
+	if recorder != nil {
+		if err := recorder.SinkErr(); err != nil {
+			return fmt.Errorf("audit sink: %w", err)
+		}
+		if *auditOut != "" {
+			fmt.Fprintf(out, "stagesvc: wrote %d audit records to %s\n",
+				recorder.Len(), *auditOut)
+		}
+	}
+	if *chromeOut != "" {
+		f, err := os.Create(*chromeOut)
+		if err != nil {
+			return err
+		}
+		ct := chrometrace.New()
+		// -chrome-trace-out was refused with -shards: svc is the engine.
+		ct.AddResult(svc.Scenario(), svc.(*serve.Engine).Result())
+		ct.AddLifecycle(recorder.Records())
+		if err := ct.Encode(f); err != nil {
+			f.Close()
+			return fmt.Errorf("chrome trace: %w", err)
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "stagesvc: wrote chrome trace to %s\n", *chromeOut)
+	}
+	return nil
 }

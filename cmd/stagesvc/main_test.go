@@ -15,8 +15,21 @@ import (
 // TestEndToEndLoopback boots the daemon on a loopback port, drives a
 // deterministic closed-loop load through the real HTTP stack, checks the
 // Prometheus surface, then triggers the graceful drain and verifies a
-// clean exit with a final-schedule report.
+// clean exit with a validated final-schedule report — once per service
+// implementation, since both sit behind the same handler set.
 func TestEndToEndLoopback(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		args []string
+	}{
+		{"single", nil},
+		{"sharded", []string{"-shards", "2"}},
+	} {
+		t.Run(mode.name, func(t *testing.T) { loopback(t, mode.args) })
+	}
+}
+
+func loopback(t *testing.T, extra []string) {
 	ready := make(chan string, 1)
 	testHookReady = func(addr string) { ready <- addr }
 	defer func() { testHookReady = nil }()
@@ -26,13 +39,13 @@ func TestEndToEndLoopback(t *testing.T) {
 	var out bytes.Buffer
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- run(ctx, []string{
+		errCh <- run(ctx, append([]string{
 			"-addr", "127.0.0.1:0",
 			"-seed", "3",
 			"-max-wait", "2ms",
 			"-queue-cap", "64",
 			"-time-scale", "3600", // an hour of simulated time per wall second
-		}, &out)
+		}, extra...), &out)
 	}()
 
 	var addr string
@@ -81,8 +94,10 @@ func TestEndToEndLoopback(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not drain and exit")
 	}
-	if !strings.Contains(out.String(), "final schedule") {
-		t.Errorf("no final-schedule report:\n%s", out.String())
+	for _, want := range []string{"final schedule", "validator: final schedule clean"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
 	}
 }
 
@@ -93,6 +108,9 @@ func TestBadFlags(t *testing.T) {
 		{"-criterion", "C9"},
 		{"-weights", "a,b"},
 		{"-in", "/does/not/exist.json"},
+		{"-shards", "2", "-with-items"},
+		{"-shards", "2", "-chrome-trace-out", "x"},
+		{"-shard-map", "/does/not/exist"},
 	} {
 		var out bytes.Buffer
 		if err := run(context.Background(), args, &out); err == nil {

@@ -10,6 +10,9 @@ import (
 // Audit returns the engine's lifecycle recorder (nil when auditing is off).
 func (e *Engine) Audit() *lifecycle.Recorder { return e.audit }
 
+// Trail returns one ticket's audit records, oldest first.
+func (e *Engine) Trail(id string) []lifecycle.Record { return e.audit.ForTicket(id) }
+
 // auditWalls are the wall-clock stamps of one admission epoch's phases,
 // captured only when auditing is enabled. In deterministic (virtual-clock)
 // mode the recorder strips them again, so capturing is harmless there.

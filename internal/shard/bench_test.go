@@ -68,12 +68,12 @@ func BenchmarkShardedAdmission(b *testing.B) {
 				b.StopTimer()
 				sc := chordNet(b, machines, 8<<20)
 				plan := blockPlan(b, sc, machines, k)
-				svc, err := New(sc, plan, Options{Engine: serve.Options{
+				svc, err := New(sc, plan, serve.Options{
 					Config:       cfgShard(obs.New()),
 					VirtualClock: true,
 					MaxBatch:     1,
 					QueueCap:     soakLen + 1,
-				}})
+				})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,183 +1,27 @@
 package shard
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
-	"datastaging/internal/obs/lifecycle"
 	"datastaging/internal/serve"
 )
 
-// maxBodyBytes bounds a request body; submissions are small documents.
-const maxBodyBytes = 1 << 20
-
-// Handler returns the sharded service's HTTP API — the exact surface of a
-// single-engine stagesvc (POST /v1/requests, GET /v1/requests/{id}[/trace],
-// GET /v1/schedule merged across shards, GET /v1/audit, POST /v1/advance,
-// GET /v1/info with the partition summary, GET /healthz) plus
-// GET /v1/shards/{shard}/info for one region's own description. When the
-// service was built with an introspection server, its endpoints are
-// mounted on the same mux.
+// Handler returns the sharded service's HTTP API: the single engine's /v1
+// surface, served by the same handler set (serve.NewHandler), plus
+// GET /v1/shards/{shard}/info for one region's own description.
 func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/requests", s.handleSubmit)
-	mux.HandleFunc("GET /v1/requests/{id}", s.handleTicket)
-	mux.HandleFunc("GET /v1/requests/{id}/trace", s.handleTrace)
-	mux.HandleFunc("GET /v1/schedule", s.handleSchedule)
-	mux.HandleFunc("GET /v1/audit", s.handleAudit)
-	mux.HandleFunc("POST /v1/advance", s.handleAdvance)
-	mux.HandleFunc("GET /v1/info", s.handleInfo)
+	mux := serve.NewHandler(s, s.opts.Intro)
 	mux.HandleFunc("GET /v1/shards/{shard}/info", s.handleShardInfo)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	if s.opts.Intro != nil {
-		s.opts.Intro.Register(mux)
-	}
 	return mux
-}
-
-// The helpers mirror serve's HTTP envelope so clients cannot tell a
-// sharded service from a single engine.
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(errorBody{Error: err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
-	}
-	return true
-}
-
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var sub serve.Submission
-	if !decodeBody(w, r, &sub) {
-		return
-	}
-	t, err := s.Submit(sub)
-	switch {
-	case errors.Is(err, serve.ErrOverloaded):
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, serve.ErrDraining):
-		httpError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if r.URL.Query().Get("wait") != "" {
-		select {
-		case <-t.Done():
-		case <-r.Context().Done():
-			httpError(w, http.StatusRequestTimeout, r.Context().Err())
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Location", "/v1/requests/"+t.ID())
-	w.WriteHeader(http.StatusAccepted)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(t.View())
-}
-
-func (s *Service) handleTicket(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.Ticket(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no such request %q", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, v)
-}
-
-func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec := s.opts.Engine.Audit
-	if !rec.Enabled() {
-		httpError(w, http.StatusNotFound, errors.New("auditing is disabled on this service"))
-		return
-	}
-	if _, ok := s.Ticket(id); !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no such request %q", id))
-		return
-	}
-	// A cross ticket's trail is the concatenation of its per-shard legs'
-	// trails, each already tagged with its shard.
-	var records []lifecycle.Record
-	if legs, ok := s.legTickets(id); ok {
-		for _, leg := range legs {
-			records = append(records, rec.ForTicket(leg)...)
-		}
-	} else {
-		records = rec.ForTicket(id)
-	}
-	writeJSON(w, serve.TraceView{ID: id, Records: records})
-}
-
-func (s *Service) handleAudit(w http.ResponseWriter, _ *http.Request) {
-	rec := s.opts.Engine.Audit
-	if !rec.Enabled() {
-		httpError(w, http.StatusNotFound, errors.New("auditing is disabled on this service"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	_ = rec.WriteJSONL(w)
-}
-
-func (s *Service) handleSchedule(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.Schedule())
-}
-
-type advanceBody struct {
-	To serve.Instant `json:"to"`
-}
-
-func (s *Service) handleAdvance(w http.ResponseWriter, r *http.Request) {
-	var body advanceBody
-	if !decodeBody(w, r, &body) {
-		return
-	}
-	if err := s.Advance(body.To.Instant()); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, s.Schedule())
-}
-
-func (s *Service) handleInfo(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.Info())
 }
 
 func (s *Service) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	k, err := strconv.Atoi(r.PathValue("shard"))
 	if err != nil || k < 0 || k >= len(s.engines) {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no such shard %q", r.PathValue("shard")))
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("no such shard %q", r.PathValue("shard")))
 		return
 	}
-	writeJSON(w, s.engines[k].Info())
+	serve.WriteJSON(w, http.StatusOK, s.engines[k].Info())
 }

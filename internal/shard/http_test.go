@@ -2,10 +2,13 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -37,10 +40,10 @@ func newHTTPService(t *testing.T) (*Service, *httptest.Server) {
 	}
 	o := obs.New()
 	rec := lifecycle.New(lifecycle.Options{Obs: o})
-	svc, err := New(sc, p, Options{Engine: serve.Options{
+	svc, err := New(sc, p, serve.Options{
 		Config: cfgShard(o), VirtualClock: true, MaxBatch: 1, QueueCap: 64,
 		Audit: rec,
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,4 +178,162 @@ func TestHTTPSharded(t *testing.T) {
 	getJSON(t, base+"/v1/shards/1/info", http.StatusOK, nil)
 	getJSON(t, base+"/v1/shards/9/info", http.StatusNotFound, nil)
 	getJSON(t, base+"/v1/shards/x/info", http.StatusNotFound, nil)
+}
+
+// normalizeK1 erases what legitimately distinguishes a one-shard service's
+// responses from a bare engine's: the "s0-" ticket prefix, the "shard 0: "
+// error prefix, the shard tag on audit records, the partition fields of
+// /v1/info, and the "items" count — the service's global item registry
+// counts a submission from the moment it is accepted and keeps the slot of
+// a refused one until the next submission reuses it, where the engine
+// counts items as their epoch runs. Bodies are re-encoded document by
+// document so JSON and NDJSON responses compare alike.
+func normalizeK1(t *testing.T, body string) string {
+	t.Helper()
+	var walk func(v any) any
+	walk = func(v any) any {
+		switch x := v.(type) {
+		case map[string]any:
+			for _, k := range []string{"shard", "shards", "cutLinks", "items"} {
+				delete(x, k)
+			}
+			for k, e := range x {
+				x[k] = walk(e)
+			}
+		case []any:
+			for i, e := range x {
+				x[i] = walk(e)
+			}
+		case string:
+			return strings.TrimPrefix(strings.ReplaceAll(x, "s0-r-", "r-"), "shard 0: ")
+		}
+		return v
+	}
+	var out strings.Builder
+	dec := json.NewDecoder(strings.NewReader(body))
+	for {
+		var doc any
+		if err := dec.Decode(&doc); err == io.EOF {
+			return out.String()
+		} else if err != nil {
+			return body // not JSON (healthz, the mux's own 404)
+		}
+		b, err := json.Marshal(walk(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(b)
+		out.WriteByte('\n')
+	}
+}
+
+// TestHTTPSurfaceK1Identity: the engine and the one-shard service mount the
+// same handler set, so one scripted request sequence under the virtual
+// clock — submissions queued, shed, malformed and invalid, an epoch, ticket,
+// trace, audit, schedule and info reads, refused advances, and intake after
+// drain — draws the same status, headers and body from both.
+func TestHTTPSurfaceK1Identity(t *testing.T) {
+	opts := func() serve.Options {
+		o := obs.New()
+		return serve.Options{
+			Config: cfgShard(o), VirtualClock: true, MaxBatch: 100, QueueCap: 2,
+			Audit: lifecycle.New(lifecycle.Options{Obs: o}),
+		}
+	}
+	sc := ringNet(t, 8, 1e9)
+	eng, err := serve.New(sc, opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Greedy(sc.Network, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(sc, plan, opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	engH, svcH := eng.Handler(), svc.Handler()
+
+	sub := func(src, dst int) string {
+		return fmt.Sprintf(`{"sizeBytes": 4194304, "sources": [{"machine": %d}],
+			"requests": [{"machine": %d, "deadline": "2h", "priority": 1}]}`, src, dst)
+	}
+	// {T} in a path is the ticket prefix: "" on the engine, "s0-" sharded.
+	type step struct{ method, path, body string }
+	do := func(h http.Handler, prefix string, st step) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(st.method, strings.ReplaceAll(st.path, "{T}", prefix), strings.NewReader(st.body)))
+		return w
+	}
+	codes := make(map[int]bool)
+	play := func(script ...step) {
+		t.Helper()
+		for _, st := range script {
+			e, s := do(engH, "", st), do(svcH, "s0-", st)
+			codes[e.Code] = true
+			if e.Code != s.Code {
+				t.Errorf("%s %s: engine %d, sharded %d", st.method, st.path, e.Code, s.Code)
+			}
+			if loc := s.Header().Get("Location"); loc != "" {
+				s.Header().Set("Location", strings.Replace(loc, "/s0-", "/", 1))
+			}
+			if !reflect.DeepEqual(e.Header(), s.Header()) {
+				t.Errorf("%s %s: headers diverge:\nengine:  %v\nsharded: %v", st.method, st.path, e.Header(), s.Header())
+			}
+			if eb, sb := normalizeK1(t, e.Body.String()), normalizeK1(t, s.Body.String()); eb != sb {
+				t.Errorf("%s %s: bodies diverge:\nengine:  %s\nsharded: %s", st.method, st.path, eb, sb)
+			}
+		}
+	}
+	play(
+		step{"GET", "/healthz", ""},
+		step{"GET", "/v1/info", ""},
+		step{"GET", "/v1/schedule", ""},
+		step{"POST", "/v1/requests", sub(0, 3)},
+		step{"POST", "/v1/requests", sub(5, 1)},
+		step{"POST", "/v1/requests", sub(2, 6)}, // queue cap 2: shed
+		step{"POST", "/v1/requests", `{"sizeBytes": `},
+		step{"POST", "/v1/requests", `{"bogus": 1}`},
+		step{"POST", "/v1/requests", `{"sizeBytes": 1, "sources": [{"machine": 99}], "requests": [{"machine": 1, "deadline": 1}]}`},
+		step{"GET", "/v1/requests/{T}r-0", ""},
+		step{"POST", "/v1/advance", `{"to": "1m"}`},
+		step{"GET", "/v1/requests/{T}r-0", ""},
+		step{"GET", "/v1/requests/{T}r-1/trace", ""},
+		step{"GET", "/v1/requests/{T}r-9", ""},
+		step{"GET", "/v1/requests/{T}r-9/trace", ""},
+		step{"POST", "/v1/advance", `{"to": 0}`},
+		step{"POST", "/v1/advance", `not json`},
+		step{"GET", "/v1/audit", ""},
+		step{"GET", "/v1/schedule", ""},
+		step{"GET", "/v1/info", ""},
+	)
+	if err := eng.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	play(
+		step{"POST", "/v1/requests", sub(0, 3)},
+		step{"GET", "/v1/info", ""},
+	)
+	for _, want := range []int{200, 202, 400, 404, 429, 503} {
+		if !codes[want] {
+			t.Errorf("script never drew a %d", want)
+		}
+	}
+
+	// The surfaces differ by exactly one route.
+	if w := do(engH, "", step{"GET", "/v1/shards/0/info", ""}); w.Code != http.StatusNotFound {
+		t.Errorf("engine serves /v1/shards/0/info: %d", w.Code)
+	}
+	if w := do(svcH, "", step{"GET", "/v1/shards/0/info", ""}); w.Code != http.StatusOK {
+		t.Errorf("sharded /v1/shards/0/info: %d", w.Code)
+	}
+	w := do(svcH, "", step{"GET", "/v1/shards/1/info", ""})
+	if w.Code != http.StatusNotFound || w.Header().Get("Content-Type") != "application/json" ||
+		w.Body.String() != `{"error":"no such shard \"1\""}`+"\n" {
+		t.Errorf("unknown shard: %d %v %q", w.Code, w.Header(), w.Body.String())
+	}
 }

@@ -112,11 +112,13 @@ func (pr *Projection) TransferToGlobal(tr state.Transfer, gid model.ItemID) stat
 }
 
 // ViewToGlobal translates a ticket view into global coordinates: verdict
-// machines, route transfers, and the item id. Request IDs inside verdicts
-// keep their local item id — the ticket id, not the request id, is the
-// external handle.
+// machines, route transfers, and the item id (a queued ticket has none yet
+// and keeps its -1). Request IDs inside verdicts keep their local item id —
+// the ticket id, not the request id, is the external handle.
 func (pr *Projection) ViewToGlobal(v serve.TicketView, gid int) serve.TicketView {
-	v.Item = gid
+	if v.Item >= 0 {
+		v.Item = gid
+	}
 	for i := range v.Requests {
 		v.Requests[i].Machine = int(pr.ToGlobalM[v.Requests[i].Machine])
 		if v.Requests[i].BlamedLink >= 0 {

@@ -9,7 +9,7 @@ import (
 
 	"datastaging/internal/model"
 	"datastaging/internal/obs"
-	"datastaging/internal/obs/introspect"
+	"datastaging/internal/obs/lifecycle"
 	"datastaging/internal/resource"
 	"datastaging/internal/scenario"
 	"datastaging/internal/serve"
@@ -17,21 +17,6 @@ import (
 	"datastaging/internal/state"
 	"datastaging/internal/validator"
 )
-
-// Options configures a sharded service.
-type Options struct {
-	// Engine is the per-shard engine template: every shard runs one
-	// serve.Engine with these options over its projected sub-network.
-	// Config.Obs (when set) is shared, so serve.* metrics aggregate across
-	// shards; Audit (when set) is shared too, with records tagged by
-	// shard. TicketPrefix and Shard are overwritten per shard.
-	Engine serve.Options
-	// Intro, when non-nil, receives per-shard live stats for /runinfo
-	// (shard.N.epochs, shard.N.queue) and has its endpoints mounted on the
-	// router mux. The per-shard engines themselves run without one: a
-	// single live-phase slot makes no sense across K concurrent worlds.
-	Intro *introspect.Server
-}
 
 // Service is the sharded admission service: K per-shard engines behind one
 // router that preserves the single-engine HTTP surface. In-shard
@@ -43,7 +28,7 @@ type Service struct {
 	plan    *Plan
 	projs   []*Projection
 	engines []*serve.Engine
-	opts    Options
+	opts    serve.Options
 	o       *obs.Obs
 
 	// cut is the severed-link set; ledger holds one timeline per cut link,
@@ -120,7 +105,15 @@ type crossTicket struct {
 // The base scenario contributes the network, horizon, and γ; it must carry
 // no items (a sharded service always starts with an empty request book —
 // pre-partitioning a global item load is not supported).
-func New(base *scenario.Scenario, plan *Plan, opts Options) (*Service, error) {
+//
+// opts is the per-shard engine template: every shard runs one serve.Engine
+// with these options over its projected sub-network, TicketPrefix and Shard
+// overwritten per shard. Config.Obs is shared, so serve.* metrics aggregate
+// across shards; Audit is shared too, with records tagged by shard. Intro
+// belongs to the service, not the engines — a single live-phase slot makes
+// no sense across K concurrent worlds: it receives per-shard live stats for
+// /runinfo (shard.N.epochs, shard.N.queue) and is mounted by Handler.
+func New(base *scenario.Scenario, plan *Plan, opts serve.Options) (*Service, error) {
 	if err := plan.Validate(base.Network); err != nil {
 		return nil, err
 	}
@@ -134,7 +127,7 @@ func New(base *scenario.Scenario, plan *Plan, opts Options) (*Service, error) {
 		base:   base,
 		plan:   plan,
 		opts:   opts,
-		o:      opts.Engine.Config.Obs,
+		o:      opts.Config.Obs,
 		ledger: make(map[model.LinkID]*resource.LinkTimeline),
 		smu:    make([]sync.Mutex, plan.NumShards()),
 		reg:    make([][]int, plan.NumShards()),
@@ -152,7 +145,7 @@ func New(base *scenario.Scenario, plan *Plan, opts Options) (*Service, error) {
 		if err != nil {
 			return nil, err
 		}
-		eo := opts.Engine
+		eo := opts
 		eo.Intro = nil
 		eo.TicketPrefix = fmt.Sprintf("s%d-", k)
 		shardIdx := k
@@ -282,9 +275,9 @@ func (s *Service) submitLocal(sub serve.Submission, k int) (*Ticket, error) {
 	return &Ticket{id: t.ID(), gid: gid, local: t, pr: pr}, nil
 }
 
-// Ticket resolves a service ticket id: "x-N" from the cross book, a shard
-// prefix ("s2-r-7") from that shard's engine.
-func (s *Service) Ticket(id string) (serve.TicketView, bool) {
+// TicketView resolves a service ticket id: "x-N" from the cross book, a
+// shard prefix ("s2-r-7") from that shard's engine.
+func (s *Service) TicketView(id string) (serve.TicketView, bool) {
 	if strings.HasPrefix(id, "x-") {
 		s.gmu.Lock()
 		ct, ok := s.cross[id]
@@ -318,6 +311,25 @@ func (s *Service) legTickets(id string) ([]string, bool) {
 		return nil, false
 	}
 	return ct.legs, true
+}
+
+// Audit returns the recorder every shard's engine shares (nil when
+// auditing is off).
+func (s *Service) Audit() *lifecycle.Recorder { return s.opts.Audit }
+
+// Trail returns one ticket's audit records. A cross ticket's trail is the
+// concatenation of its per-shard legs' trails, each already tagged with its
+// shard.
+func (s *Service) Trail(id string) []lifecycle.Record {
+	legs, ok := s.legTickets(id)
+	if !ok {
+		return s.opts.Audit.ForTicket(id)
+	}
+	var records []lifecycle.Record
+	for _, leg := range legs {
+		records = append(records, s.opts.Audit.ForTicket(leg)...)
+	}
+	return records
 }
 
 func (s *Service) shardOfTicket(id string) (int, bool) {
@@ -354,6 +366,16 @@ func (s *Service) gidOf(k, localItem int) (int, bool) {
 func (s *Service) Advance(to simtime.Instant) error {
 	for k, eng := range s.engines {
 		if err := eng.Advance(to); err != nil {
+			return fmt.Errorf("shard %d: %w", k, err)
+		}
+	}
+	return nil
+}
+
+// Err reports the first shard engine's fatal replan error, if any.
+func (s *Service) Err() error {
+	for k, eng := range s.engines {
+		if err := eng.Err(); err != nil {
 			return fmt.Errorf("shard %d: %w", k, err)
 		}
 	}
@@ -416,7 +438,7 @@ func (s *Service) Schedule() serve.ScheduleView {
 		return v
 	}
 	s.memoMu.Unlock()
-	merged := make([]state.Transfer, 0, 64)
+	var merged []state.Transfer // nil while empty: "transfers": null, as the engine encodes it
 	for k := range views {
 		pr := s.projs[k]
 		for _, tr := range views[k].Transfers {
@@ -446,7 +468,7 @@ func (s *Service) Schedule() serve.ScheduleView {
 	}
 	if sat, err := validator.SatisfiedSet(gsc, merged); err == nil {
 		view.Satisfied = len(sat)
-		w := s.opts.Engine.Config.Weights
+		w := s.opts.Config.Weights
 		for id := range sat {
 			view.WeightedValue += w.Of(gsc.Request(id).Priority)
 		}

@@ -79,32 +79,10 @@ func blockPlan(t testing.TB, sc *scenario.Scenario, n, k int) *Plan {
 	return p
 }
 
-// replayArrivals drives the same arrival stream through a submit/advance
-// surface shared by serve.Engine and Service: advance the virtual clock to
-// each distinct arrival instant, submit that instant's group, flush the
-// tail.
-type replayTarget interface {
-	Advance(simtime.Instant) error
-	Submit(serve.Submission) error
-}
-
-type engineTarget struct{ e *serve.Engine }
-
-func (t engineTarget) Advance(to simtime.Instant) error { return t.e.Advance(to) }
-func (t engineTarget) Submit(sub serve.Submission) error {
-	_, err := t.e.Submit(sub)
-	return err
-}
-
-type serviceTarget struct{ s *Service }
-
-func (t serviceTarget) Advance(to simtime.Instant) error { return t.s.Advance(to) }
-func (t serviceTarget) Submit(sub serve.Submission) error {
-	_, err := t.s.Submit(sub)
-	return err
-}
-
-func replayArrivals(t *testing.T, target replayTarget, arrivals []workload.Arrival) {
+// replayArrivals drives one arrival stream through the surface serve.Engine
+// and Service share: advance the virtual clock to each distinct arrival
+// instant, submit that instant's group, flush the tail.
+func replayArrivals[T serve.Pending](t *testing.T, target serve.API[T], arrivals []workload.Arrival) {
 	t.Helper()
 	var now simtime.Instant
 	for i := range arrivals {
@@ -115,7 +93,7 @@ func replayArrivals(t *testing.T, target replayTarget, arrivals []workload.Arriv
 			}
 			now = a.At
 		}
-		if err := target.Submit(serve.SubmissionFromArrival(*a)); err != nil {
+		if _, err := target.Submit(serve.SubmissionFromArrival(*a)); err != nil {
 			t.Fatalf("submit arrival %d: %v", i, err)
 		}
 	}
@@ -152,7 +130,7 @@ func TestShardedK1Identity(t *testing.T) {
 		t.Fatal(err)
 	}
 	eo.Config = cfgShard(obs.New())
-	svc, err := New(sc, plan, Options{Engine: eo})
+	svc, err := New(sc, plan, eo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,9 +178,9 @@ func TestCrossShardAdmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := obs.New()
-	svc, err := New(sc, p, Options{Engine: serve.Options{
+	svc, err := New(sc, p, serve.Options{
 		Config: cfgShard(o), VirtualClock: true, MaxBatch: 1, QueueCap: 64,
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +217,7 @@ func TestCrossShardAdmit(t *testing.T) {
 			t.Errorf("request %d (machine %d): %q, reason %q", i, rv.Machine, rv.Status, rv.Reason)
 		}
 	}
-	if got, ok := svc.Ticket("x-0"); !ok || got.Status != serve.StatusAdmitted {
+	if got, ok := svc.TicketView("x-0"); !ok || got.Status != serve.StatusAdmitted {
 		t.Fatalf("Ticket lookup: ok=%v view=%+v", ok, got)
 	}
 	legs, ok := svc.legTickets("x-0")
@@ -280,7 +258,7 @@ func TestCrossShardAdmit(t *testing.T) {
 	if !strings.HasPrefix(lt.ID(), "s1-") {
 		t.Fatalf("local ticket id = %q, want shard-1 prefix", lt.ID())
 	}
-	if got, ok := svc.Ticket(lt.ID()); !ok || got.Status != serve.StatusAdmitted {
+	if got, ok := svc.TicketView(lt.ID()); !ok || got.Status != serve.StatusAdmitted {
 		t.Fatalf("local ticket lookup: ok=%v view=%+v", ok, got)
 	}
 	if lc, cc := o.Counter("shard.admitted_total").Value(), o.Counter("shard.crossshard_total").Value(); lc != 1 || cc != 1 {
@@ -307,9 +285,9 @@ func TestCrossShardNoCutLink(t *testing.T) {
 	if err := p.Validate(sc.Network); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(sc, p, Options{Engine: serve.Options{
+	svc, err := New(sc, p, serve.Options{
 		Config: cfgShard(obs.New()), VirtualClock: true, MaxBatch: 1, QueueCap: 64,
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,9 +333,9 @@ func TestCrossShardLateDestSalvage(t *testing.T) {
 	if err := p.Validate(sc.Network); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(sc, p, Options{Engine: serve.Options{
+	svc, err := New(sc, p, serve.Options{
 		Config: cfgShard(obs.New()), VirtualClock: true, MaxBatch: 1, QueueCap: 64,
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,17 +402,17 @@ func TestShardedDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayArrivals(t, engineTarget{eng}, arrivals)
+			replayArrivals(t, eng, arrivals)
 			single := eng.Schedule()
 
 			sc2 := meshNet(t, n, 1e9)
 			plan := blockPlan(t, sc2, n, 4)
 			eo.Config = cfgShard(obs.New())
-			svc, err := New(sc2, plan, Options{Engine: eo})
+			svc, err := New(sc2, plan, eo)
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayArrivals(t, serviceTarget{svc}, arrivals)
+			replayArrivals(t, svc, arrivals)
 			sharded := svc.Schedule()
 
 			if err := validator.Validate(svc.Scenario(), sharded.Transfers); err != nil {
@@ -465,9 +443,9 @@ func TestCrossShardHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := obs.New()
-	svc, err := New(sc, p, Options{Engine: serve.Options{
+	svc, err := New(sc, p, serve.Options{
 		Config: cfgShard(o), MaxBatch: 4, MaxWait: 2 * time.Millisecond, QueueCap: 4096,
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

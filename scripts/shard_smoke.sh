@@ -2,10 +2,11 @@
 # shard_smoke.sh — end-to-end smoke check of the sharded admission service:
 # compile the bursty builtin workload into a canonical trace over the
 # seed-5 paper network, replay it through stagesvc twice — once
-# single-world, once partitioned into 4 shards — and require that the
-# sharded run (a) reports a validator-clean merged schedule, (b) writes the
-# merged-schedule JSON artifact, and (c) lands its weighted objective
-# within the documented tolerance of the single world's.
+# single-world, once partitioned into 4 shards — and require that both
+# runs report a validator-clean final schedule and that the sharded run
+# (a) partitions into 4 shards, (b) writes the merged-schedule JSON
+# artifact, and (c) lands its weighted objective within the documented
+# tolerance of the single world's.
 #
 # The tolerance here is looser than the 0.85 differential-test bound: that
 # bound holds on a well-provisioned mesh, while this smoke deliberately
@@ -48,11 +49,18 @@ go run ./cmd/stagesim -seed $seed -emit-trace "$trace" -sat-spec burst
     exit 1
 }
 
-if ! grep -q "validator: merged schedule clean across 4 shards" "$sharded_log"; then
-    echo "shard-smoke: sharded run did not report a validator-clean merged schedule:" >&2
+if ! grep -q "partitioned into 4 shards" "$sharded_log"; then
+    echo "shard-smoke: sharded run did not partition into 4 shards:" >&2
     cat "$sharded_log" >&2
     exit 1
 fi
+for log in "$single_log" "$sharded_log"; do
+    if ! grep -q "validator: final schedule clean" "$log"; then
+        echo "shard-smoke: run did not report a validator-clean final schedule:" >&2
+        cat "$log" >&2
+        exit 1
+    fi
+done
 if [ ! -s "$merged" ]; then
     echo "shard-smoke: merged-schedule artifact $merged is missing or empty" >&2
     exit 1
