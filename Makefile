@@ -13,16 +13,18 @@ build:
 vet:
 	$(GO) vet ./...
 
+# -timeout: a deadlocked wall-clock loop fails in two minutes with a goroutine
+# dump instead of sitting out go test's ten-minute default.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 120s ./...
 
 test-short:
-	$(GO) test -short ./...
+	$(GO) test -short -timeout 120s ./...
 
 # The race suite CI runs: the serve and shard reader/writer hammers plus
 # everything else that is quick enough under the detector.
 race:
-	$(GO) test -short -race ./...
+	$(GO) test -short -race -timeout 120s ./...
 
 # One benchmark pass over every paper figure/table plus the micro-benches.
 bench:

@@ -35,8 +35,6 @@ func auditedService(t *testing.T) *httptest.Server {
 			Weights:   model.Weights1x10x100,
 			Obs:       o,
 		},
-		MaxBatch:  8,
-		MaxWait:   time.Millisecond,
 		TimeScale: 3600,
 		Audit:     lifecycle.New(lifecycle.Options{Obs: o}),
 	})

@@ -31,8 +31,6 @@ func testService(t *testing.T) *httptest.Server {
 			Weights:   model.Weights1x10x100,
 			Obs:       obs.New(),
 		},
-		MaxBatch:  8,
-		MaxWait:   time.Millisecond,
 		TimeScale: 3600,
 	})
 	if err != nil {

@@ -1,5 +1,5 @@
 // Command stagesvc runs the online admission service: an HTTP/JSON daemon
-// that accepts streaming data-staging requests, micro-batches them into
+// that accepts streaming data-staging requests, group-commits them into
 // admission epochs, and answers each with an admit/reject verdict backed by
 // the paper's scheduling heuristics against a live committed schedule.
 //
@@ -13,7 +13,7 @@
 //	stagesvc [-addr :8080] [-in FILE | -seed N] [-with-items]
 //	         [-heuristic partial|full_one|full_all] [-criterion C1..C5]
 //	         [-eu LOG10|inf|-inf] [-weights 1,10,100]
-//	         [-max-batch N] [-max-wait DUR] [-queue-cap N]
+//	         [-max-batch N] [-queue-cap N]
 //	         [-virtual-clock] [-time-scale X] [-preempt]
 //	         [-drain-timeout DUR]
 //	         [-replay-trace FILE] [-audit] [-audit-out FILE]
@@ -121,9 +121,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	criterionName := fs.String("criterion", "C4", "C1..C4, or the C5 extension")
 	euName := fs.String("eu", "2", "log10(W_E/W_U), or inf / -inf")
 	weightsName := fs.String("weights", "1,10,100", `"1,10,100" or "1,5,10"`)
-	maxBatch := fs.Int("max-batch", 16, "flush an admission epoch at this many pending submissions")
-	maxWait := fs.Duration("max-wait", 25*time.Millisecond,
-		"flush when the oldest pending submission has waited this long (wall clock)")
+	maxBatch := fs.Int("max-batch", 16,
+		"with -virtual-clock, flush an admission epoch at this many pending submissions")
 	queueCap := fs.Int("queue-cap", 256, "intake queue bound; beyond it submissions get 429")
 	virtual := fs.Bool("virtual-clock", false,
 		"freeze time; it only moves via POST /v1/advance (deterministic replay mode)")
@@ -173,15 +172,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 		// One admission epoch per distinct arrival instant: the batch must
-		// never flush on size or wall-clock age, only on /v1/advance.
+		// never flush on size, only on /v1/advance.
 		if n := len(tr.Arrivals) + 1; *maxBatch < n {
 			*maxBatch = n
 		}
 		if *queueCap < len(tr.Arrivals) {
 			*queueCap = len(tr.Arrivals)
-		}
-		if *maxWait < time.Hour {
-			*maxWait = time.Hour
 		}
 	}
 
@@ -211,9 +207,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Items:     len(sc.Items),
 		Scheduler: fmt.Sprintf("%v/%v at E-U %s", cfg.Heuristic, cfg.Criterion, cfg.EU.Label()),
 		Config: map[string]string{
-			"max-batch": fmt.Sprint(*maxBatch), "max-wait": maxWait.String(),
-			"queue-cap": fmt.Sprint(*queueCap), "virtual-clock": fmt.Sprint(*virtual),
-			"preempt": fmt.Sprint(*preempt), "weights": *weightsName,
+			"max-batch": fmt.Sprint(*maxBatch), "queue-cap": fmt.Sprint(*queueCap),
+			"virtual-clock": fmt.Sprint(*virtual), "preempt": fmt.Sprint(*preempt),
+			"weights": *weightsName,
 		},
 	})
 
@@ -234,7 +230,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	opts := serve.Options{
 		Config:       cfg,
 		MaxBatch:     *maxBatch,
-		MaxWait:      *maxWait,
 		QueueCap:     *queueCap,
 		VirtualClock: *virtual,
 		TimeScale:    *timeScale,

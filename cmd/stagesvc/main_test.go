@@ -42,7 +42,6 @@ func loopback(t *testing.T, extra []string) {
 		errCh <- run(ctx, append([]string{
 			"-addr", "127.0.0.1:0",
 			"-seed", "3",
-			"-max-wait", "2ms",
 			"-queue-cap", "64",
 			"-time-scale", "3600", // an hour of simulated time per wall second
 		}, extra...), &out)
@@ -111,6 +110,7 @@ func TestBadFlags(t *testing.T) {
 		{"-shards", "2", "-with-items"},
 		{"-shards", "2", "-chrome-trace-out", "x"},
 		{"-shard-map", "/does/not/exist"},
+		{"-max-wait", "1ms"}, // the coalescing window is gone, and its flag with it
 	} {
 		var out bytes.Buffer
 		if err := run(context.Background(), args, &out); err == nil {

@@ -13,9 +13,10 @@ func (e *Engine) Audit() *lifecycle.Recorder { return e.audit }
 // Trail returns one ticket's audit records, oldest first.
 func (e *Engine) Trail(id string) []lifecycle.Record { return e.audit.ForTicket(id) }
 
-// auditWalls are the wall-clock stamps of one admission epoch's phases,
-// captured only when auditing is enabled. In deterministic (virtual-clock)
-// mode the recorder strips them again, so capturing is harmless there.
+// auditWalls are the wall-clock stamps of one admission epoch's phases. The
+// epoch start is always taken (the queue-wait histogram shares it); the rest
+// only when auditing is enabled. In deterministic (virtual-clock) mode the
+// recorder strips them again, so capturing is harmless there.
 type auditWalls struct {
 	epochStart, planned, decided, settled time.Time
 }

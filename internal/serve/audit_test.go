@@ -236,15 +236,14 @@ func TestAuditByteStability(t *testing.T) {
 
 // TestAuditMetricsAgreement runs a wall-clock engine and checks the /metrics
 // per-class p99 gauge agrees with the quantile re-derived from the audit
-// stream's latencies — same values, same buckets, so they match exactly.
+// stream's latencies — same values, same buckets, so they match exactly —
+// and likewise the queue-wait layer histogram with the audit timeline.
 func TestAuditMetricsAgreement(t *testing.T) {
 	o := obs.New()
 	var sink bytes.Buffer
 	rec := lifecycle.New(lifecycle.Options{Obs: o, Sink: &sink, SLO: time.Nanosecond})
 	eng, err := New(narrowNet(), Options{
 		Config:    cfgC4(o),
-		MaxBatch:  100,
-		MaxWait:   time.Millisecond,
 		TimeScale: 86400,
 		Audit:     rec,
 	})
@@ -263,6 +262,7 @@ func TestAuditMetricsAgreement(t *testing.T) {
 
 	class := int(model.High)
 	var lats []float64
+	var queueWait float64
 	for _, r := range rec.Records() {
 		if r.Kind != lifecycle.KindDecision {
 			continue
@@ -271,11 +271,22 @@ func TestAuditMetricsAgreement(t *testing.T) {
 			t.Fatalf("wall-clock decision without latency: %+v", r)
 		}
 		lats = append(lats, r.DecisionLatency())
+		for _, hop := range r.Timeline {
+			if hop.Stage == lifecycle.StageEpochStart {
+				queueWait += hop.WallS
+			}
+		}
 	}
 	if len(lats) != n {
 		t.Fatalf("%d decision records, want %d", len(lats), n)
 	}
 	snap := o.Snapshot()
+	// The queue-wait histogram and the audit timeline share their two
+	// stamps, so the live layer figure is the audit-derived one exactly.
+	if h := snap.Histograms["serve.layer_queue_wait_seconds"]; h.Count != n || h.Sum != queueWait {
+		t.Errorf("serve.layer_queue_wait_seconds count %d sum %v, audit timeline says %d waits summing to %v",
+			h.Count, h.Sum, n, queueWait)
+	}
 	for _, q := range []struct {
 		name string
 		p    float64

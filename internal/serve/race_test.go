@@ -9,10 +9,38 @@ import (
 
 	"datastaging/internal/model"
 	"datastaging/internal/obs"
+	"datastaging/internal/scenario"
 	"datastaging/internal/simtime"
 	"datastaging/internal/testnet"
 	"datastaging/internal/validator"
 )
+
+// hammerNet is a four-machine bidirectional line, open all day and wide
+// enough that thousands of small items are all admitted.
+func hammerNet() *scenario.Scenario {
+	b := testnet.NewBuilder()
+	ms := b.Machines(4, 1<<30)
+	for i := 0; i < 3; i++ {
+		b.Link(ms[i], ms[i+1], 0, 24*time.Hour, 1<<20)
+		b.Link(ms[i+1], ms[i], 0, 24*time.Hour, 1<<20)
+	}
+	return b.Build("hammer")
+}
+
+// hammerSubmission is worker g's i-th request: a small item from one of
+// machines 0..2 to machine 3, which is never a source.
+func hammerSubmission(g, i int) Submission {
+	return Submission{
+		Name:      fmt.Sprintf("g%d-%d", g, i),
+		SizeBytes: 64 << 10,
+		Sources:   []SourceSpec{{Machine: g % 3}},
+		Requests: []RequestSpec{{
+			Machine:  3,
+			Deadline: Instant(simtime.At(20 * time.Hour)),
+			Priority: (g + i) % 3,
+		}},
+	}
+}
 
 // TestSubmitHammer slams Submit from 16 goroutines in wall-clock mode —
 // the configuration the race detector cares about, since epochs flush
@@ -25,21 +53,13 @@ func TestSubmitHammer(t *testing.T) {
 		goroutines = 16
 		perG       = 8
 	)
-	b := testnet.NewBuilder()
-	ms := b.Machines(4, 1<<30)
-	for i := 0; i < 3; i++ {
-		b.Link(ms[i], ms[i+1], 0, 24*time.Hour, 1<<20)
-		b.Link(ms[i+1], ms[i], 0, 24*time.Hour, 1<<20)
-	}
-	sc := b.Build("hammer")
+	sc := hammerNet()
 
 	o := obs.New()
 	cfg := cfgC4(o)
 	cfg.Paranoid = true
 	eng, err := New(sc, Options{
 		Config:    cfg,
-		MaxBatch:  12,
-		MaxWait:   time.Millisecond,
 		QueueCap:  64,
 		TimeScale: 1, // the whole run fits in the first simulated seconds
 	})
@@ -56,18 +76,8 @@ func TestSubmitHammer(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			src := g % 3 // machines 0..2; destination 3 is never a source
 			for i := 0; i < perG; i++ {
-				sub := Submission{
-					Name:      fmt.Sprintf("g%d-%d", g, i),
-					SizeBytes: 64 << 10,
-					Sources:   []SourceSpec{{Machine: src}},
-					Requests: []RequestSpec{{
-						Machine:  3,
-						Deadline: Instant(simtime.At(20 * time.Hour)),
-						Priority: (g + i) % 3,
-					}},
-				}
+				sub := hammerSubmission(g, i)
 				for {
 					tk, err := eng.Submit(sub)
 					if err == ErrOverloaded {
@@ -139,5 +149,75 @@ func TestSubmitHammer(t *testing.T) {
 	}
 	if sv.WeightedValue != want {
 		t.Errorf("weighted value %v, verdicts sum to %v", sv.WeightedValue, want)
+	}
+}
+
+// TestGroupCommitConservation: under the group-commit loop every accepted
+// submission lands in exactly one epoch. Eight closed-loop submitters keep
+// at most eight tickets outstanding, so a queue bounded at eight never
+// sheds, no epoch is larger than eight, and the batch sizes sum to the
+// submissions.
+func TestGroupCommitConservation(t *testing.T) {
+	const (
+		goroutines = 8
+		perG       = 250
+		total      = goroutines * perG
+	)
+	o := obs.New()
+	eng, err := New(hammerNet(), Options{Config: cfgC4(o), QueueCap: goroutines})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				tk, err := eng.SubmitWait(ctx, hammerSubmission(g, i))
+				if err != nil {
+					t.Errorf("g%d submit %d: %v", g, i, err)
+					return
+				}
+				if v := tk.View(); v.Status == StatusQueued {
+					t.Errorf("ticket %s still queued after SubmitWait", tk.ID())
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := eng.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	snap := o.Snapshot()
+	if got := len(eng.flushed); got != total {
+		t.Errorf("%d tickets flushed, want %d", got, total)
+	}
+	batches := snap.Histograms["serve.batch_size"]
+	if batches.Sum != total {
+		t.Errorf("serve.batch_size sum = %v, want %d", batches.Sum, total)
+	}
+	for i, n := range batches.Counts {
+		if n > 0 && (i == len(batches.Bounds) || batches.Bounds[i] > goroutines) {
+			t.Errorf("%d epochs in batch-size bucket %d, beyond the %d outstanding tickets", n, i, goroutines)
+		}
+	}
+	epochs := snap.Counters["serve.epochs_total"]
+	if epochs > total || epochs != batches.Count {
+		t.Errorf("serve.epochs_total = %d with %d batches observed, want equal and at most %d",
+			epochs, batches.Count, total)
+	}
+	if n := snap.Counters["serve.rejected_backpressure_total"]; n != 0 {
+		t.Errorf("queue bound %d shed %d submissions", goroutines, n)
+	}
+	if got := snap.Histograms["serve.layer_queue_wait_seconds"].Count; got != total {
+		t.Errorf("serve.layer_queue_wait_seconds count = %d, want %d", got, total)
+	}
+	if err := validator.Validate(eng.Scenario(), eng.Schedule().Transfers); err != nil {
+		t.Errorf("final schedule failed independent validation: %v", err)
 	}
 }

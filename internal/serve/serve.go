@@ -1,11 +1,12 @@
 // Package serve is the online admission service: the bridge from "a client
 // submits a data request" to "the scheduler admits or rejects it" while the
 // system runs. It owns a live scheduling world (a dynamic.Engine), accepts
-// Submit calls from many goroutines, micro-batches them into admission
-// epochs — a batch flushes when it reaches MaxBatch submissions or when the
-// oldest has waited MaxWait, whichever comes first — and per epoch runs the
-// configured heuristic incrementally with the already-committed schedule
-// locked in, exactly the paper's §4.5 rule that scheduled transfers remain
+// Submit calls from many goroutines, group-commits them into admission
+// epochs — the engine flushes whenever it is idle, so a lone arrival is
+// planned at once and a batch is whatever arrived behind the running epoch —
+// and per epoch runs the configured heuristic incrementally with the
+// already-committed schedule locked in, exactly the paper's §4.5 rule that
+// new requests are planned when they arrive and scheduled transfers remain
 // in the system.
 //
 // Each submission receives a per-request verdict: admitted (with the
@@ -62,6 +63,10 @@ var (
 	ErrDraining = errors.New("serve: draining, intake closed")
 )
 
+// queueWaitBuckets resolves the sub-millisecond waits a work-conserving loop
+// produces, in seconds: 50µs to 100ms.
+var queueWaitBuckets = []float64{50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 100e-3}
+
 // retryAfterSeconds is the backoff hint a shed submission receives, both as
 // the HTTP Retry-After header and in its backpressure audit record.
 const retryAfterSeconds = 1
@@ -71,12 +76,11 @@ type Options struct {
 	// Config is the heuristic/criterion pair each admission epoch runs
 	// (Config.Obs, when set, receives all serve.* metrics too).
 	Config core.Config
-	// MaxBatch flushes the intake queue into an epoch when this many
-	// submissions are pending (default 16).
+	// MaxBatch is the virtual-clock size trigger: with VirtualClock, Submit
+	// flushes the intake queue into an epoch when this many submissions are
+	// pending (default 16). The wall-clock loop flushes whatever is queued
+	// and never consults it.
 	MaxBatch int
-	// MaxWait bounds how long a pending submission waits for its epoch in
-	// wall-clock mode (default 25ms). Ignored with VirtualClock.
-	MaxWait time.Duration
 	// QueueCap bounds the intake queue; a full queue rejects submissions
 	// with ErrOverloaded (default 256).
 	QueueCap int
@@ -117,9 +121,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 16
 	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 25 * time.Millisecond
-	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 256
 	}
@@ -147,9 +148,10 @@ type Ticket struct {
 	route    []state.Transfer
 	resolved bool
 
-	// Audit context, captured only when the engine has a recorder.
+	// arrivedWall is the wall enqueue time: the base of the audit timeline's
+	// offsets and of the wall-clock queue-wait histogram.
 	arrivedWall time.Time
-	queueDepth  int // intake depth when the submission arrived
+	queueDepth  int // intake depth when the submission arrived (audit)
 }
 
 // ID returns the server-assigned ticket id.
@@ -193,7 +195,7 @@ type Engine struct {
 	mEpochsFull, mEpochsIncremental                          *obs.Counter
 	mReplayTransfers, mDeltaItems                            *obs.Counter
 	gQueue                                                   *obs.Gauge
-	hBatch                                                   *obs.Histogram
+	hBatch, hQueueWait                                       *obs.Histogram
 	epochTimer                                               *obs.PhaseTimer
 
 	mu        sync.Mutex
@@ -212,8 +214,7 @@ type Engine struct {
 	// displacement in the in-flight epoch (0 when none happened); audit
 	// records of preempted tickets carry it.
 	epochObjDelta float64
-	oldest        time.Time // wall enqueue time of the oldest pending submission
-	fatal         error     // first replan failure; the engine wedges closed
+	fatal         error // first replan failure; the engine wedges closed
 
 	// totalReqs is the request count across every item the engine has ever
 	// seen (base scenario plus all flushed submissions), maintained
@@ -237,7 +238,7 @@ type Engine struct {
 	vnow     atomic.Int64 // virtual-clock current instant (simtime.Instant)
 	draining atomic.Bool
 
-	kick    chan struct{} // wall loop wakeup
+	kick    chan struct{} // wall loop wakeup: "the queue may be non-empty"
 	drainCh chan struct{}
 	stopped chan struct{} // wall loop exited
 }
@@ -321,6 +322,7 @@ func New(base *scenario.Scenario, opts Options) (*Engine, error) {
 	e.mEpochs = e.o.Counter("serve.epochs_total")
 	e.gQueue = e.o.Gauge("serve.queue_depth")
 	e.hBatch = e.o.Histogram("serve.batch_size", []float64{1, 2, 4, 8, 16, 32, 64, 128})
+	e.hQueueWait = e.o.Histogram("serve.layer_queue_wait_seconds", queueWaitBuckets)
 	e.epochTimer = e.o.Phase("serve.epoch")
 	e.intro.SetPhase("idle")
 	e.totalReqs = (&e.sc).NumRequests()
@@ -395,15 +397,11 @@ func (e *Engine) Submit(sub Submission) (*Ticket, error) {
 		arrived: e.nowLocked(),
 		item:    -1,
 		status:  StatusQueued,
-	}
-	if e.audit.Enabled() {
-		t.arrivedWall = time.Now()
-		t.queueDepth = len(e.queue)
+
+		arrivedWall: time.Now(),
+		queueDepth:  len(e.queue),
 	}
 	e.nextID++
-	if len(e.queue) == 0 {
-		e.oldest = time.Now()
-	}
 	e.queue = append(e.queue, t)
 	e.tickets[t.id] = t
 	e.gQueue.Set(float64(len(e.queue)))
@@ -423,7 +421,8 @@ func (e *Engine) Submit(sub Submission) (*Ticket, error) {
 
 // SubmitWait is Submit plus a blocking wait for the first verdict. In
 // virtual-clock mode the verdict only arrives once someone advances the
-// clock or the batch fills, so pair SubmitWait with a driver goroutine.
+// clock or the batch reaches MaxBatch, so pair SubmitWait with a driver
+// goroutine.
 func (e *Engine) SubmitWait(ctx context.Context, sub Submission) (*Ticket, error) {
 	t, err := e.Submit(sub)
 	if err != nil {
@@ -457,7 +456,8 @@ func (e *Engine) Advance(to simtime.Instant) error {
 }
 
 // Flush forces a pending batch into an admission epoch at the current
-// instant without waiting for MaxBatch or MaxWait.
+// instant; under the virtual clock that is without waiting for MaxBatch or
+// Advance.
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -496,52 +496,25 @@ func (e *Engine) Drain(ctx context.Context) error {
 	}
 }
 
-// loop is the wall-clock flusher: it runs epochs when a batch fills or the
-// oldest pending submission has waited MaxWait.
+// loop is the wall-clock flusher, a group-commit loop: whenever the engine
+// is idle it runs one epoch over whatever is queued, so a batch is exactly
+// what arrived (or waited on e.mu) behind the previous epoch. No wake-up is
+// lost: Submit appends under e.mu before its non-blocking send on the cap-1
+// kick, and the loop takes e.mu after receiving, so a dropped kick always
+// has a pending one behind it whose flush sees the append. Drain sets
+// draining under e.mu before closing drainCh, so the final flush sees every
+// accepted submission.
 func (e *Engine) loop() {
 	defer close(e.stopped)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	armed := false
-	disarm := func() {
-		if armed && !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		armed = false
-	}
-	for {
+	for draining := false; !draining; {
 		select {
 		case <-e.kick:
-		case <-timer.C:
-			armed = false
 		case <-e.drainCh:
-			disarm()
-			e.mu.Lock()
-			e.flushLocked(e.nowLocked())
-			e.mu.Unlock()
-			return
+			draining = true
 		}
 		e.mu.Lock()
-		switch {
-		case len(e.queue) == 0:
-			e.mu.Unlock()
-			disarm()
-		case len(e.queue) >= e.opts.MaxBatch || time.Since(e.oldest) >= e.opts.MaxWait:
-			e.flushLocked(e.nowLocked())
-			e.mu.Unlock()
-			disarm()
-		default:
-			wait := e.opts.MaxWait - time.Since(e.oldest)
-			e.mu.Unlock()
-			disarm()
-			timer.Reset(wait)
-			armed = true
-		}
+		e.flushLocked(e.nowLocked())
+		e.mu.Unlock()
 	}
 }
 
@@ -559,15 +532,22 @@ func (e *Engine) flushLocked(at simtime.Instant) {
 	e.qdepth.Store(0)
 	span := e.epochTimer.Start()
 	auditing := e.audit.Enabled()
-	var aw auditWalls
 	if auditing {
 		e.epochObjDelta = 0
-		aw.epochStart = time.Now()
+	}
+	aw := auditWalls{epochStart: time.Now()}
+	if !e.opts.VirtualClock {
+		// Wall clock only: replayed /metrics must stay deterministic.
+		for _, t := range batch {
+			e.hQueueWait.Observe(aw.epochStart.Sub(t.arrivedWall).Seconds())
+		}
 	}
 	e.epochs++
 	e.mEpochs.Inc()
 	e.lastEpoch = at
-	e.intro.SetPhase(fmt.Sprintf("epoch %d @ %v (%d submissions)", e.epochs, at, len(batch)))
+	if e.intro != nil {
+		e.intro.SetPhase(fmt.Sprintf("epoch %d @ %v (%d submissions)", e.epochs, at, len(batch)))
+	}
 	e.hBatch.Observe(float64(len(batch)))
 
 	for _, t := range batch {

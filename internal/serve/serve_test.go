@@ -332,15 +332,11 @@ func TestPreemption(t *testing.T) {
 	}
 }
 
-// TestDrain: draining closes intake, completes the pending epoch, and
-// resolves every ticket; the HTTP layer answers 503 afterwards.
+// TestDrain: draining closes intake, completes the pending epoch, resolves
+// every ticket, and stops the wall loop; the HTTP layer answers 503
+// afterwards.
 func TestDrain(t *testing.T) {
-	o := obs.New()
-	eng, err := New(narrowNet(), Options{
-		Config:   cfgC4(o),
-		MaxBatch: 100, // only the drain flushes
-		MaxWait:  time.Hour,
-	})
+	eng, err := New(narrowNet(), Options{Config: cfgC4(obs.New())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,43 +366,61 @@ func TestDrain(t *testing.T) {
 	if _, err := eng.Submit(lineSubmission(10*time.Minute, 0)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after drain: got %v, want ErrDraining", err)
 	}
-	// Drain is idempotent.
+	// Drain is idempotent, and the wall loop is gone.
 	if err := eng.Drain(ctx); err != nil {
 		t.Fatal(err)
+	}
+	select {
+	case <-eng.stopped:
+	default:
+		t.Fatal("wall loop still running after Drain returned")
 	}
 
 	srv := httptest.NewServer(eng.Handler())
 	defer srv.Close()
-	_, err = (&Client{BaseURL: srv.URL}).Submit(context.Background(), lineSubmission(time.Minute, 0), false)
+	_, err = (&Client{BaseURL: srv.URL}).Submit(ctx, lineSubmission(time.Minute, 0), false)
 	var st *ErrStatus
 	if !errors.As(err, &st) || st.Code != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining over HTTP: got %v, want 503", err)
 	}
 }
 
-// TestWallClockFlush: in wall-clock mode a lone submission flushes after
-// MaxWait without reaching MaxBatch, and SubmitWait observes the verdict.
-func TestWallClockFlush(t *testing.T) {
-	eng, err := New(narrowNet(), Options{
-		Config:   cfgC4(obs.New()),
-		MaxBatch: 100,
-		MaxWait:  5 * time.Millisecond,
-		// A day of simulated time per wall second: the link's 60s window
-		// opening is in the past by the first epoch.
-		TimeScale: 86400,
-	})
+// TestWallClockWorkConserving: with default options the wall loop runs an
+// epoch as soon as the engine is idle, so sequential submitters each get
+// their own epoch at once and nobody sleeps out a coalescing window (at
+// 25 ms per lone arrival these 200 would need 5 s).
+func TestWallClockWorkConserving(t *testing.T) {
+	const n = 200
+	o := obs.New()
+	eng, err := New(narrowNet(), Options{Config: cfgC4(o)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Drain(context.Background())
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	tk, err := eng.SubmitWait(ctx, lineSubmission(20*time.Hour, int(model.High)))
-	if err != nil {
-		t.Fatal(err)
+	defer eng.Drain(ctx)
+	begin := time.Now()
+	for i := 0; i < n; i++ {
+		tk, err := eng.SubmitWait(ctx, lineSubmission(20*time.Hour, int(model.High)))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if v := tk.View(); v.Status == StatusQueued {
+			t.Fatalf("ticket %s still queued after SubmitWait", tk.ID())
+		}
 	}
-	if v := tk.View(); v.Status == StatusQueued {
-		t.Fatalf("ticket still queued after SubmitWait")
+	if took := time.Since(begin); took > 2*time.Second {
+		t.Errorf("%d sequential decisions took %v, want under 2s", n, took)
+	}
+	snap := o.Snapshot()
+	if got := snap.Counters["serve.epochs_total"]; got != n {
+		t.Errorf("serve.epochs_total = %d, want %d (one epoch per lone arrival)", got, n)
+	}
+	if h := snap.Histograms["serve.batch_size"]; h.Count != n || h.Sum != n {
+		t.Errorf("serve.batch_size count %d sum %v, want %d epochs of size 1", h.Count, h.Sum, n)
+	}
+	if h := snap.Histograms["serve.layer_queue_wait_seconds"]; h.Count != n {
+		t.Errorf("serve.layer_queue_wait_seconds count = %d, want one observation per ticket (%d)", h.Count, n)
 	}
 }
 
@@ -480,6 +494,11 @@ func TestHTTPAPI(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(sb.String(), "serve_admitted_total 1") {
 		t.Errorf("/metrics does not report serve_admitted_total 1:\n%s", sb.String())
+	}
+	// Wall-time layer figures stay out of virtual-clock /metrics, which must
+	// replay deterministically.
+	if !strings.Contains(sb.String(), "serve_layer_queue_wait_seconds_count 0") {
+		t.Errorf("/metrics reports a queue wait under the virtual clock:\n%s", sb.String())
 	}
 }
 

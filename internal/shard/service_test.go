@@ -444,7 +444,7 @@ func TestCrossShardHammer(t *testing.T) {
 	}
 	o := obs.New()
 	svc, err := New(sc, p, serve.Options{
-		Config: cfgShard(o), MaxBatch: 4, MaxWait: 2 * time.Millisecond, QueueCap: 4096,
+		Config: cfgShard(o), QueueCap: 4096,
 	})
 	if err != nil {
 		t.Fatal(err)

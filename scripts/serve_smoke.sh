@@ -19,7 +19,7 @@ go build -o "$bindir/stageload" ./cmd/stageload
 
 # An hour of simulated time per wall second, so the generated deadlines
 # stay ahead of the service clock for the duration of the run.
-"$bindir/stagesvc" -addr 127.0.0.1:0 -seed 3 -max-wait 2ms -time-scale 3600 \
+"$bindir/stagesvc" -addr 127.0.0.1:0 -seed 3 -time-scale 3600 \
     > "$logfile" 2>&1 &
 svcpid=$!
 
