@@ -82,8 +82,9 @@ saturation-smoke:
 
 # Replay a small canonical trace through stagesvc with -audit-out, validate
 # every audit JSONL line against the wide-event schema (auditcheck), and
-# require a second replay to reproduce the stream byte for byte. Leaves
-# .audit-smoke.jsonl for CI to upload.
+# require a second replay to reproduce the stream byte for byte; then the
+# same again at -shards 2, whose stream carries cross-shard offer legs.
+# Leaves .audit-smoke.jsonl and .audit-smoke-shards2.jsonl for CI to upload.
 audit-smoke:
 	sh scripts/audit_smoke.sh
 

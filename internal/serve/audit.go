@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"datastaging/internal/obs/lifecycle"
-	"datastaging/internal/simtime"
 )
 
 // Audit returns the engine's lifecycle recorder (nil when auditing is off).
@@ -12,14 +11,6 @@ func (e *Engine) Audit() *lifecycle.Recorder { return e.audit }
 
 // Trail returns one ticket's audit records, oldest first.
 func (e *Engine) Trail(id string) []lifecycle.Record { return e.audit.ForTicket(id) }
-
-// auditWalls are the wall-clock stamps of one admission epoch's phases. The
-// epoch start is always taken (the queue-wait histogram shares it); the rest
-// only when auditing is enabled. In deterministic (virtual-clock) mode the
-// recorder strips them again, so capturing is harmless there.
-type auditWalls struct {
-	epochStart, planned, decided, settled time.Time
-}
 
 // verdictStatuses snapshots the per-request statuses before an old ticket is
 // re-settled, so a revising epoch can be detected. Call with e.mu held.
@@ -46,22 +37,17 @@ func (t *Ticket) verdictsChanged(before []Status) bool {
 }
 
 // auditRecordLocked builds the wide event for one ticket as decided (or
-// revised) by the epoch that just ran at instant at. Call with e.mu held,
-// after settleLocked has assigned verdicts.
-func (e *Engine) auditRecordLocked(kind lifecycle.Kind, t *Ticket,
-	at simtime.Instant, batchSize int, aw auditWalls) *lifecycle.Record {
-
+// revised) by epoch ep. Call with e.mu held, after settleLocked has assigned
+// verdicts.
+func (e *Engine) auditRecordLocked(kind lifecycle.Kind, t *Ticket, ep *epoch) *lifecycle.Record {
 	es := e.dyn.LastEpoch()
 	path := "incremental"
 	if es.Full {
 		path = "full"
 	}
 	// Wall offsets are seconds since the submission was received; clock
-	// skew and unset stamps clamp to zero so the timeline stays monotone.
+	// skew clamps to zero so the timeline stays monotone.
 	wall := func(w time.Time) float64 {
-		if t.arrivedWall.IsZero() || w.IsZero() {
-			return 0
-		}
 		if d := w.Sub(t.arrivedWall); d > 0 {
 			return d.Seconds()
 		}
@@ -75,24 +61,24 @@ func (e *Engine) auditRecordLocked(kind lifecycle.Kind, t *Ticket,
 		Timeline: []lifecycle.Hop{
 			{Stage: lifecycle.StageReceived, V: int64(t.arrived)},
 			{Stage: lifecycle.StageEnqueued, V: int64(t.arrived)},
-			{Stage: lifecycle.StageEpochStart, V: int64(at), WallS: wall(aw.epochStart)},
-			{Stage: lifecycle.StagePlanned, V: int64(at), WallS: wall(aw.planned)},
-			{Stage: lifecycle.StageDecided, V: int64(at), WallS: wall(aw.decided)},
-			{Stage: lifecycle.StageSettled, V: int64(at), WallS: wall(aw.settled)},
+			{Stage: lifecycle.StageEpochStart, V: int64(ep.at), WallS: wall(ep.epochStart)},
+			{Stage: lifecycle.StagePlanned, V: int64(ep.at), WallS: wall(ep.planned)},
+			{Stage: lifecycle.StageDecided, V: int64(ep.at), WallS: wall(ep.decided)},
+			{Stage: lifecycle.StageSettled, V: int64(ep.at), WallS: wall(ep.settled)},
 		},
 		QueueDepth:        t.queueDepth,
 		Epoch:             e.epochs,
-		EpochAt:           int64(at),
+		EpochAt:           int64(ep.at),
 		EpochPath:         path,
-		BatchSize:         batchSize,
+		BatchSize:         len(ep.batch),
 		ReplayedTransfers: es.ReplayedTransfers,
 		DeltaItems:        es.DeltaItems,
 		Status:            string(t.status),
-		DecisionLatencyS:  wall(aw.decided),
+		DecisionLatencyS:  wall(ep.decided),
 		Shard:             e.opts.Shard,
 	}
-	if t.status == StatusPreempted && e.epochObjDelta != 0 {
-		rec.ObjectiveDelta = e.epochObjDelta
+	if t.status == StatusPreempted && ep.objDelta != 0 {
+		rec.ObjectiveDelta = ep.objDelta
 	}
 	for k := range t.verdicts {
 		v := &t.verdicts[k]
@@ -119,11 +105,11 @@ func (e *Engine) auditRecordLocked(kind lifecycle.Kind, t *Ticket,
 // ticket, then one revision per older ticket whose verdicts this epoch
 // changed. Call with e.mu held, before the done channels close, so a waiter
 // that wakes on Done always finds its trace.
-func (e *Engine) emitAuditLocked(at simtime.Instant, batch, revised []*Ticket, aw auditWalls) {
-	for _, t := range batch {
-		e.audit.Append(e.auditRecordLocked(lifecycle.KindDecision, t, at, len(batch), aw))
+func (e *Engine) emitAuditLocked(ep *epoch, revised []*Ticket) {
+	for _, t := range ep.batch {
+		e.audit.Append(e.auditRecordLocked(lifecycle.KindDecision, t, ep))
 	}
 	for _, t := range revised {
-		e.audit.Append(e.auditRecordLocked(lifecycle.KindRevision, t, at, len(batch), aw))
+		e.audit.Append(e.auditRecordLocked(lifecycle.KindRevision, t, ep))
 	}
 }

@@ -1,21 +1,18 @@
 package serve
 
 import (
-	"fmt"
-	"time"
-
-	"datastaging/internal/dynamic"
 	"datastaging/internal/model"
 	"datastaging/internal/simtime"
 )
 
-// Proposal is one speculative admission: Propose planned the submission
-// into the engine's world and returns with the engine lock HELD, so the
-// world cannot move until the caller settles the offer with exactly one of
-// Commit or Abort. The two-level cross-shard admission path (internal/
-// shard) builds an offer per touched shard, inspects earliest completions
-// and the objective delta, and commits only on all-accept — otherwise each
-// shard rolls back bit-identically via the engine's O(1) checkpoint.
+// Proposal is an admission epoch left open: Propose planned one submission
+// into the engine's world through the same planLocked every flush uses and
+// returns with the engine lock HELD, so the world cannot move until the
+// caller closes the epoch with exactly one of Commit (finishLocked) or Abort
+// (abortLocked). The two-level cross-shard admission path (internal/shard)
+// builds an offer per touched shard, inspects earliest completions and the
+// objective delta, and commits only on all-accept — otherwise each shard
+// rolls back bit-identically via the engine's O(1) checkpoint.
 //
 // Holding the lock across the round is what makes an offer a real
 // reservation rather than a racy estimate: no local submission, flush, or
@@ -23,23 +20,19 @@ import (
 // safety is the caller's contract — only a single coordinator may hold
 // proposals on more than one engine at a time.
 type Proposal struct {
-	e  *Engine
-	t  *Ticket
-	cp dynamic.Checkpoint
-	at simtime.Instant
-
-	prevItems     int
-	prevTotalReqs int
-	delta         float64
-	settled       bool
+	e       *Engine
+	t       *Ticket
+	ep      epoch
+	delta   float64
+	settled bool
 }
 
 // Propose speculatively admits one submission at the engine's current
 // instant: pending queued submissions are flushed first (the offer builds
-// on a settled world), the world is checkpointed, the submission's item is
-// appended, and one replan runs. The returned proposal holds the engine
-// lock; the caller MUST call Commit or Abort. Errors (validation,
-// draining, a wedged engine) leave the engine unlocked and unchanged.
+// on a settled world), then the submission is planned as an epoch of one.
+// An offer never preempts. The returned proposal holds the engine lock; the
+// caller MUST call Commit or Abort. Errors (validation, draining, a wedged
+// engine) leave the engine unlocked.
 func (e *Engine) Propose(sub Submission) (*Proposal, error) {
 	if err := sub.validate(e.sc.Network.NumMachines()); err != nil {
 		return nil, err
@@ -49,56 +42,28 @@ func (e *Engine) Propose(sub Submission) (*Proposal, error) {
 		e.mu.Unlock()
 		return nil, ErrDraining
 	}
-	at := e.nowLocked()
+	at := e.Now()
 	e.flushLocked(at)
 	if e.fatal != nil {
 		e.mu.Unlock()
 		return nil, e.fatal
 	}
-	p := &Proposal{
-		e:             e,
-		cp:            e.dyn.Checkpoint(),
-		at:            at,
-		prevItems:     len(e.sc.Items),
-		prevTotalReqs: e.totalReqs,
-	}
-	prevValue := e.weightedValueLocked()
-	t := &Ticket{
-		eng:     e,
-		id:      fmt.Sprintf("%sr-%d", e.opts.TicketPrefix, e.nextID),
-		sub:     sub,
-		done:    make(chan struct{}),
-		arrived: at,
-		epoch:   at,
-		item:    model.ItemID(len(e.sc.Items)),
-		status:  StatusQueued,
-	}
-	if e.audit.Enabled() {
-		t.arrivedWall = time.Now()
-	}
-	e.nextID++
-	e.sc.Items = append(e.sc.Items, sub.item(t.item))
-	e.totalReqs += len(sub.Requests)
-	if err := e.dyn.SetScenario(&e.sc); err != nil {
-		e.failLocked(err, nil)
+	t := e.newTicketLocked(sub, at)
+	span := e.epochTimer.Start()
+	ep, ok := e.planLocked(at, t)
+	span.Stop()
+	if !ok {
 		e.mu.Unlock()
-		return nil, err
+		return nil, e.fatal
 	}
-	if err := e.replanLocked(at); err != nil {
-		e.failLocked(err, nil)
-		e.mu.Unlock()
-		return nil, err
-	}
-	p.t = t
-	p.delta = e.weightedValueLocked() - prevValue
-	return p, nil
+	return &Proposal{e: e, t: t, ep: ep, delta: e.weightedValueLocked() - ep.prevValue}, nil
 }
 
 // TicketID returns the id the ticket will carry if the offer commits.
 func (p *Proposal) TicketID() string { return p.t.id }
 
 // At returns the epoch instant the offer was planned at.
-func (p *Proposal) At() simtime.Instant { return p.at }
+func (p *Proposal) At() simtime.Instant { return p.ep.at }
 
 // ObjectiveDelta is the weighted-objective gain of admitting the
 // submission on top of the committed world — the per-shard term the
@@ -125,58 +90,32 @@ func (p *Proposal) Completion(k int) (simtime.Instant, bool) {
 	return at, ok
 }
 
-// Commit keeps the speculative plan: the ticket is registered, settled
-// with full verdicts (metrics, diagnosis, audit), the world snapshot is
-// republished, and the engine lock is released. Returns the live ticket.
-func (p *Proposal) Commit() *Ticket {
+// end closes the proposal's epoch with fn — guarded against a second
+// settlement, timed, and followed by the release of the engine lock.
+// serve.epoch_seconds thus covers the plan and the finish or abort work,
+// never the coordinator's hold between them.
+func (p *Proposal) end(fn func(*epoch)) {
 	if p.settled {
 		panic("serve: proposal settled twice")
 	}
 	p.settled = true
-	e, t := p.e, p.t
-	e.epochs++
-	e.mEpochs.Inc()
-	e.lastEpoch = p.at
-	e.hBatch.Observe(1)
-	var aw auditWalls
-	auditing := e.audit.Enabled()
-	if auditing {
-		e.epochObjDelta = 0
-		now := time.Now()
-		aw = auditWalls{epochStart: now, planned: now, decided: now, settled: now}
-	}
-	e.tickets[t.id] = t
-	e.settleTicketLocked(t, e.dyn.Satisfied(), e.dyn.State(), true)
-	e.flushed = append(e.flushed, t)
-	if !e.settledForGoodLocked(t) {
-		e.unsettled = append(e.unsettled, t)
-	}
-	e.publishLocked()
-	if auditing {
-		e.emitAuditLocked(p.at, []*Ticket{t}, nil, aw)
-	}
-	t.resolved = true
-	close(t.done)
-	e.mu.Unlock()
-	return t
+	span := p.e.epochTimer.Start()
+	fn(&p.ep)
+	span.Stop()
+	p.e.mu.Unlock()
+}
+
+// Commit keeps the speculative plan: the ticket is registered and the epoch
+// finishes like any other (verdicts, metrics, diagnosis, publish, audit).
+// The engine lock is released. Returns the live ticket.
+func (p *Proposal) Commit() *Ticket {
+	p.end(func(ep *epoch) {
+		p.e.tickets[p.t.id] = p.t
+		p.e.finishLocked(ep)
+	})
+	return p.t
 }
 
 // Abort discards the speculative plan and restores the pre-offer world
-// bit-identically: the appended item is truncated, the checkpoint is
-// rolled back, and one replan rebuilds the exact pre-speculation schedule
-// (replay and heuristics are deterministic — the same guarantee the
-// preemption path relies on). The engine lock is released.
-func (p *Proposal) Abort() {
-	if p.settled {
-		panic("serve: proposal settled twice")
-	}
-	p.settled = true
-	e := p.e
-	e.sc.Items = e.sc.Items[:p.prevItems]
-	e.totalReqs = p.prevTotalReqs
-	e.dyn.Rollback(p.cp)
-	if err := e.replanLocked(p.at); err != nil {
-		e.failLocked(err, nil)
-	}
-	e.mu.Unlock()
-}
+// bit-identically. The engine lock is released.
+func (p *Proposal) Abort() { p.end(p.e.abortLocked) }

@@ -192,8 +192,7 @@ type Engine struct {
 	start time.Time
 
 	mAdmitted, mRejected, mPreempted, mBackpressure, mEpochs *obs.Counter
-	mEpochsFull, mEpochsIncremental                          *obs.Counter
-	mReplayTransfers, mDeltaItems                            *obs.Counter
+	mEpochsFull                                              *obs.Counter
 	gQueue                                                   *obs.Gauge
 	hBatch, hQueueWait                                       *obs.Histogram
 	epochTimer                                               *obs.PhaseTimer
@@ -209,12 +208,7 @@ type Engine struct {
 	preempted map[model.RequestID]bool
 	nextID    int
 	epochs    int
-	lastEpoch simtime.Instant
-	// epochObjDelta is the weighted-objective gain of the kept preemption
-	// displacement in the in-flight epoch (0 when none happened); audit
-	// records of preempted tickets carry it.
-	epochObjDelta float64
-	fatal         error // first replan failure; the engine wedges closed
+	fatal     error // first replan failure; the engine wedges closed
 
 	// totalReqs is the request count across every item the engine has ever
 	// seen (base scenario plus all flushed submissions), maintained
@@ -313,9 +307,6 @@ func New(base *scenario.Scenario, opts Options) (*Engine, error) {
 
 	e.mAdmitted = e.o.Counter("serve.admitted_total")
 	e.mEpochsFull = e.o.Counter("serve.epochs_full_total")
-	e.mEpochsIncremental = e.o.Counter("serve.epochs_incremental_total")
-	e.mReplayTransfers = e.o.Counter("serve.epoch_replay_transfers")
-	e.mDeltaItems = e.o.Counter("serve.epoch_delta_items")
 	e.mRejected = e.o.Counter("serve.rejected_total")
 	e.mPreempted = e.o.Counter("serve.preempted_total")
 	e.mBackpressure = e.o.Counter("serve.rejected_backpressure_total")
@@ -339,21 +330,10 @@ func New(base *scenario.Scenario, opts Options) (*Engine, error) {
 // Now returns the engine's current simulated instant. Lock-free: the
 // virtual clock is an atomic, wall time is arithmetic on immutable fields.
 func (e *Engine) Now() simtime.Instant {
-	if !e.opts.VirtualClock {
-		return e.wallNow()
-	}
-	return simtime.Instant(e.vnow.Load())
-}
-
-func (e *Engine) wallNow() simtime.Instant {
-	return simtime.At(time.Duration(float64(time.Since(e.start)) * e.opts.TimeScale))
-}
-
-func (e *Engine) nowLocked() simtime.Instant {
 	if e.opts.VirtualClock {
 		return simtime.Instant(e.vnow.Load())
 	}
-	return e.wallNow()
+	return simtime.At(time.Duration(float64(time.Since(e.start)) * e.opts.TimeScale))
 }
 
 // Submit validates the submission and places it on the intake queue,
@@ -378,7 +358,7 @@ func (e *Engine) Submit(sub Submission) (*Ticket, error) {
 				Item: -1,
 				Name: sub.Name,
 				Timeline: []lifecycle.Hop{
-					{Stage: lifecycle.StageReceived, V: int64(e.nowLocked())},
+					{Stage: lifecycle.StageReceived, V: int64(e.Now())},
 				},
 				QueueDepth:  len(e.queue),
 				Status:      "backpressure",
@@ -389,25 +369,13 @@ func (e *Engine) Submit(sub Submission) (*Ticket, error) {
 		e.mu.Unlock()
 		return nil, ErrOverloaded
 	}
-	t := &Ticket{
-		eng:     e,
-		id:      fmt.Sprintf("%sr-%d", e.opts.TicketPrefix, e.nextID),
-		sub:     sub,
-		done:    make(chan struct{}),
-		arrived: e.nowLocked(),
-		item:    -1,
-		status:  StatusQueued,
-
-		arrivedWall: time.Now(),
-		queueDepth:  len(e.queue),
-	}
-	e.nextID++
+	t := e.newTicketLocked(sub, e.Now())
 	e.queue = append(e.queue, t)
 	e.tickets[t.id] = t
 	e.gQueue.Set(float64(len(e.queue)))
 	e.qdepth.Store(int64(len(e.queue)))
 	if e.opts.VirtualClock && len(e.queue) >= e.opts.MaxBatch {
-		e.flushLocked(e.nowLocked())
+		e.flushLocked(e.Now())
 	}
 	e.mu.Unlock()
 	if !e.opts.VirtualClock {
@@ -417,6 +385,26 @@ func (e *Engine) Submit(sub Submission) (*Ticket, error) {
 		}
 	}
 	return t, nil
+}
+
+// newTicketLocked mints the next ticket for a submission received at
+// instant at. Every ticket the engine ever issues — queued by Submit or
+// offered by Propose — is built here, so both carry the same stamps.
+func (e *Engine) newTicketLocked(sub Submission, at simtime.Instant) *Ticket {
+	t := &Ticket{
+		eng:     e,
+		id:      fmt.Sprintf("%sr-%d", e.opts.TicketPrefix, e.nextID),
+		sub:     sub,
+		done:    make(chan struct{}),
+		arrived: at,
+		item:    -1,
+		status:  StatusQueued,
+
+		arrivedWall: time.Now(),
+		queueDepth:  len(e.queue),
+	}
+	e.nextID++
+	return t
 }
 
 // SubmitWait is Submit plus a blocking wait for the first verdict. In
@@ -461,7 +449,7 @@ func (e *Engine) Advance(to simtime.Instant) error {
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.flushLocked(e.nowLocked())
+	e.flushLocked(e.Now())
 	return e.fatal
 }
 
@@ -482,7 +470,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 	}
 	e.draining.Store(true)
 	if e.opts.VirtualClock {
-		e.flushLocked(e.nowLocked())
+		e.flushLocked(e.Now())
 		e.mu.Unlock()
 		return e.fatal
 	}
@@ -513,15 +501,46 @@ func (e *Engine) loop() {
 			draining = true
 		}
 		e.mu.Lock()
-		e.flushLocked(e.nowLocked())
+		e.flushLocked(e.Now())
 		e.mu.Unlock()
 	}
 }
 
+// epoch is one admission step in flight. planLocked opens it and exactly one
+// of finishLocked or abortLocked closes it; the loop, Advance and Flush close
+// it at once (flushLocked), Propose hands it to the caller still open.
+//
+// Invariant (recovery and leases will lean on it): plan mutates only what
+// abort restores — e.sc.Items, totalReqs and the dynamic engine. Tickets
+// beyond the batch's own item and epoch fields, the epoch counters, the
+// audit log and the published snapshot move in finish alone, so an aborted
+// epoch leaves no trace but its replans.
+type epoch struct {
+	at    simtime.Instant
+	batch []*Ticket
+
+	// What abort restores, taken before anything moved.
+	cp            dynamic.Checkpoint
+	prevItems     int
+	prevTotalReqs int
+	// prevValue is the weighted objective before the plan; an offer's
+	// ObjectiveDelta is measured against it.
+	prevValue float64
+	// objDelta is the weighted-objective gain of a kept preemption
+	// displacement (0 when none happened); audit records of preempted
+	// tickets carry it.
+	objDelta float64
+
+	// Wall-clock stamps of the epoch's phases: the audit timeline, and the
+	// base of the queue-wait histogram. In deterministic (virtual-clock)
+	// mode the recorder strips them again, so capturing is harmless there.
+	epochStart, planned, decided, settled time.Time
+}
+
 // flushLocked runs one admission epoch at instant at over everything
-// pending: extend the scenario with the batch's items, replan with the
-// committed schedule locked in, optionally attempt preemption, then assign
-// verdicts. Call with e.mu held.
+// pending: plan, optionally attempt preemption, finish. Preemption is a
+// policy of this path only — it sits between plan and finish here, so an
+// offer (Propose) never displaces anyone. Call with e.mu held.
 func (e *Engine) flushLocked(at simtime.Instant) {
 	if len(e.queue) == 0 || e.fatal != nil {
 		return
@@ -530,26 +549,33 @@ func (e *Engine) flushLocked(at simtime.Instant) {
 	e.queue = nil
 	e.gQueue.Set(0)
 	e.qdepth.Store(0)
-	span := e.epochTimer.Start()
-	auditing := e.audit.Enabled()
-	if auditing {
-		e.epochObjDelta = 0
+	defer e.epochTimer.Start().Stop()
+	ep, ok := e.planLocked(at, batch...)
+	if !ok {
+		return
 	}
-	aw := auditWalls{epochStart: time.Now()}
-	if !e.opts.VirtualClock {
-		// Wall clock only: replayed /metrics must stay deterministic.
-		for _, t := range batch {
-			e.hQueueWait.Observe(aw.epochStart.Sub(t.arrivedWall).Seconds())
-		}
+	if e.opts.Preemption && !e.preemptLocked(&ep) {
+		return
 	}
-	e.epochs++
-	e.mEpochs.Inc()
-	e.lastEpoch = at
-	if e.intro != nil {
-		e.intro.SetPhase(fmt.Sprintf("epoch %d @ %v (%d submissions)", e.epochs, at, len(batch)))
-	}
-	e.hBatch.Observe(float64(len(batch)))
+	e.finishLocked(&ep)
+}
 
+// planLocked opens an epoch at instant at: checkpoint the world, extend the
+// scenario with the batch's items, replan with the committed schedule locked
+// in. False means the engine wedged (failLocked ran) and there is no epoch.
+func (e *Engine) planLocked(at simtime.Instant, batch ...*Ticket) (epoch, bool) {
+	ep := epoch{
+		at:            at,
+		batch:         batch,
+		epochStart:    time.Now(),
+		cp:            e.dyn.Checkpoint(),
+		prevItems:     len(e.sc.Items),
+		prevTotalReqs: e.totalReqs,
+		prevValue:     e.weightedValueLocked(),
+	}
+	if e.intro != nil {
+		e.intro.SetPhase(fmt.Sprintf("epoch %d @ %v (%d submissions)", e.epochs+1, at, len(batch)))
+	}
 	for _, t := range batch {
 		id := model.ItemID(len(e.sc.Items))
 		t.item = id
@@ -562,68 +588,76 @@ func (e *Engine) flushLocked(at simtime.Instant) {
 	// the engine like any other internal failure.
 	if err := e.dyn.SetScenario(&e.sc); err != nil {
 		e.failLocked(err, batch)
-		span.Stop()
-		return
+		return ep, false
 	}
+	if !e.replanLocked(&ep) {
+		return ep, false
+	}
+	ep.planned = time.Now()
+	return ep, true
+}
 
-	if err := e.replanLocked(at); err != nil {
-		e.failLocked(err, batch)
-		span.Stop()
-		return
-	}
-	if auditing {
-		aw.planned = time.Now()
-	}
-	if e.opts.Preemption {
-		e.preemptLocked(at, batch)
-		if e.fatal != nil {
-			span.Stop()
-			return
+// finishLocked keeps the epoch's plan: count the epoch, assign verdicts
+// (re-settling older unsettled tickets too), publish the world, emit the
+// audit records, wake the waiters.
+func (e *Engine) finishLocked(ep *epoch) {
+	e.epochs++
+	e.mEpochs.Inc()
+	e.hBatch.Observe(float64(len(ep.batch)))
+	if !e.opts.VirtualClock {
+		// Wall clock only: replayed /metrics must stay deterministic.
+		for _, t := range ep.batch {
+			e.hQueueWait.Observe(ep.epochStart.Sub(t.arrivedWall).Seconds())
 		}
 	}
-	revised := e.settleLocked(batch)
-	if auditing {
-		aw.decided = time.Now()
-	}
+	revised := e.settleLocked(ep.batch)
+	ep.decided = time.Now()
 	e.publishLocked()
-	if auditing {
-		aw.settled = time.Now()
-		e.emitAuditLocked(at, batch, revised, aw)
+	ep.settled = time.Now()
+	if e.audit.Enabled() {
+		e.emitAuditLocked(ep, revised)
 	}
-	for _, t := range batch {
+	for _, t := range ep.batch {
 		e.flushed = append(e.flushed, t)
 		if !t.resolved {
 			t.resolved = true
 			close(t.done)
 		}
 	}
-	span.Stop()
 	e.intro.SetPhase("idle")
 }
 
-// replanLocked runs one engine replan at instant at and records which
-// path it took: per-path epoch counters, cumulative replayed-transfer and
-// delta-item counts, and the live /runinfo stats.
-func (e *Engine) replanLocked(at simtime.Instant) error {
-	if _, err := e.dyn.ReplanAt(at); err != nil {
-		return err
+// abortLocked discards the epoch's plan and restores the pre-plan world
+// bit-identically: the appended items are truncated, the checkpoint is
+// rolled back, and one replan rebuilds the exact pre-speculation schedule
+// (replay and heuristics are deterministic — the same guarantee the
+// preemption path relies on).
+func (e *Engine) abortLocked(ep *epoch) {
+	e.sc.Items = e.sc.Items[:ep.prevItems]
+	e.totalReqs = ep.prevTotalReqs
+	e.dyn.Rollback(ep.cp)
+	e.replanLocked(ep)
+	e.intro.SetPhase("idle")
+}
+
+// replanLocked runs one engine replan at the epoch's instant and records
+// which path it took: the full-replay counter and the live /runinfo stats.
+// It is the one place a replan failure wedges the engine; false reports it.
+func (e *Engine) replanLocked(ep *epoch) bool {
+	if _, err := e.dyn.ReplanAt(ep.at); err != nil {
+		e.failLocked(err, ep.batch)
+		return false
 	}
 	es := e.dyn.LastEpoch()
 	path := "incremental"
 	if es.Full {
 		path = "full"
 		e.mEpochsFull.Inc()
-		e.mReplayTransfers.Add(int64(es.ReplayedTransfers))
-	} else {
-		e.mEpochsIncremental.Inc()
-	}
-	if es.DeltaItems > 0 {
-		e.mDeltaItems.Add(int64(es.DeltaItems))
 	}
 	e.intro.SetStat("epoch_path", path)
 	e.intro.SetStat("epoch_replay_transfers", strconv.Itoa(es.ReplayedTransfers))
 	e.intro.SetStat("epoch_delta_items", strconv.Itoa(es.DeltaItems))
-	return nil
+	return true
 }
 
 // failLocked wedges the engine after a replan failure: the batch (and any
@@ -655,11 +689,12 @@ func (e *Engine) failLocked(err error, batch []*Ticket) {
 // lower-priority items on behalf of unsatisfied new requests. The
 // displacement is kept only when it strictly improves the weighted
 // objective; otherwise the checkpoint is rolled back and the world replans
-// to the bit-identical pre-speculation schedule.
-func (e *Engine) preemptLocked(at simtime.Instant, batch []*Ticket) {
+// to the bit-identical pre-speculation schedule. False means a replan
+// failed and the engine wedged.
+func (e *Engine) preemptLocked(ep *epoch) bool {
 	sat := e.dyn.Satisfied()
 	maxPri := -1
-	for _, t := range batch {
+	for _, t := range ep.batch {
 		for k, rq := range e.sc.Items[t.item].Requests {
 			if _, ok := sat[model.RequestID{Item: t.item, Index: k}]; !ok && int(rq.Priority) > maxPri {
 				maxPri = int(rq.Priority)
@@ -667,7 +702,7 @@ func (e *Engine) preemptLocked(at simtime.Instant, batch []*Ticket) {
 		}
 	}
 	if maxPri <= 0 {
-		return // nothing unsatisfied, or nothing that outranks any priority
+		return true // nothing unsatisfied, or nothing that outranks any priority
 	}
 	prevValue := e.weightedValueLocked()
 	prevSat := make(map[model.RequestID]simtime.Instant, len(sat))
@@ -676,17 +711,16 @@ func (e *Engine) preemptLocked(at simtime.Instant, batch []*Ticket) {
 	}
 	cp := e.dyn.Checkpoint()
 	dropped := e.dyn.DropHistory(func(tr state.Transfer) bool {
-		return !tr.Start.Before(at) && e.itemMaxPriorityLocked(tr.Item) < maxPri
+		return !tr.Start.Before(ep.at) && e.itemMaxPriorityLocked(tr.Item) < maxPri
 	})
 	if dropped == 0 {
-		return
+		return true
 	}
-	if err := e.replanLocked(at); err != nil {
-		e.failLocked(err, batch)
-		return
+	if !e.replanLocked(ep) {
+		return false
 	}
 	if newValue := e.weightedValueLocked(); newValue > prevValue {
-		e.epochObjDelta = newValue - prevValue
+		ep.objDelta = newValue - prevValue
 		newSat := e.dyn.Satisfied()
 		for id := range prevSat {
 			if _, ok := newSat[id]; !ok {
@@ -694,12 +728,10 @@ func (e *Engine) preemptLocked(at simtime.Instant, batch []*Ticket) {
 				e.mPreempted.Inc()
 			}
 		}
-		return
+		return true
 	}
 	e.dyn.Rollback(cp)
-	if err := e.replanLocked(at); err != nil {
-		e.failLocked(err, batch)
-	}
+	return e.replanLocked(ep)
 }
 
 func (e *Engine) itemMaxPriorityLocked(item model.ItemID) int {
