@@ -119,7 +119,7 @@ fuzz:
 	$(GO) test ./internal/validator/ -run='^$$' -fuzz=FuzzValidateRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/simtime/ -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/resource/ -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/dijkstra/ -run='^$$' -fuzz=FuzzBatchComputeEquivalence -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core/ -run='^$$' -fuzz=FuzzPlanCacheMatchesParanoid -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dynamic/ -run='^$$' -fuzz=FuzzEngineIncrementalEquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/workload/ -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=$(FUZZTIME)
 

@@ -106,7 +106,5 @@ func subStats(cur, prev Stats) Stats {
 		Iterations:    cur.Iterations - prev.Iterations,
 		Commits:       cur.Commits - prev.Commits,
 		ReplanWall:    cur.ReplanWall - prev.ReplanWall,
-		BatchedRuns:   cur.BatchedRuns - prev.BatchedRuns,
-		RelaxBatches:  cur.RelaxBatches - prev.RelaxBatches,
 	}
 }

@@ -37,9 +37,6 @@ func statsFromTrace(events []obs.Event) Stats {
 			}
 		case obs.EvTransferBooked:
 			st.Commits++
-		case obs.EvRelaxBatch:
-			st.RelaxBatches++
-			st.BatchedRuns += e.N
 		}
 	}
 	return st
@@ -84,9 +81,7 @@ func TestQuickTraceStatsEquivalence(t *testing.T) {
 			snap.Counters["core.dijkstra_runs_total"] != int64(want.DijkstraRuns) ||
 			snap.Counters["core.cache_hits_total"] != int64(want.CacheHits) ||
 			snap.Counters["core.invalidations_total"] != int64(want.Invalidations) ||
-			snap.Counters["core.iterations_total"] != int64(want.Iterations) ||
-			snap.Counters["core.batched_runs_total"] != int64(want.BatchedRuns) ||
-			snap.Counters["core.relax_batches_total"] != int64(want.RelaxBatches) {
+			snap.Counters["core.iterations_total"] != int64(want.Iterations) {
 			t.Errorf("seed %d %v: registry counters disagree with Stats: %+v vs %+v",
 				seed, pair, snap.Counters, want)
 			return false

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"datastaging/internal/arena"
@@ -28,29 +29,36 @@ type Stats struct {
 	// Commits is the number of committed transfers (communication steps).
 	Commits int
 	// ReplanWall is the wall-clock time spent computing shortest-path
-	// forests, across both prefetch batches and lazy recomputes, as
+	// forests, across both prefetch passes and lazy recomputes, as
 	// accumulated by the planner's obs.PhaseTimer. Unlike the counters
 	// above it is timing-dependent, not deterministic.
 	ReplanWall time.Duration
-	// BatchedRuns is how many forests were computed inside merged
-	// relaxation walks (dijkstra.ComputeBatch) rather than one-by-one
-	// Compute calls (a subset of DijkstraRuns).
-	BatchedRuns int
-	// RelaxBatches is how many merged relaxation walks ran: at most one per
-	// select-and-commit iteration.
-	RelaxBatches int
 }
 
 // planner owns the resource state and the per-item plan cache for one
 // scheduling run.
 //
-// Cache invariant: a cached forest is exactly the forest Dijkstra would
-// produce against the current state. Committing a transfer can only shrink
-// resources, so a cached forest stays both feasible and optimal unless the
-// transfer overlaps one of its link slots or undercuts the capacity backing
-// one of its arrivals — in which case the forest is dropped and recomputed
-// on next use. The committed item's own forest is always dropped because it
-// gained a holder (its labels can improve).
+// Cache invariant: on every machine it keeps, a cached forest is exactly
+// the dijkstra.ComputeTrimmed forest of the current state, and it keeps
+// every machine on the paths to request machines reached by their
+// deadlines — everything a heuristic reads. Committing a transfer only
+// shrinks resources, so a labelled arrival can only get later, and a
+// relaxation that lost can only lose again, with one exception: a failed
+// capacity check can pass once its arrival is delayed, because the hold
+// interval shrinks. planConflicts therefore drops a cached forest when the
+// commit
+//
+//   - overlaps one of its planned hops on the same link (or, with
+//     serialized transfers, on a port of either end),
+//   - undercuts the capacity backing one of its arrivals, or
+//   - for a cap-blocked forest, lands on a machine in Plan.CapFailed or,
+//     with serialized transfers, lands anywhere (the delay may come through
+//     the sender's port).
+//
+// The committed item's own forest is always dropped because it gained a
+// holder (its labels can improve). TestPlanCacheMatchesParanoidRerun and
+// FuzzPlanCacheMatchesParanoid pin the invariant against Config.Paranoid,
+// which recomputes every forest on every commit as the paper does.
 type planner struct {
 	st    *state.State
 	cfg   Config
@@ -77,14 +85,8 @@ type planner struct {
 	// freePlans recycles invalidated Plan structs: their slices back the
 	// next recompute instead of being reallocated.
 	freePlans []*dijkstra.Plan
-	// scratch backs one-by-one computes, batchScratch the merged walks
-	// (allocated on the first one).
-	scratch      *dijkstra.Scratch
-	batchScratch *dijkstra.BatchScratch
-	// mergedMin is the committed-history length at which prefetch switches
-	// to the merged walk: mergedMinHistory, except in the in-package
-	// differential test that raises it to force the one-by-one path.
-	mergedMin int
+	// scratch backs every forest computation.
+	scratch *dijkstra.Scratch
 	// Plan material is carved from grow-only arenas: a new Plan and its
 	// five per-machine label slices come from recycled slabs, pre-sized so
 	// the compute kernels never reallocate them. The arenas are never
@@ -96,11 +98,10 @@ type planner struct {
 	machArena arena.Arena[model.MachineID]
 	linkArena arena.Arena[model.LinkID]
 	durArena  arena.Arena[time.Duration]
-	// queue, reuse, byR, and cands are per-iteration scratch reused
-	// across rounds to keep the select-and-commit loop allocation-free;
-	// hops, pathBuf, and seen back the commit paths the same way.
+	// queue, byR, and cands are per-iteration scratch reused across
+	// rounds to keep the select-and-commit loop allocation-free; hops,
+	// pathBuf, and seen back the commit paths the same way.
 	queue   []model.ItemID
-	reuse   []*dijkstra.Plan
 	byR     map[model.MachineID]int
 	cands   []candidate
 	hops    []dijkstra.Hop
@@ -143,7 +144,7 @@ type planner struct {
 	// deltas to the counters.
 	flushedScratch dijkstra.ScratchStats
 	mIterations, mCommits, mDijkstra, mCacheHits, mInvalidations,
-	mBatchedRuns, mRelaxBatches, mCostEvals, mSatisfied, mRetired *obs.Counter
+	mCostEvals, mSatisfied, mRetired *obs.Counter
 	gLive               *obs.Gauge
 	hCandidates, hSlack *obs.Histogram
 }
@@ -168,7 +169,6 @@ func plannerOn(st *state.State, cfg Config) *planner {
 		openCache:  make([][]int, items),
 		openValid:  make([]bool, items),
 		scratch:    dijkstra.NewScratch(),
-		mergedMin:  mergedMinHistory,
 		paranoid:   cfg.Paranoid,
 	}
 	for i := range p.live {
@@ -185,8 +185,6 @@ func plannerOn(st *state.State, cfg Config) *planner {
 		p.mDijkstra = o.Counter("core.dijkstra_runs_total")
 		p.mCacheHits = o.Counter("core.cache_hits_total")
 		p.mInvalidations = o.Counter("core.invalidations_total")
-		p.mBatchedRuns = o.Counter("core.batched_runs_total")
-		p.mRelaxBatches = o.Counter("core.relax_batches_total")
 		p.mCostEvals = o.Counter("core.cost_evaluations_total")
 		p.mSatisfied = o.Counter("core.requests_satisfied_total")
 		p.mRetired = o.Counter("core.items_retired_total")
@@ -207,9 +205,6 @@ func (p *planner) flushScratchMetrics() {
 		return
 	}
 	ds := p.scratch.Stats()
-	if p.batchScratch != nil {
-		ds.Add(p.batchScratch.Stats())
-	}
 	prev := p.flushedScratch
 	p.flushedScratch = ds
 	o := p.cfg.Obs
@@ -235,7 +230,8 @@ func (p *planner) takeFree() *dijkstra.Plan {
 // when available, otherwise a fresh one carved from the planner's arenas
 // with every label slice pre-sized to the machine count, so the kernels'
 // growSlice calls always hit capacity and a growth burst (a new item wave)
-// costs a handful of slab allocations instead of six per plan.
+// costs a handful of slab allocations instead of six per plan. CapFailed
+// grows on a plan's first capacity failure and is recycled with it.
 func (p *planner) takePlan() *dijkstra.Plan {
 	if pl := p.takeFree(); pl != nil {
 		return pl
@@ -343,7 +339,7 @@ func (p *planner) plan(item model.ItemID) *dijkstra.Plan {
 		return pl
 	}
 	span := p.replanTimer.Start()
-	pl := p.scratch.Compute(p.st, item, p.takePlan())
+	pl := p.scratch.ComputeTrimmed(p.st, item, p.takePlan())
 	span.Stop()
 	p.plans[item] = pl
 	p.countRun(item)
@@ -382,24 +378,14 @@ func (p *planner) boundAdmits(item model.ItemID, open []int) bool {
 	return admits
 }
 
-// mergedMinHistory gates the merged relaxation walk on committed-history
-// length. The walk amortizes link-timeline scans across the whole batch,
-// which pays once timelines are long enough for scanning to dominate; on a
-// short history its deeper heap (k forests' frontiers interleaved) costs
-// more than the scans it saves, so below this many committed transfers the
-// planner computes forests one at a time instead. Either way the forests
-// are bit-identical — this is purely a cost dispatch.
-const mergedMinHistory = 64
-
 // prefetch recomputes every invalidated forest the coming candidates pass
-// will need, on the caller's goroutine: in one merged dijkstra.ComputeBatch
-// walk once the committed history reaches mergedMin transfers — each link
-// timeline is then traversed once per walk instead of once per (forest,
-// link) — and one Scratch.Compute at a time below it. A lone recompute is
-// left to plan(). Both paths produce byte-identical forests (no commit
-// happens between prefetch and use), and Stats are path-independent because
-// prefetched forests are charged to DijkstraRuns at first use via the fresh
-// flags, exactly where the lazy path would have computed them.
+// will need, on the caller's goroutine and under a single phase-timer span
+// instead of one time.Now pair per forest. A lone recompute is left to
+// plan(). The forests and their compute order are exactly the lazy
+// candidates pass's (no commit happens between prefetch and use), and Stats
+// are path-independent because prefetched forests are charged to
+// DijkstraRuns at first use via the fresh flags, exactly where the lazy
+// path would have computed them.
 func (p *planner) prefetch() {
 	queue := p.queue[:0]
 	for _, item := range p.live {
@@ -416,41 +402,14 @@ func (p *planner) prefetch() {
 	}
 	p.queue = queue
 	if len(queue) < 2 {
-		return // the lazy path handles a single recompute without batches
+		return
 	}
-	reuse := p.reuse[:0]
-	for range queue {
-		reuse = append(reuse, p.takePlan())
-	}
-	p.reuse = reuse
-
 	span := p.replanTimer.Start()
-	if len(p.st.Transfers()) >= p.mergedMin {
-		if p.batchScratch == nil {
-			p.batchScratch = dijkstra.NewBatchScratch()
-		}
-		p.batchScratch.ComputeBatch(p.st, queue, reuse)
-		p.stats.RelaxBatches++
-		p.stats.BatchedRuns += len(queue)
-		p.mRelaxBatches.Inc()
-		p.mBatchedRuns.Add(int64(len(queue)))
-		if p.tr.Enabled() {
-			p.tr.Emit(obs.Event{Kind: obs.EvRelaxBatch, N: len(queue)})
-		}
-	} else {
-		// Exactly the computes (and compute order) the lazy candidates pass
-		// would perform, but under a single phase-timer span instead of one
-		// time.Now pair per forest.
-		for k, item := range queue {
-			reuse[k] = p.scratch.Compute(p.st, item, reuse[k])
-		}
+	for _, item := range queue {
+		p.plans[item] = p.scratch.ComputeTrimmed(p.st, item, p.takePlan())
+		p.fresh[item] = true
 	}
 	span.Stop()
-	for k, item := range queue {
-		p.plans[item] = reuse[k]
-		p.fresh[item] = true
-		reuse[k] = nil // drop aliases to plans now owned by the cache
-	}
 }
 
 // openRequests returns the indices of the item's requests that are neither
@@ -665,12 +624,17 @@ func (p *planner) observeCommit(item model.ItemID, tr state.Transfer) {
 }
 
 // planConflicts reports whether a committed transfer can have changed the
-// cached forest: either it occupies link time one of the forest's hops was
-// counting on, or the capacity it consumed at the receiving machine no
-// longer backs the forest's planned copy there.
+// cached forest (the three rules of the cache invariant on planner): it
+// occupies link time one of the forest's hops was counting on, the
+// capacity it consumed at the receiving machine no longer backs the
+// forest's planned copy there, or it may have delayed a relaxation that
+// failed its capacity check.
 // trSpan and serial are loop invariants of commit's invalidation sweep,
 // hoisted to the caller.
 func (p *planner) planConflicts(pl *dijkstra.Plan, tr state.Transfer, trSpan simtime.Interval, serial bool) bool {
+	if pl.CapBlocked && (serial || slices.Contains(pl.CapFailed, tr.To)) {
+		return true
+	}
 	for v := range pl.Via {
 		if pl.Via[v] == dijkstra.NoLink {
 			continue

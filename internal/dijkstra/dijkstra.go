@@ -47,6 +47,9 @@ const (
 // machine, the earliest achievable arrival and the final hop that achieves
 // it. Machines holding the item are roots (Pred == NoMachine) labeled with
 // their copy's availability; unreachable machines have Arrival == Never.
+// A forest from ComputeTrimmed or ComputeBound also reads Never at every
+// machine it did not reach by the item's latest deadline, and a trimmed
+// one at every machine off the paths it keeps.
 type Plan struct {
 	Item    model.ItemID
 	Arrival []simtime.Instant
@@ -66,6 +69,14 @@ type Plan struct {
 	// alone: the incremental planner in internal/core asks
 	// Scratch.ComputeBound before retiring it.
 	CapBlocked bool
+	// CapFailed lists, once each, the machines at which a capacity check
+	// failed; CapBlocked is exactly len(CapFailed) > 0. Short of delaying
+	// the sender's own label (a conflict with the sender's hop), a commit
+	// delays a relaxation into a machine only by taking link time into it
+	// (or, with serialized transfers, port time), and a delayed arrival
+	// shortens the hold, so this is the list the planner's cache checks
+	// commits against. Its backing array is recycled with the plan.
+	CapFailed []model.MachineID
 }
 
 // Hop is one transfer along a planned path.
@@ -78,15 +89,19 @@ type Hop struct {
 }
 
 // Scratch is the reusable working memory of one shortest-path computation:
-// the hold-end and visited labels plus the priority-queue backing array.
-// None of it survives into the returned Plan, so a Scratch can back any
-// number of sequential Compute calls without reallocating. A Scratch must
-// not be shared between concurrent computations.
+// the hold-end, visited and per-machine mark labels plus the priority-queue
+// backing array. None of it survives into the returned Plan, so a Scratch
+// can back any number of sequential Compute calls without reallocating. A
+// Scratch must not be shared between concurrent computations.
 type Scratch struct {
 	holdEnd []simtime.Instant
 	done    []bool
-	pq      []heapEntry
-	stats   ScratchStats
+	// mark[v] is set, during the relaxation walk, once v is in CapFailed
+	// and, during a trim, once v is kept. A forest is trimmed only when no
+	// check failed, so both uses start from clear marks.
+	mark  []bool
+	pq    []heapEntry
+	stats ScratchStats
 }
 
 // NewScratch returns an empty Scratch; its buffers grow on first use.
@@ -131,21 +146,46 @@ func Compute(st *state.State, item model.ItemID) *Plan {
 }
 
 // Compute runs the adapted Dijkstra for one item against the current state,
-// drawing working memory from the Scratch. The state is only read. If reuse
-// is non-nil its slices are recycled for the returned Plan (which may or
-// may not be reuse itself); the caller must no longer use reuse afterwards.
+// drawing working memory from the Scratch, and labels every machine the
+// item can reach at any instant. The state is only read. If reuse is
+// non-nil its slices are recycled for the returned Plan (which may or may
+// not be reuse itself); the caller must no longer use reuse afterwards.
 func (s *Scratch) Compute(st *state.State, item model.ItemID, reuse *Plan) *Plan {
-	return s.compute(st, item, reuse, false)
+	return s.compute(st, item, reuse, fullForest)
 }
 
-// ComputeBound runs Compute's relaxation under the most permissive storage
-// gate any useful arrival could ever face, and returns an optimistic forest:
-// a lower bound on every arrival the item can still achieve in time, in this
+// ComputeTrimmed is Compute cut down to the part of the forest a heuristic
+// reads: the paths to request machines reached by their deadlines. A
+// request's Sat is 0 once its arrival is past its deadline (§4.8), so with L
+// the item's latest deadline:
+//
+//   - the forest is labelled only up to L. An arrival after L, and every
+//     arrival that could descend from it, serves no request; it is kept
+//     only as a dominance label on its machine (so later arrivals there are
+//     pruned as before), never pushed, never given a capacity check, and
+//     reads Never in the result. Every label at or before L is exactly
+//     Compute's, because arrivals only grow along a path;
+//   - when no capacity check failed (CapBlocked false), every machine off
+//     the paths to the request machines reached by their own deadlines is
+//     cleared as well. A cap-blocked forest keeps every machine reached by L,
+//     so that the planner's conflict check sees each hop whose delay could
+//     turn a failed check around.
+//
+// On the machines it keeps the forest equals Compute's, hop for hop, and
+// CapBlocked reports exactly whether a check failed at an arrival ≤ L.
+func (s *Scratch) ComputeTrimmed(st *state.State, item model.ItemID, reuse *Plan) *Plan {
+	return s.compute(st, item, reuse, trimmedForest)
+}
+
+// ComputeBound runs the relaxation under the most permissive storage gate
+// any useful arrival could ever face, and returns an optimistic forest: a
+// lower bound on every arrival the item can still achieve in time, in this
 // state and in every state the incremental planner can move it to. It is
-// identical to Compute except that, with L the item's latest request
-// deadline, the gate at machine v tests CanReserve over
-// [max(arrival, L), HoldEnd(item, v)) — passing outright when that interval
-// is empty — and never sets CapBlocked. Paths are not meant to be committed.
+// cut at L, the item's latest request deadline, exactly like
+// ComputeTrimmed (but not trimmed), and its gate at machine v tests
+// CanReserve over [L, HoldEnd(item, v)) — passing outright when that
+// interval is empty — so it never sets CapBlocked. Paths are not meant to
+// be committed.
 //
 // The claim: let a real forest be computed later, after any number of
 // commits (of other items) and floor advances, and let a' be its arrival at
@@ -171,17 +211,37 @@ func (s *Scratch) Compute(st *state.State, item model.ItemID, reuse *Plan) *Plan
 // back history, a link failure) is outside the claim; the planner is rebuilt
 // then and re-derives retirement from scratch.
 func (s *Scratch) ComputeBound(st *state.State, item model.ItemID, reuse *Plan) *Plan {
-	return s.compute(st, item, reuse, true)
+	return s.compute(st, item, reuse, boundForest)
 }
 
-// compute is the relaxation loop behind Compute (bound false: the exact
-// storage gate, failures flagged CapBlocked) and ComputeBound (bound true).
-func (s *Scratch) compute(st *state.State, item model.ItemID, reuse *Plan, bound bool) *Plan {
+// forestKind selects what the one relaxation loop computes.
+type forestKind uint8
+
+const (
+	// fullForest: every machine to any instant, the exact storage gate
+	// (Compute).
+	fullForest forestKind = iota
+	// trimmedForest: cut at the latest deadline, the exact storage gate,
+	// trimmed unless cap-blocked (ComputeTrimmed).
+	trimmedForest
+	// boundForest: cut at the latest deadline, the optimistic storage gate
+	// (ComputeBound).
+	boundForest
+)
+
+// compute is the relaxation loop behind Compute, ComputeTrimmed and
+// ComputeBound.
+func (s *Scratch) compute(st *state.State, item model.ItemID, reuse *Plan, kind forestKind) *Plan {
 	sc := st.Scenario()
 	net := sc.Network
 	m := net.NumMachines()
-	size := sc.Item(item).SizeBytes
-	latest := sc.Item(item).LatestDeadline()
+	it := sc.Item(item)
+	size := it.SizeBytes
+	latest := it.LatestDeadline()
+	cut := simtime.Never
+	if kind != fullForest {
+		cut = latest
+	}
 
 	s.stats.Computes++
 	if cap(s.holdEnd) < m {
@@ -193,19 +253,20 @@ func (s *Scratch) compute(st *state.State, item model.ItemID, reuse *Plan, bound
 		p = &Plan{}
 	}
 	p.Item = item
-	p.CapBlocked = false
 	p.Arrival = growSlice(p.Arrival, m)
 	p.Pred = growSlice(p.Pred, m)
 	p.Via = growSlice(p.Via, m)
 	p.Start = growSlice(p.Start, m)
 	p.Dur = growSlice(p.Dur, m)
+	p.CapFailed = p.CapFailed[:0]
 
 	// holdEnd[u] is when u's copy (existing or planned) disappears; the
 	// latest instant a transfer out of u may still be in flight.
 	s.holdEnd = growSlice(s.holdEnd, m)
 	s.done = growSlice(s.done, m)
+	s.mark = growSlice(s.mark, m)
 	s.pq = s.pq[:0]
-	holdEnd, done := s.holdEnd, s.done
+	holdEnd, done, mark := s.holdEnd, s.done, s.mark
 	var dm durMemo
 
 	for u := range p.Arrival {
@@ -213,6 +274,7 @@ func (s *Scratch) compute(st *state.State, item model.ItemID, reuse *Plan, bound
 		p.Pred[u] = NoMachine
 		p.Via[u] = NoLink
 		done[u] = false
+		mark[u] = false
 	}
 	for _, h := range st.Holders(item) {
 		p.Arrival[h.Machine] = h.Avail
@@ -259,14 +321,26 @@ func (s *Scratch) compute(st *state.State, item model.ItemID, reuse *Plan, bound
 				if arrival >= p.Arrival[v] {
 					continue
 				}
+				if arrival > cut {
+					// Past every deadline: a dominance label only. Pred
+					// keeps v from reading as a root; v is never popped, so
+					// the clean-up below clears it.
+					p.Arrival[v] = arrival
+					p.Pred[v] = u
+					continue
+				}
 				hold := st.HoldInterval(item, v, arrival)
-				if bound {
-					gate := simtime.Interval{Start: simtime.MaxInstant(arrival, latest), End: hold.End}
+				if kind == boundForest {
+					// arrival ≤ L here, so the weakest useful gate starts at L.
+					gate := simtime.Interval{Start: latest, End: hold.End}
 					if !gate.IsEmpty() && !st.Capacity(v).CanReserve(size, gate) {
 						continue
 					}
 				} else if !st.Capacity(v).CanReserve(size, hold) {
-					p.CapBlocked = true
+					if !mark[v] {
+						mark[v] = true
+						p.CapFailed = append(p.CapFailed, v)
+					}
 					continue
 				}
 				p.Arrival[v] = arrival
@@ -279,7 +353,56 @@ func (s *Scratch) compute(st *state.State, item model.ItemID, reuse *Plan, bound
 			}
 		}
 	}
+	p.CapBlocked = len(p.CapFailed) > 0
+
+	// keep[v] says v survives: every popped machine, or in a trim only the
+	// ones on the paths to request machines reached by their deadlines
+	// (each such arrival is ≤ L, so the whole path was popped).
+	keep := done
+	if kind == trimmedForest && !p.CapBlocked {
+		for k := range it.Requests {
+			rq := &it.Requests[k]
+			if p.Arrival[rq.Machine].After(rq.Deadline) {
+				continue
+			}
+			for v := rq.Machine; !mark[v]; v = p.Pred[v] {
+				mark[v] = true
+				if p.Pred[v] == NoMachine {
+					break
+				}
+			}
+		}
+		keep = mark
+	}
+	for v, k := range keep {
+		if !k {
+			p.Arrival[v] = simtime.Never
+			p.Pred[v] = NoMachine
+			p.Via[v] = NoLink
+		}
+	}
 	return p
+}
+
+// durMemo caches the last TransferDuration evaluation for one item's
+// computation. Links within a physical group (and usually across a whole
+// scenario) repeat the same (bandwidth, latency) pair, and the duration of
+// a fixed-size item over such a pair is a pure function, so the innermost
+// relax loop can skip the div/round sequence almost every time. A zero
+// memo is ready to use: no real link has zero bandwidth (validation
+// rejects it), so the first call always misses.
+type durMemo struct {
+	bps int64
+	lat time.Duration
+	dur time.Duration
+}
+
+func (m *durMemo) transferDuration(l *model.VirtualLink, size int64) time.Duration {
+	if l.BandwidthBPS != m.bps || l.Latency != m.lat {
+		m.bps, m.lat = l.BandwidthBPS, l.Latency
+		m.dur = l.TransferDuration(size)
+	}
+	return m.dur
 }
 
 // growSlice returns s resized to n elements, reusing its backing array when
@@ -304,7 +427,9 @@ func (p *Plan) Reachable(m model.MachineID) bool { return p.Arrival[m] != simtim
 // no successful label (slot queries are monotone in the ready time and the
 // free sets are unchanged), and every failed or dominated relaxation fails
 // the same monotone gate again at the higher floor — except a failed
-// capacity check, which CapBlocked flags. The incremental planner in
+// capacity check, which CapBlocked flags. A trimmed forest counts only the
+// hops it keeps: a machine it cleared reaches no request in time, and a
+// later floor only delays it further. The incremental planner in
 // internal/core uses this pair to decide which cached forests survive a
 // floor advance.
 func (p *Plan) EarliestHopStart() simtime.Instant {

@@ -1,0 +1,217 @@
+package dijkstra
+
+import (
+	"math/rand"
+	"testing"
+	"testing/quick"
+	"time"
+
+	"datastaging/internal/gen"
+	"datastaging/internal/model"
+	"datastaging/internal/simtime"
+	"datastaging/internal/state"
+)
+
+// tightParams is quickParams with storage tight enough that capacity checks
+// fail, so both cap-blocked and trimmed forests occur.
+func tightParams() gen.Params {
+	p := quickParams()
+	p.CapacityBytes = gen.Int64Range{Min: 1 << 20, Max: 64 << 20}
+	return p
+}
+
+// capWitnesses replays, outside the kernel, every relaxation out of every
+// machine the full forest reaches by the item's latest deadline L, and
+// returns the machines where a capacity check at an arrival ≤ L fails
+// (mayFail) and the subset where such an arrival also beats the final
+// label, which the kernel must have checked (mustFail). A check the kernel
+// ran and failed is in mayFail; a relaxation in mustFail that passed would
+// contradict the full forest's label, reported as ok false.
+func capWitnesses(st *state.State, item model.ItemID, full *Plan) (mayFail, mustFail map[model.MachineID]bool, ok bool) {
+	sc := st.Scenario()
+	it := sc.Item(item)
+	latest := it.LatestDeadline()
+	mayFail, mustFail = map[model.MachineID]bool{}, map[model.MachineID]bool{}
+	for m, at := range full.Arrival {
+		u := model.MachineID(m)
+		if at.After(latest) {
+			continue
+		}
+		endU := st.HoldEnd(item, u)
+		if h, held := st.Holder(item, u); held {
+			endU = h.End
+		}
+		ready := simtime.MaxInstant(at, st.Floor())
+		for _, id := range sc.Network.Outgoing(u) {
+			l := sc.Network.Link(id)
+			v := l.To
+			if st.Holds(item, v) {
+				continue
+			}
+			d := l.TransferDuration(it.SizeBytes)
+			slot, fits := st.EarliestTransferSlot(id, ready, d)
+			if !fits {
+				continue
+			}
+			a := slot.Add(d)
+			if a > endU || a.After(latest) {
+				continue
+			}
+			if st.Capacity(v).CanReserve(it.SizeBytes, st.HoldInterval(item, v, a)) {
+				if a < full.Arrival[v] {
+					return nil, nil, false
+				}
+				continue
+			}
+			mayFail[v] = true
+			if a < full.Arrival[v] {
+				mustFail[v] = true
+			}
+		}
+	}
+	return mayFail, mustFail, true
+}
+
+// TestQuickTrimmedForestMatchesFull pins ComputeTrimmed against Compute on
+// random committed states: on every machine it keeps, the trimmed forest is
+// the full forest hop for hop; it keeps every request machine reached by
+// its deadline; a forest that is not cap-blocked keeps nothing else but the
+// paths to them, and a cap-blocked one keeps every machine reached by L;
+// and CapBlocked is true exactly when a capacity check failed at an
+// arrival ≤ L, with CapFailed naming each such machine once.
+func TestQuickTrimmedForestMatchesFull(t *testing.T) {
+	params := tightParams()
+	var s Scratch
+	var trimmed *Plan
+	var forests, capBlocked, cleared, mustFails int
+
+	property := func(seed int64) bool {
+		sc := gen.MustGenerate(params, seed%100000)
+		rng := rand.New(rand.NewSource(seed))
+		st := state.New(sc)
+		commitRandomPaths(t, st, rng, len(sc.Items)/2, map[model.ItemID]bool{})
+		if rng.Intn(2) == 0 {
+			st.SetFloor(simtime.At(time.Duration(rng.Int63n(int64(45 * time.Minute)))))
+		}
+		for i := range sc.Items {
+			item := model.ItemID(i)
+			it := sc.Item(item)
+			latest := it.LatestDeadline()
+			full := Compute(st, item)
+			trimmed = s.ComputeTrimmed(st, item, trimmed)
+			forests++
+			fail := func(format string, args ...any) bool {
+				t.Logf("seed %d item %d: "+format, append([]any{seed, i}, args...)...)
+				return false
+			}
+
+			// The paths the trim must keep: every request machine reached
+			// by its deadline, and its predecessors.
+			onPath := make([]bool, len(full.Arrival))
+			for _, rq := range it.Requests {
+				if full.Arrival[rq.Machine].After(rq.Deadline) {
+					continue
+				}
+				if !trimmed.Reachable(rq.Machine) {
+					return fail("request machine %d reached at %v by deadline %v was not kept",
+						rq.Machine, full.Arrival[rq.Machine], rq.Deadline)
+				}
+				for v := rq.Machine; !onPath[v]; v = full.Pred[v] {
+					onPath[v] = true
+					if full.Pred[v] == NoMachine {
+						break
+					}
+				}
+			}
+			for m := range full.Arrival {
+				v := model.MachineID(m)
+				if !trimmed.Reachable(v) {
+					if full.Arrival[v] <= latest && (trimmed.CapBlocked || onPath[v]) {
+						return fail("machine %d reached at %v ≤ L %v was cleared (cap-blocked %v)",
+							v, full.Arrival[v], latest, trimmed.CapBlocked)
+					}
+					if full.Reachable(v) {
+						cleared++
+					}
+					if trimmed.Pred[v] != NoMachine || trimmed.Via[v] != NoLink {
+						return fail("cleared machine %d keeps pred %d via %d", v, trimmed.Pred[v], trimmed.Via[v])
+					}
+					continue
+				}
+				if trimmed.Arrival[v] != full.Arrival[v] || trimmed.Pred[v] != full.Pred[v] || trimmed.Via[v] != full.Via[v] {
+					return fail("kept machine %d: (%v, %d, %d), full forest (%v, %d, %d)", v,
+						trimmed.Arrival[v], trimmed.Pred[v], trimmed.Via[v], full.Arrival[v], full.Pred[v], full.Via[v])
+				}
+				if full.Via[v] != NoLink && (trimmed.Start[v] != full.Start[v] || trimmed.Dur[v] != full.Dur[v]) {
+					return fail("kept machine %d: hop timing differs", v)
+				}
+				if !trimmed.IsRoot(v) && trimmed.Arrival[v].After(latest) {
+					return fail("kept machine %d at %v after L %v", v, trimmed.Arrival[v], latest)
+				}
+				if !trimmed.CapBlocked && !onPath[v] {
+					return fail("machine %d is on no path to a request reached in time but was kept", v)
+				}
+			}
+
+			mayFail, mustFail, ok := capWitnesses(st, item, full)
+			if !ok {
+				return fail("a relaxation beats the full forest's label through every gate")
+			}
+			if trimmed.CapBlocked != (len(trimmed.CapFailed) > 0) {
+				return fail("CapBlocked %v with CapFailed %v", trimmed.CapBlocked, trimmed.CapFailed)
+			}
+			listed := map[model.MachineID]bool{}
+			for _, v := range trimmed.CapFailed {
+				if listed[v] || !mayFail[v] {
+					return fail("CapFailed %v: machine %d repeated or has no failing check ≤ L", trimmed.CapFailed, v)
+				}
+				listed[v] = true
+			}
+			for v := range mustFail {
+				if !listed[v] {
+					return fail("a check at machine %d must have failed ≤ L but CapFailed is %v", v, trimmed.CapFailed)
+				}
+			}
+			mustFails += len(mustFail)
+			if trimmed.CapBlocked {
+				capBlocked++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(2))}); err != nil {
+		t.Error(err)
+	}
+	if capBlocked == 0 || capBlocked == forests || cleared == 0 || mustFails == 0 {
+		t.Errorf("vacuous: %d forests, %d cap-blocked, %d reached machines cleared, %d checks that had to fail",
+			forests, capBlocked, cleared, mustFails)
+	}
+}
+
+// TestComputeTrimmedZeroAllocs: once a recycled plan has seen the largest
+// forest, CapFailed included, recomputing every item allocates nothing.
+func TestComputeTrimmedZeroAllocs(t *testing.T) {
+	sc := gen.MustGenerate(tightParams(), 5)
+	st := state.New(sc)
+	commitRandomPaths(t, st, rand.New(rand.NewSource(5)), len(sc.Items)/2, map[model.ItemID]bool{})
+	var s Scratch
+	var pl *Plan
+	blocked := 0
+	for i := range sc.Items {
+		pl = s.ComputeTrimmed(st, model.ItemID(i), pl)
+		if pl.CapBlocked {
+			blocked++
+		}
+	}
+	if blocked == 0 {
+		t.Fatal("no cap-blocked forest: CapFailed is not exercised")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := range sc.Items {
+			pl = s.ComputeTrimmed(st, model.ItemID(i), pl)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("recycled ComputeTrimmed allocated %.1f times per sweep, want 0", allocs)
+	}
+}

@@ -363,7 +363,7 @@ func TestPromName(t *testing.T) {
 
 func TestEventKindNames(t *testing.T) {
 	kinds := []EventKind{EvIteration, EvForestComputed, EvForestCacheHit, EvForestInvalidated,
-		EvTransferBooked, EvRequestSatisfied, EvItemDead, EvEpochReplan, EvRelaxBatch}
+		EvTransferBooked, EvRequestSatisfied, EvItemDead, EvEpochReplan}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		n := k.String()

@@ -42,10 +42,6 @@ const (
 	// epoch instant (ns), N the transfers newly aborted by this epoch's
 	// event batch.
 	EvEpochReplan
-	// EvRelaxBatch is one merged-relaxation walk (dijkstra.ComputeBatch):
-	// N is the number of forests relaxed together in the walk, at most one
-	// walk per select-and-commit iteration.
-	EvRelaxBatch
 )
 
 var eventKindNames = map[EventKind]string{
@@ -57,7 +53,6 @@ var eventKindNames = map[EventKind]string{
 	EvRequestSatisfied:  "request_satisfied",
 	EvItemDead:          "item_dead",
 	EvEpochReplan:       "epoch_replan",
-	EvRelaxBatch:        "relax_batch",
 }
 
 // String returns the snake_case event name used in JSONL traces.

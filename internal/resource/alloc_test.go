@@ -26,14 +26,6 @@ func TestSlotQueryAllocs(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("EarliestSlot allocates %.1f per query, want 0", a)
 	}
-	var cur int32
-	if a := testing.AllocsPerRun(100, func() {
-		if _, ok, _ := lt.EarliestSlotCursor(&cur, simtime.At(time.Second), time.Second); !ok {
-			t.Fatal("no slot on a mostly-free timeline")
-		}
-	}); a != 0 {
-		t.Errorf("EarliestSlotCursor allocates %.1f per query, want 0", a)
-	}
 }
 
 // TestCapacityQueryAllocs gates the feasibility probes: once the segment-min

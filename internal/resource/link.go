@@ -77,20 +77,6 @@ func (l *LinkTimeline) EarliestSlotHinted(ready simtime.Instant, d time.Duration
 	return start, ok, hinted
 }
 
-// EarliestSlotCursor is EarliestSlotHinted with a caller-owned cursor in
-// place of the timeline's shared hint cell. The batched relaxation kernel
-// issues queries with globally non-decreasing ready times across many
-// forests at once; giving the batch private cursors lets it walk each
-// timeline once end to end without disturbing (or being disturbed by) the
-// shared hint other computations ride. Any cursor value is legal — a stale
-// one falls back to the indexed search — and *cur is updated for the next
-// query.
-func (l *LinkTimeline) EarliestSlotCursor(cur *int32, ready simtime.Instant, d time.Duration) (start simtime.Instant, ok, hinted bool) {
-	start, next, ok, hinted := l.free.EarliestFitHint(int(*cur), ready, d)
-	*cur = int32(next)
-	return start, ok, hinted
-}
-
 // CanCommit reports whether [start, start+d) is currently free link time.
 func (l *LinkTimeline) CanCommit(start simtime.Instant, d time.Duration) bool {
 	if d < 0 {

@@ -61,77 +61,6 @@ func EarliestFitN(ready Instant, d time.Duration, sets ...*Set) (Instant, bool) 
 	}
 }
 
-// EarliestFitNHint is EarliestFitN with caller-held cursor hints: cur[k]
-// is the interval index a previous query on sets[k] left behind (any value
-// is legal; stale, negative, or out-of-range hints are detected and fall
-// back to the indexed search, so correctness never depends on them). On
-// return cur[k] holds the index to seed the next query with. When queries
-// arrive with globally non-decreasing ready times against unchanged sets —
-// the batched Dijkstra relaxation's contract — every seed validates and
-// each set's interval list is walked once across the whole query sequence
-// instead of being re-searched per query.
-//
-// cur must have at least len(sets) elements; hinted reports whether every
-// seed validated (the fast path that skips all binary searches). Results
-// are bit-identical to EarliestFitN for any cursor contents.
-func EarliestFitNHint(ready Instant, d time.Duration, cur []int32, sets ...*Set) (t Instant, ok, hinted bool) {
-	switch len(sets) {
-	case 0:
-		return ready, true, true
-	case 1:
-		t, next, ok, hinted := sets[0].EarliestFitHint(int(cur[0]), ready, d)
-		cur[0] = int32(next)
-		return t, ok, hinted
-	}
-	if d < 0 {
-		d = 0
-	}
-	hinted = true
-	var curArr [4]int
-	var c []int
-	if len(sets) <= len(curArr) {
-		c = curArr[:len(sets)]
-	} else {
-		c = make([]int, len(sets))
-	}
-	for k, s := range sets {
-		// A seed is valid exactly when every interval before it ends at or
-		// before ready: such intervals can never serve this query or any
-		// later one in a non-decreasing-ready sequence. Intervals are
-		// disjoint and sorted, so checking the immediate predecessor covers
-		// them all.
-		if h := int(cur[k]); h >= 0 && h <= len(s.ivs) && (h == 0 || s.ivs[h-1].End <= ready) {
-			c[k] = h
-		} else {
-			c[k] = s.search(ready)
-			hinted = false
-		}
-	}
-	t = ready
-	for {
-		changed := false
-		for k, s := range sets {
-			start, fits := s.fitFrom(&c[k], t, d)
-			if !fits {
-				for k2 := range sets {
-					cur[k2] = int32(c[k2])
-				}
-				return Never, false, hinted
-			}
-			if start != t {
-				t = start
-				changed = true
-			}
-		}
-		if !changed {
-			for k2 := range sets {
-				cur[k2] = int32(c[k2])
-			}
-			return t, true, hinted
-		}
-	}
-}
-
 // fitFrom returns the earliest instant start >= t such that [start,
 // start+d) lies within a single interval of s at index *c or later,
 // advancing the cursor past intervals that cannot serve this query.

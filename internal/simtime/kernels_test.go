@@ -174,72 +174,6 @@ func TestEarliestFitNMatchesIntersect(t *testing.T) {
 	}
 }
 
-// TestEarliestFitNHintMatches drives monotone query sequences — the batched
-// relaxation's contract — through the cursor-carrying kernel and requires
-// bit-identical answers to EarliestFitN, with the cursors validating (no
-// re-search) on every query after the first when the duration is fixed.
-func TestEarliestFitNHintMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 200; trial++ {
-		nSets := 2 + rng.Intn(2)
-		sets := make([]*Set, nSets)
-		for i := range sets {
-			s := randomSet(rng, 5+rng.Intn(30))
-			sets[i] = &s
-		}
-		cur := make([]int32, nSets)
-		for i := range cur {
-			cur[i] = int32(rng.Intn(40) - 5) // arbitrary stale seed
-		}
-		ready := At(time.Duration(rng.Intn(50)-20) * time.Millisecond)
-		for q := 0; q < 40; q++ {
-			ready = ready.Add(time.Duration(rng.Intn(25)) * time.Millisecond)
-			d := time.Duration(rng.Intn(40)-5) * time.Millisecond
-			got, gotOK, _ := EarliestFitNHint(ready, d, cur, sets...)
-			want, wantOK := EarliestFitN(ready, d, sets...)
-			if got != want || gotOK != wantOK {
-				t.Fatalf("EarliestFitNHint(%v, %v) over %d sets: got (%v, %v), want (%v, %v)",
-					ready, d, nSets, got, gotOK, want, wantOK)
-			}
-		}
-	}
-}
-
-// TestEarliestFitNHintFastPath pins the point of the cursor variant: a
-// monotone query sequence whose duration fits every interval keeps the
-// cursors valid throughout, so no query after the first re-searches any
-// set.
-func TestEarliestFitNHintFastPath(t *testing.T) {
-	link := denseBenchSet(256, 0)
-	send := denseBenchSet(256, 250*time.Millisecond)
-	recv := denseBenchSet(256, 500*time.Millisecond)
-	cur := make([]int32, 3)
-	for q := 0; q < 200; q++ {
-		ready := At(time.Duration(q) * 2 * time.Second)
-		got, ok, hinted := EarliestFitNHint(ready, 100*time.Millisecond, cur, &link, &send, &recv)
-		want, wantOK := EarliestFitN(ready, 100*time.Millisecond, &link, &send, &recv)
-		if got != want || ok != wantOK {
-			t.Fatalf("query %d: got (%v, %v), want (%v, %v)", q, got, ok, want, wantOK)
-		}
-		if !hinted {
-			t.Fatalf("query %d: cursors did not validate on a monotone sequence", q)
-		}
-	}
-}
-
-func TestEarliestFitNHintZeroAllocs(t *testing.T) {
-	link := denseBenchSet(256, 0)
-	send := denseBenchSet(256, 250*time.Millisecond)
-	recv := denseBenchSet(256, 500*time.Millisecond)
-	cur := make([]int32, 3)
-	allocs := testing.AllocsPerRun(100, func() {
-		EarliestFitNHint(At(90*time.Second), 100*time.Millisecond, cur, &link, &send, &recv)
-	})
-	if allocs != 0 {
-		t.Errorf("EarliestFitNHint allocated %.1f times per call, want 0", allocs)
-	}
-}
-
 func TestEarliestFitNEdgeCases(t *testing.T) {
 	a := NewSet(Interval{Start: 0, End: At(10 * time.Second)})
 	b := NewSet(Interval{Start: At(2 * time.Second), End: At(6 * time.Second)})
@@ -347,19 +281,6 @@ func FuzzKernelEquivalence(f *testing.F) {
 			if got != want || gotOK != wantOK {
 				t.Fatalf("EarliestFitN(%v, %v) over %d sets: got (%v, %v), want (%v, %v)",
 					ready, d, n, got, gotOK, want, wantOK)
-			}
-			// The cursor-carrying variant must agree under any seed, and
-			// again when fed its own written-back cursors.
-			cur := make([]int32, n)
-			for i := range cur {
-				cur[i] = int32(hint - i)
-			}
-			for rep := 0; rep < 2; rep++ {
-				hN, hNOK, _ := EarliestFitNHint(ready, d, cur, ptrs...)
-				if hN != want || hNOK != wantOK {
-					t.Fatalf("EarliestFitNHint(%v, %v, %v) over %d sets rep %d: got (%v, %v), want (%v, %v)",
-						ready, d, cur, n, rep, hN, hNOK, want, wantOK)
-				}
 			}
 		}
 		cut := Interval{Start: ready, End: ready.Add(d)}

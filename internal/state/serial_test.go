@@ -131,83 +131,6 @@ func TestEarliestTransferSlotMatchesSlow(t *testing.T) {
 	}
 }
 
-// TestEarliestTransferSlotCursorsMatches pins the batch-cursor query
-// bit-identical to the shared-hint query in both modes, including under
-// cursor abuse: the sweep's ready times go backwards between links (every
-// seed goes stale) and commits move free time between sweeps without the
-// cursors being reset.
-func TestEarliestTransferSlotCursorsMatches(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		st, a, c := serialScenario()
-		if !serial {
-			st.sendPort, st.recvPort = nil, nil
-		}
-		var cur SlotCursors
-		st.ResetSlotCursors(&cur)
-		sweep := func(phase string) {
-			links := len(st.Scenario().Network.Links)
-			for id := 0; id < links; id++ {
-				for readyMS := -100; readyMS < 3000; readyMS += 37 {
-					ready := simtime.At(time.Duration(readyMS) * time.Millisecond)
-					for _, d := range []time.Duration{0, 100 * time.Millisecond, 1024 * time.Millisecond, 48 * time.Hour} {
-						got, gotOK := st.EarliestTransferSlotCursors(&cur, model.LinkID(id), ready, d)
-						want, wantOK := st.EarliestTransferSlot(model.LinkID(id), ready, d)
-						if got != want || gotOK != wantOK {
-							t.Fatalf("serial=%v %s: cursor slot(link %d, %v, %v) = (%v, %v), want (%v, %v)",
-								serial, phase, id, ready, d, got, gotOK, want, wantOK)
-						}
-					}
-				}
-			}
-		}
-		sweep("fresh")
-		if _, err := st.Commit(a, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		sweep("after commit, stale cursors")
-		st.ResetSlotCursors(&cur)
-		if _, err := st.Commit(c, 1, simtime.At(2*1024*time.Millisecond)); err != nil {
-			t.Fatal(err)
-		}
-		sweep("after second commit")
-	}
-}
-
-// TestSlotCursorQueryZeroAllocs gates the admission fast path: a batched
-// slot query must not allocate in either mode, and ResetSlotCursors must
-// recycle its arrays after the first sizing.
-func TestSlotCursorQueryZeroAllocs(t *testing.T) {
-	st, a, _ := serialScenario()
-	if _, err := st.Commit(a, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	var cur SlotCursors
-	st.ResetSlotCursors(&cur)
-	d := 500 * time.Millisecond
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := st.EarliestTransferSlotCursors(&cur, 1, 0, d); !ok {
-			t.Fatal("no slot")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("serialized EarliestTransferSlotCursors allocated %.1f times per query, want 0", allocs)
-	}
-	st.sendPort, st.recvPort = nil, nil
-	st.ResetSlotCursors(&cur)
-	allocs = testing.AllocsPerRun(100, func() {
-		if _, ok := st.EarliestTransferSlotCursors(&cur, 1, 0, d); !ok {
-			t.Fatal("no slot")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("single-link EarliestTransferSlotCursors allocated %.1f times per query, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(100, func() { st.ResetSlotCursors(&cur) })
-	if allocs != 0 {
-		t.Errorf("ResetSlotCursors allocated %.1f times per call, want 0", allocs)
-	}
-}
-
 // TestSerializedSlotQueryZeroAllocs is the acceptance bound of the fused
 // kernel: the serialized-transfer slot query — which used to materialize
 // two intersection sets per call — must not allocate at all.

@@ -283,69 +283,6 @@ func (st *State) EarliestTransferSlot(id model.LinkID, ready simtime.Instant, d 
 		st.links[id].Free(), st.sendPort[l.From].Free(), st.recvPort[l.To].Free())
 }
 
-// SlotCursors is a private set of per-timeline cursor hints for one batched
-// relaxation walk: one cursor per virtual link plus, in serialized mode, one
-// per send and receive port. The batched Dijkstra kernel issues slot queries
-// with globally non-decreasing ready times across all the forests of an
-// epoch, so each timeline's cursor advances monotonically and the timeline
-// is walked once per batch instead of re-searched per query. The cursors are
-// caller-owned — nothing here touches the timelines' shared atomic hints —
-// so any number of batches with their own SlotCursors may run concurrently
-// against one State. The zero value is ready to use; Reset recycles the
-// backing arrays, so steady-state use allocates nothing.
-type SlotCursors struct {
-	link []int32
-	send []int32
-	recv []int32
-}
-
-// ResetSlotCursors sizes the cursors for this state's timelines and
-// invalidates every hint (the first query per timeline falls back to the
-// indexed search; later ones ride the cursor). Call once per batch — a
-// commit between batches moves free time, which the validity check would
-// catch anyway, but a fresh seed skips the doomed validations.
-func (st *State) ResetSlotCursors(c *SlotCursors) {
-	c.link = resetCursors(c.link, len(st.links))
-	if st.sendPort != nil {
-		c.send = resetCursors(c.send, len(st.sendPort))
-		c.recv = resetCursors(c.recv, len(st.recvPort))
-	}
-}
-
-func resetCursors(s []int32, n int) []int32 {
-	if cap(s) < n {
-		s = make([]int32, n)
-	} else {
-		s = s[:n]
-	}
-	for i := range s {
-		s[i] = -1
-	}
-	return s
-}
-
-// EarliestTransferSlotCursors is EarliestTransferSlot with the query riding
-// the caller's SlotCursors instead of the timelines' shared hints. Results
-// are bit-identical for any cursor contents; only the search cost differs.
-func (st *State) EarliestTransferSlotCursors(c *SlotCursors, id model.LinkID, ready simtime.Instant, d time.Duration) (simtime.Instant, bool) {
-	st.mSlotQuery.Inc()
-	if st.sendPort == nil {
-		t, ok, hinted := st.links[id].EarliestSlotCursor(&c.link[id], ready, d)
-		if hinted {
-			st.mSlotFast.Inc()
-		}
-		return t, ok
-	}
-	st.mSlotFast.Inc() // the fused kernel never materializes a set
-	l := st.sc.Network.Link(id)
-	var cur [3]int32
-	cur[0], cur[1], cur[2] = c.link[id], c.send[l.From], c.recv[l.To]
-	t, ok, _ := simtime.EarliestFitNHint(ready, d, cur[:],
-		st.links[id].Free(), st.sendPort[l.From].Free(), st.recvPort[l.To].Free())
-	c.link[id], c.send[l.From], c.recv[l.To] = cur[0], cur[1], cur[2]
-	return t, ok
-}
-
 // Capacity returns the capacity profile of one machine. Callers must not
 // reserve on it directly; use Commit.
 func (st *State) Capacity(m model.MachineID) *resource.Capacity { return st.caps[m] }
