@@ -34,7 +34,6 @@ import (
 	"datastaging/internal/report"
 	"datastaging/internal/report/utilization"
 	"datastaging/internal/scenario"
-	"datastaging/internal/trace"
 	"datastaging/internal/validator"
 )
 
@@ -181,7 +180,7 @@ func run(args []string, out io.Writer) error {
 	upper := bounds.Upper(sc, w)
 	possible, _ := bounds.PossibleSatisfy(sc, w)
 	var util *utilization.Profile
-	if o != nil || *showUtil {
+	if o != nil || *showUtil || *showTimeline {
 		util = utilization.Compute(sc, res.Transfers)
 		util.Export(o)
 	}
@@ -235,20 +234,16 @@ func run(args []string, out io.Writer) error {
 	}
 	if *showTimeline {
 		fmt.Fprintln(out)
-		fmt.Fprint(out, trace.Timeline(sc, res.Transfers, 72))
+		fmt.Fprint(out, timeline(sc, res.Transfers, 72))
 		fmt.Fprintln(out, "\nbusiest links:")
-		stats := trace.LinkUtilization(sc, res.Transfers)
-		if len(stats) > 10 {
-			stats = stats[:10]
-		}
-		lrows := make([][]string, 0, len(stats))
-		for _, s := range stats {
+		var lrows [][]string
+		for _, l := range busiestLinks(util.Links, 10) {
 			lrows = append(lrows, []string{
-				fmt.Sprintf("%d", s.Link),
-				fmt.Sprintf("m%d→m%d", s.From, s.To),
-				fmt.Sprintf("%d", s.Transfers),
-				s.Busy.Round(time.Second).String(),
-				fmt.Sprintf("%.1f%%", 100*s.Utilization),
+				fmt.Sprintf("%d", l.Link),
+				fmt.Sprintf("m%d→m%d", l.From, l.To),
+				fmt.Sprintf("%d", l.Transfers),
+				l.Busy.Round(time.Second).String(),
+				fmt.Sprintf("%.1f%%", 100*l.BusyFraction),
 			})
 		}
 		if err := report.Table(out, []string{"link", "hop", "transfers", "busy", "utilization"}, lrows); err != nil {

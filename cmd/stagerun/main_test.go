@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -76,6 +79,45 @@ func TestRunEndToEndFromSeed(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// elapsedRE matches the wall-clock figure on the "work:" line, the one
+// part of stagerun's output that differs between identical runs.
+var elapsedRE = regexp.MustCompile(`(?m)^(work: .*, )\S+( elapsed)$`)
+
+// TestTimelineGolden pins -timeline output byte for byte (the work line's
+// elapsed time masked) for three heuristics on four generated scenarios.
+func TestTimelineGolden(t *testing.T) {
+	for _, seed := range []int{1, 3, 7, 11} {
+		for _, h := range []string{"partial", "full_one", "full_all"} {
+			name := fmt.Sprintf("timeline_seed%d_%s", seed, h)
+			t.Run(name, func(t *testing.T) {
+				var buf bytes.Buffer
+				if err := run([]string{"-seed", strconv.Itoa(seed), "-heuristic", h, "-timeline"}, &buf); err != nil {
+					t.Fatal(err)
+				}
+				got := elapsedRE.ReplaceAll(buf.Bytes(), []byte("${1}ELAPSED${2}"))
+				golden := filepath.Join("testdata", name+".golden")
+				if *update {
+					if err := os.MkdirAll("testdata", 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(golden, got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := os.ReadFile(golden)
+				if err != nil {
+					t.Fatalf("read golden (run with -update to regenerate): %v", err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("output differs from golden %s (run with -update to regenerate)\ngot:\n%s", golden, got)
+				}
+			})
 		}
 	}
 }

@@ -14,7 +14,7 @@
 //	         [-heuristic partial|full_one|full_all] [-criterion C1..C5]
 //	         [-eu LOG10|inf|-inf] [-weights 1,10,100]
 //	         [-max-batch N] [-queue-cap N]
-//	         [-virtual-clock] [-time-scale X] [-preempt]
+//	         [-virtual-clock] [-time-scale X]
 //	         [-drain-timeout DUR]
 //	         [-replay-trace FILE] [-audit] [-audit-out FILE]
 //	         [-decision-slo DUR] [-chrome-trace-out FILE]
@@ -127,8 +127,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	virtual := fs.Bool("virtual-clock", false,
 		"freeze time; it only moves via POST /v1/advance (deterministic replay mode)")
 	timeScale := fs.Float64("time-scale", 1, "simulated seconds per wall second (wall clock)")
-	preempt := fs.Bool("preempt", false,
-		"let higher-priority arrivals displace not-yet-started lower-priority transfers")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
 	replayTrace := fs.String("replay-trace", "",
 		"replay this canonical .trace.json against the service's own endpoint, print the outcome, and exit (requires -virtual-clock)")
@@ -208,8 +206,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Scheduler: fmt.Sprintf("%v/%v at E-U %s", cfg.Heuristic, cfg.Criterion, cfg.EU.Label()),
 		Config: map[string]string{
 			"max-batch": fmt.Sprint(*maxBatch), "queue-cap": fmt.Sprint(*queueCap),
-			"virtual-clock": fmt.Sprint(*virtual), "preempt": fmt.Sprint(*preempt),
-			"weights": *weightsName,
+			"virtual-clock": fmt.Sprint(*virtual), "weights": *weightsName,
 		},
 	})
 
@@ -233,7 +230,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		QueueCap:     *queueCap,
 		VirtualClock: *virtual,
 		TimeScale:    *timeScale,
-		Preemption:   *preempt,
 		Intro:        intro,
 		Audit:        recorder,
 	}

@@ -67,7 +67,7 @@ func loopback(t *testing.T, extra []string) {
 	if rep.Admitted == 0 {
 		t.Errorf("load run admitted nothing: %+v", rep)
 	}
-	if got := rep.Admitted + rep.Rejected + rep.Preempted + rep.Errors; got != p.Requests {
+	if got := rep.Admitted + rep.Rejected + rep.Errors; got != p.Requests {
 		t.Errorf("verdicts for %d of %d submissions", got, p.Requests)
 	}
 
@@ -111,6 +111,7 @@ func TestBadFlags(t *testing.T) {
 		{"-shards", "2", "-chrome-trace-out", "x"},
 		{"-shard-map", "/does/not/exist"},
 		{"-max-wait", "1ms"}, // the coalescing window is gone, and its flag with it
+		{"-preempt"},         // an admit is final; the preemption policy is gone
 	} {
 		var out bytes.Buffer
 		if err := run(context.Background(), args, &out); err == nil {

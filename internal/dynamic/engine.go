@@ -22,11 +22,12 @@ import (
 // persistent core.Planner whose plan cache carries forward, so an ordinary
 // epoch (new arrivals released, floor advanced, heuristic run over the open
 // backlog) costs O(epoch delta), independent of how much history has
-// accumulated. Only events that rewrite the past — a link failure that
-// invalidates already-committed transfers, a DropHistory preemption, a
-// Rollback — mark the engine dirty and force the next ReplanAt through
-// replanFull, the original rebuild-and-replay path, which doubles as the
-// correctness oracle for the incremental path (see engine_diff_test.go).
+// accumulated. Only the two events that rewrite the past — a link failure
+// (FailLink), which can invalidate already-committed transfers, and a
+// Rollback to a Checkpoint — mark the engine dirty and force the next
+// ReplanAt through replanFull, the original rebuild-and-replay path, which
+// doubles as the correctness oracle for the incremental path (see
+// engine_diff_test.go).
 //
 // The Engine is not safe for concurrent use; callers that take submissions
 // from many goroutines (internal/serve) serialize access themselves.
@@ -47,8 +48,8 @@ type Engine struct {
 	replans int
 	elapsed time.Duration
 
-	// dirty records that the past was rewritten (link failure, history
-	// splice, rollback) since the last epoch; the next ReplanAt must take
+	// dirty records that the past was rewritten (link failure, rollback)
+	// since the last epoch; the next ReplanAt must take
 	// the full-replay path. forceFull pins every epoch to that path — the
 	// differential harness and benchmarks use it as the oracle knob.
 	dirty     bool
@@ -194,9 +195,9 @@ func (e *Engine) SetFullReplay(on bool) { e.forceFull = on }
 // the epoch delta to the persistent world — new items grown in, floor
 // advanced, heuristic run over the open backlog — and is O(delta). The
 // engine falls back to a full rebuild-and-replay only when no epoch has run
-// yet, when the past was rewritten since the last epoch (link failure,
-// DropHistory, Rollback), when at precedes the current floor, or when
-// forced via SetFullReplay.
+// yet, when the past was rewritten since the last epoch (FailLink,
+// Rollback), when at precedes the current floor, or when forced via
+// SetFullReplay.
 func (e *Engine) ReplanAt(at simtime.Instant) (*core.Result, error) {
 	deltaItems := len(e.sc.Items)
 	if e.st != nil {
@@ -301,9 +302,8 @@ func (e *Engine) ItemRetired(item model.ItemID) bool {
 	return e.pl != nil && e.pl.ItemRetired(item)
 }
 
-// Aborted lists transfers lost so far (in flight on a failed link, causally
-// downstream of a lost copy, or dropped via DropHistory and never
-// re-committed). The slice is shared; do not mutate.
+// Aborted lists transfers lost so far (in flight on a failed link, or
+// causally downstream of a lost copy). The slice is shared; do not mutate.
 func (e *Engine) Aborted() []state.Transfer { return e.aborted }
 
 // Replans counts completed epochs.
@@ -312,44 +312,18 @@ func (e *Engine) Replans() int { return e.replans }
 // Elapsed is the total scheduling time across epochs.
 func (e *Engine) Elapsed() time.Duration { return e.elapsed }
 
-// DropHistory removes every committed transfer matching drop from the
-// history and returns how many were removed. The live state is not touched;
-// dropping rewrites the past, so the next ReplanAt takes the full-replay
-// path (anything causally downstream of a dropped copy cascade-aborts
-// during that replay). internal/serve uses this to preempt not-yet-started
-// transfers of lower-priority items.
-//
-// The splice copies the kept transfers into a fresh backing array, never
-// mutating the shared history in place — that is what makes Checkpoint O(1).
-func (e *Engine) DropHistory(drop func(state.Transfer) bool) int {
-	kept := e.history[:0:0]
-	dropped := 0
-	for _, tr := range e.history {
-		if drop(tr) {
-			dropped++
-			continue
-		}
-		kept = append(kept, tr)
-	}
-	if dropped > 0 {
-		e.history = kept
-		e.dirty = true
-	}
-	return dropped
-}
-
 // Checkpoint captures the engine's epoch bookkeeping so a speculative
-// DropHistory + ReplanAt can be undone with Rollback.
+// ReplanAt can be undone with Rollback.
 type Checkpoint struct {
 	history []state.Transfer
 	aborted int
 }
 
 // Checkpoint snapshots the current history in O(1). No copy is needed: the
-// history grows append-only (epochs append to the state's transfer log,
-// which never mutates the prefix this checkpoint's slice header covers) and
-// DropHistory splices copy-on-write, so the snapshot's backing array can
-// never be rewritten underneath it.
+// history only grows (an incremental epoch appends to the state's transfer
+// log, which never mutates the prefix this checkpoint's slice header
+// covers) or is replaced outright by a full replay's fresh array, so the
+// snapshot's backing array can never be rewritten underneath it.
 func (e *Engine) Checkpoint() Checkpoint {
 	return Checkpoint{history: e.history, aborted: len(e.aborted)}
 }

@@ -8,7 +8,6 @@ import (
 	"datastaging/internal/model"
 	"datastaging/internal/scenario"
 	"datastaging/internal/simtime"
-	"datastaging/internal/state"
 	"datastaging/internal/testnet"
 )
 
@@ -140,8 +139,7 @@ func TestSetScenarioAppendOnlyContract(t *testing.T) {
 
 // TestCheckpointIsConstantTime pins the O(1) checkpoint: the snapshot
 // aliases the live history's backing array instead of copying it, and stays
-// intact across both append-only epochs and copy-on-write DropHistory
-// splices.
+// intact across a full replay, which builds a fresh history array.
 func TestCheckpointIsConstantTime(t *testing.T) {
 	sc := testnet.Line(5, 64<<10, 1<<20, time.Hour)
 	eng, err := NewEngine(sc, cfgC4())
@@ -161,21 +159,40 @@ func TestCheckpointIsConstantTime(t *testing.T) {
 	}
 	before := append(cp.history[:0:0], cp.history...)
 
-	// A splice must not disturb the aliased snapshot.
-	dropped := eng.DropHistory(func(state.Transfer) bool { return true })
-	if dropped != len(h) {
-		t.Fatalf("dropped %d of %d", dropped, len(h))
+	// A link failure's full replay must not disturb the aliased snapshot.
+	// The failed link is one no transfer uses, so the replay
+	// keeps every transfer and the rollback below owes nothing to it.
+	used := make(map[model.LinkID]bool)
+	for _, tr := range h {
+		used[tr.Link] = true
+	}
+	idle := model.LinkID(-1)
+	for l := range sc.Network.Links {
+		if !used[model.LinkID(l)] {
+			idle = model.LinkID(l)
+			break
+		}
+	}
+	if idle < 0 {
+		t.Fatal("every link carries a transfer")
+	}
+	eng.FailLink(idle, 0)
+	if _, err := eng.ReplanAt(0); err != nil {
+		t.Fatal(err)
+	}
+	if !eng.LastEpoch().Full {
+		t.Fatal("a link failure must force a full replay")
+	}
+	if got := eng.Transfers(); len(got) > 0 && &got[0] == &h[0] {
+		t.Fatal("full replay reused the checkpointed backing array")
 	}
 	for i := range before {
 		if cp.history[i] != before[i] {
-			t.Fatalf("DropHistory mutated checkpointed transfer %d", i)
+			t.Fatalf("full replay mutated checkpointed transfer %d", i)
 		}
 	}
 
 	// Rollback + replay must reproduce the pre-speculation schedule.
-	if _, err := eng.ReplanAt(0); err != nil {
-		t.Fatal(err)
-	}
 	eng.Rollback(cp)
 	if _, err := eng.ReplanAt(0); err != nil {
 		t.Fatal(err)

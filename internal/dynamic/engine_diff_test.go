@@ -4,24 +4,23 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"datastaging/internal/core"
 	"datastaging/internal/gen"
 	"datastaging/internal/model"
 	"datastaging/internal/scenario"
 	"datastaging/internal/simtime"
-	"datastaging/internal/state"
 	"datastaging/internal/validator"
 )
 
 // The differential harness: the incremental engine and the full-replay
 // oracle walk the same randomized trace of arrivals, scenario growth, link
-// failures, and speculative preemptions, and must agree bit-for-bit on
-// transfers, satisfied requests, weighted objective, and aborts after every
-// epoch. FuzzEngineIncrementalEquivalence (fuzz_test.go) drives the same
-// harness from fuzzed inputs.
+// failures, and speculative epochs that are kept or rolled back, and must
+// agree bit-for-bit on transfers, satisfied requests, weighted objective,
+// and aborts after every epoch. FuzzEngineIncrementalEquivalence
+// (fuzz_test.go) drives the same harness from fuzzed inputs.
 
 // diffOp is one epoch of a randomized trace.
 type diffOp struct {
@@ -31,14 +30,18 @@ type diffOp struct {
 	// grow, when non-nil, is an append-only scenario extension applied
 	// before the epoch (the online service's arrival mechanism).
 	grow *scenario.Scenario
-	// preempt, when non-nil, runs a speculative Checkpoint + DropHistory
-	// + ReplanAt cycle; keep decides whether it sticks or rolls back.
-	preempt *preemptOp
+	// rollback, when non-nil, runs a speculative epoch shaped like the
+	// admission service's offer abort: Checkpoint, Release one
+	// still-withheld item, ReplanAt; then either keep the result or undo
+	// it (Withhold the item again, Rollback, replan).
+	rollback *rollbackOp
 }
 
-type preemptOp struct {
-	victim model.ItemID
-	keep   bool
+type rollbackOp struct {
+	// pick selects the released item: an index, modulo their count, into
+	// the items still withheld when the op runs (ascending id order).
+	pick int
+	keep bool
 }
 
 // genDiffTrace derives a base scenario (a prefix of full's items) and a
@@ -92,11 +95,15 @@ func genDiffTrace(r *rand.Rand, full *scenario.Scenario) (*scenario.Scenario, []
 		ops = append(ops, diffOp{at: step(),
 			fail: []model.LinkID{model.LinkID(r.Intn(len(full.Network.Links)))}})
 	}
-	// Up to two speculative preemptions.
-	for i, k := 0, r.Intn(3); i < k; i++ {
-		ops = append(ops, diffOp{at: step(), preempt: &preemptOp{
-			victim: model.ItemID(r.Intn(n)), keep: r.Intn(2) == 0,
-		}})
+	// One to three speculative epochs whenever something is withheld,
+	// mostly rolled back: an abort is the case where the incremental
+	// engine must notice that the past changed.
+	if len(withheld) > 0 {
+		for i, k := 0, 1+r.Intn(3); i < k; i++ {
+			ops = append(ops, diffOp{at: step(), rollback: &rollbackOp{
+				pick: r.Intn(len(withheld)), keep: r.Intn(4) == 0,
+			}})
+		}
 	}
 
 	// step() already made times strictly increasing; shuffle only the
@@ -126,8 +133,10 @@ func genDiffTrace(r *rand.Rand, full *scenario.Scenario) (*scenario.Scenario, []
 	return &base, withheld, ops
 }
 
-// applyOp drives one engine through one epoch of the trace.
-func applyOp(t *testing.T, eng *Engine, op diffOp) *core.Result {
+// applyOp drives one engine through one epoch of the trace. It reports
+// whether the op rolled back a speculative epoch that had committed at
+// least one transfer.
+func applyOp(t *testing.T, eng *Engine, op diffOp) (undid bool) {
 	t.Helper()
 	if op.grow != nil {
 		if err := eng.SetScenario(op.grow); err != nil {
@@ -140,25 +149,39 @@ func applyOp(t *testing.T, eng *Engine, op diffOp) *core.Result {
 	for _, l := range op.fail {
 		eng.FailLink(l, op.at)
 	}
-	if op.preempt != nil {
-		cp := eng.Checkpoint()
-		at, victim := op.at, op.preempt.victim
-		eng.DropHistory(func(tr state.Transfer) bool {
-			return tr.Item == victim && tr.Start >= at
-		})
-		if _, err := eng.ReplanAt(op.at); err != nil {
-			t.Fatalf("speculative replan at %v: %v", op.at, err)
+	if op.rollback != nil {
+		if item, ok := pickWithheld(eng, op.rollback.pick); ok {
+			cp := eng.Checkpoint()
+			eng.Release(item)
+			if _, err := eng.ReplanAt(op.at); err != nil {
+				t.Fatalf("speculative replan at %v: %v", op.at, err)
+			}
+			if op.rollback.keep {
+				return false // speculation already landed
+			}
+			undid = len(eng.Transfers()) > len(cp.history)
+			eng.Withhold(item)
+			eng.Rollback(cp)
 		}
-		if op.preempt.keep {
-			return nil // speculation already landed
-		}
-		eng.Rollback(cp)
 	}
-	res, err := eng.ReplanAt(op.at)
-	if err != nil {
+	if _, err := eng.ReplanAt(op.at); err != nil {
 		t.Fatalf("replan at %v: %v", op.at, err)
 	}
-	return res
+	return undid
+}
+
+// pickWithheld returns the pick-th (modulo) still-withheld item in
+// ascending id order; false when nothing is withheld any more.
+func pickWithheld(eng *Engine, pick int) (model.ItemID, bool) {
+	if len(eng.withheld) == 0 {
+		return 0, false
+	}
+	items := make([]model.ItemID, 0, len(eng.withheld))
+	for it := range eng.withheld {
+		items = append(items, it)
+	}
+	sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })
+	return items[pick%len(items)], true
 }
 
 // weightedObjective is the paper's -E[S] over an engine's satisfied set.
@@ -209,10 +232,11 @@ func compareEngines(t *testing.T, label string, inc, oracle *Engine) {
 
 // runDifferential walks one seeded trace through both engines and compares
 // after every epoch; the final schedule must also be validator-clean. It
-// reports whether the trace exercised the incremental path at all (a
-// degenerate trace may not; deterministic callers assert it, the fuzzer
-// cannot).
-func runDifferential(t *testing.T, scSeed, traceSeed int64) bool {
+// reports whether the trace exercised the incremental path at all, and
+// whether it rolled back a speculative epoch that had committed transfers
+// (a degenerate trace may do neither; deterministic callers assert both,
+// the fuzzer cannot).
+func runDifferential(t *testing.T, scSeed, traceSeed int64) (sawIncremental, sawUndo bool) {
 	t.Helper()
 	r := rand.New(rand.NewSource(traceSeed))
 	full := gen.MustGenerate(func() gen.Params {
@@ -246,9 +270,10 @@ func runDifferential(t *testing.T, scSeed, traceSeed int64) bool {
 		t.Error("first epoch must take the full path")
 	}
 
-	sawIncremental := false
 	for i, op := range ops {
-		applyOp(t, inc, op)
+		if applyOp(t, inc, op) {
+			sawUndo = true
+		}
 		applyOp(t, oracle, op)
 		compareEngines(t, op.at.String(), inc, oracle)
 		if le := inc.LastEpoch(); le.At != op.at {
@@ -266,24 +291,37 @@ func runDifferential(t *testing.T, scSeed, traceSeed int64) bool {
 	if err := validator.Validate(inc.Scenario(), inc.Transfers()); err != nil {
 		t.Fatalf("incremental schedule invalid: %v", err)
 	}
-	return sawIncremental
+	return sawIncremental, sawUndo
 }
 
 func TestEngineIncrementalMatchesFullReplay(t *testing.T) {
+	// Some seed must roll back a speculative epoch that committed
+	// transfers, or a Rollback that failed to force a replay would go
+	// unnoticed. Cleanup runs after the parallel subtests finish.
+	var sawUndo atomic.Bool
+	t.Cleanup(func() {
+		if !sawUndo.Load() {
+			t.Error("no seed rolled back a speculative epoch that committed transfers")
+		}
+	})
 	for seed := int64(1); seed <= 12; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			if !runDifferential(t, seed, seed*1000+7) {
+			inc, undo := runDifferential(t, seed, seed*1000+7)
+			if !inc {
 				t.Error("trace never exercised the incremental path")
+			}
+			if undo {
+				sawUndo.Store(true)
 			}
 		})
 	}
 }
 
 // TestEngineIncrementalPathTaken pins the dispatch rules: ordinary epochs
-// after the first are incremental; link failure, DropHistory, and Rollback
-// each force exactly the next epoch onto the full-replay path.
+// after the first are incremental; link failure and Rollback each force
+// exactly the next epoch onto the full-replay path.
 func TestEngineIncrementalPathTaken(t *testing.T) {
 	sc := gen.MustGenerate(func() gen.Params {
 		p := gen.Default()
@@ -312,16 +350,8 @@ func TestEngineIncrementalPathTaken(t *testing.T) {
 	mustReplan(simtime.At(2*time.Minute), true) // failure rewrote the past
 	mustReplan(simtime.At(3*time.Minute), false)
 
-	if eng.DropHistory(func(state.Transfer) bool { return false }) != 0 {
-		t.Fatal("dropped something with an always-false predicate")
-	}
-	mustReplan(simtime.At(4*time.Minute), false) // no-op drop stays fast
-
 	cp := eng.Checkpoint()
-	if eng.DropHistory(func(state.Transfer) bool { return true }) == 0 {
-		t.Fatal("schedule committed no transfers to drop")
-	}
-	mustReplan(simtime.At(4*time.Minute), true) // splice forces replay
+	mustReplan(simtime.At(4*time.Minute), false) // a checkpoint alone stays fast
 	eng.Rollback(cp)
 	mustReplan(simtime.At(4*time.Minute), true) // rollback forces replay
 	mustReplan(simtime.At(5*time.Minute), false)

@@ -8,9 +8,7 @@ import (
 	"datastaging/internal/core"
 	"datastaging/internal/model"
 	"datastaging/internal/simtime"
-	"datastaging/internal/state"
 	"datastaging/internal/testnet"
-	"datastaging/internal/validator"
 )
 
 // TestCheckEventRejections covers every rejection path of checkEvent, one
@@ -104,49 +102,5 @@ func TestEngineRejectsBadConfig(t *testing.T) {
 	sc := testnet.Line(3, 1024, 8000, time.Hour)
 	if _, err := NewEngine(sc, core.Config{}); err == nil {
 		t.Error("invalid config accepted")
-	}
-}
-
-// TestEngineDropHistoryAndRollback: dropping a committed transfer reopens
-// its request on the next replan; rolling the checkpoint back and
-// replanning reproduces the original schedule bit for bit.
-func TestEngineDropHistoryAndRollback(t *testing.T) {
-	sc := testnet.Line(3, 1024, 8000, time.Hour)
-	eng, err := NewEngine(sc, cfgC4())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.ReplanAt(0); err != nil {
-		t.Fatal(err)
-	}
-	orig := append([]state.Transfer(nil), eng.Transfers()...)
-	if len(orig) == 0 {
-		t.Fatal("expected a committed schedule")
-	}
-
-	cp := eng.Checkpoint()
-	// Drop everything: the floor is still 0, so the replan can rebuild the
-	// same schedule from scratch.
-	if n := eng.DropHistory(func(state.Transfer) bool { return true }); n != len(orig) {
-		t.Fatalf("dropped %d, want %d", n, len(orig))
-	}
-	if _, err := eng.ReplanAt(0); err != nil {
-		t.Fatal(err)
-	}
-
-	eng.Rollback(cp)
-	if _, err := eng.ReplanAt(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(eng.Transfers()) != len(orig) {
-		t.Fatalf("after rollback: %d transfers, want %d", len(eng.Transfers()), len(orig))
-	}
-	for i := range orig {
-		if eng.Transfers()[i] != orig[i] {
-			t.Fatalf("transfer %d differs after rollback", i)
-		}
-	}
-	if err := validator.Validate(sc, eng.Transfers()); err != nil {
-		t.Fatalf("rolled-back schedule invalid: %v", err)
 	}
 }

@@ -5,7 +5,8 @@ import "testing"
 // FuzzEngineIncrementalEquivalence fuzzes the differential harness: the
 // scenario seed varies the world (network shape, item sizes, deadlines) and
 // the trace seed varies arrival order, scenario growth points, link-failure
-// times, and speculative preemption decisions (victim and keep/rollback).
+// times, and speculative epochs (which withheld item is released, and
+// whether the epoch is kept or rolled back).
 // Every epoch the incremental engine must match the full-replay oracle
 // bit-for-bit on transfers, satisfied requests, aborts, and the weighted
 // objective, and the final schedule must be validator-clean.

@@ -336,8 +336,8 @@ func (t *Trace) AddEvents(sc *scenario.Scenario, evs []obs.Event) {
 // AddLifecycle renders an admission audit stream as per-request tracks: one
 // track per ticket under a "requests" process, carrying the intake-queue
 // wait as a span from receipt to the deciding epoch, the verdict as an
-// instant (args: epoch ordinal, replan path, batch size, queue depth at
-// arrival, and the objective delta of a preemption), a delivery span from
+// instant (args: epoch ordinal, replan path, batch size; the queued span
+// carries the queue depth at arrival), a delivery span from
 // the epoch to each admitted request's committed completion, and every later
 // revision as its own instant. Backpressure sheds — submissions that never
 // got a ticket — land as instants on a shared "shed" track. Timestamps are
@@ -380,26 +380,20 @@ func (t *Trace) AddLifecycle(recs []lifecycle.Record) {
 				Pid: pidRequests, Tid: tid,
 				Args: map[string]any{"queue_depth": rec.QueueDepth},
 			})
-			args := map[string]any{
-				"epoch":      rec.Epoch,
-				"epoch_path": rec.EpochPath,
-				"batch_size": rec.BatchSize,
-			}
-			if rec.ObjectiveDelta != 0 {
-				args["objective_delta"] = rec.ObjectiveDelta
-			}
 			t.events = append(t.events, event{
 				Name: "decision: " + rec.Status, Ph: "i", S: "t",
-				Ts: usec(epochAt), Pid: pidRequests, Tid: tid, Args: args,
+				Ts: usec(epochAt), Pid: pidRequests, Tid: tid,
+				Args: map[string]any{
+					"epoch":      rec.Epoch,
+					"epoch_path": rec.EpochPath,
+					"batch_size": rec.BatchSize,
+				},
 			})
 		case lifecycle.KindRevision:
-			args := map[string]any{"epoch": rec.Epoch}
-			if rec.ObjectiveDelta != 0 {
-				args["objective_delta"] = rec.ObjectiveDelta
-			}
 			t.events = append(t.events, event{
 				Name: "revised: " + rec.Status, Ph: "i", S: "t",
-				Ts: usec(epochAt), Pid: pidRequests, Tid: tid, Args: args,
+				Ts: usec(epochAt), Pid: pidRequests, Tid: tid,
+				Args: map[string]any{"epoch": rec.Epoch},
 			})
 		}
 		for _, rq := range rec.Requests {

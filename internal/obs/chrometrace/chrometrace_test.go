@@ -202,7 +202,7 @@ func TestAddLifecycle(t *testing.T) {
 				{Stage: lifecycle.StageSettled, V: sec(45)},
 			},
 			Epoch: 2, EpochAt: sec(45), EpochPath: "full", BatchSize: 1,
-			Status: "preempted", ObjectiveDelta: 90,
+			Status: "preempted",
 			Requests: []lifecycle.RequestOutcome{{
 				Item: 0, Index: 0, Machine: 1, Priority: 2,
 				Status: "preempted", Deadline: sec(90), BlamedLink: -1,
@@ -260,7 +260,7 @@ func TestAddLifecycle(t *testing.T) {
 				t.Errorf("deliver span = ts %v dur %v", e.Ts, e.Dur)
 			}
 		case "revised: preempted":
-			if e.Args["objective_delta"] != 90.0 {
+			if e.Args["epoch"] != 2.0 {
 				t.Errorf("revision args = %v", e.Args)
 			}
 		case "shed (backpressure)":

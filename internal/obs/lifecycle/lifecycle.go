@@ -4,8 +4,7 @@
 // → epoch-start → planned → decided → settled, on both the virtual and the
 // wall clock), the context at each hop (intake queue depth at arrival,
 // epoch path, batch size, replayed-transfer count), and the outcome detail
-// (per-request verdicts with blame, the objective delta of a kept
-// preemption, the retry-after of a shed submission).
+// (per-request verdicts with blame, the retry-after of a shed submission).
 //
 // Records are emitted as JSONL — one line per decision, canonical field
 // order — and kept in memory indexed by ticket, so a running service can
@@ -48,7 +47,8 @@ const (
 	// admission epoch.
 	KindDecision Kind = "decision"
 	// KindRevision: a later epoch changed an earlier verdict (late
-	// admission, preemption).
+	// admission; a preemption in audit files from services that still
+	// had one).
 	KindRevision Kind = "revision"
 	// KindBackpressure: the submission was shed at the door with a full
 	// intake queue (HTTP 429); it never received a ticket.
@@ -87,7 +87,7 @@ type RequestOutcome struct {
 	Deadline int64  `json:"deadline"`
 	// Completion is the committed delivery instant (admitted only).
 	Completion int64 `json:"completion,omitempty"`
-	// Reason classifies a rejection or preemption.
+	// Reason classifies a rejection (or, in older files, a preemption).
 	Reason string `json:"reason,omitempty"`
 	// BlamedLink is the explain blame of a starved rejection (-1 none).
 	BlamedLink int `json:"blamedLink"`
@@ -120,13 +120,14 @@ type Record struct {
 	BatchSize         int    `json:"batchSize,omitempty"`
 	ReplayedTransfers int    `json:"replayedTransfers,omitempty"`
 	DeltaItems        int    `json:"deltaItems,omitempty"`
-	// Status aggregates the per-request verdicts (admitted / rejected /
-	// preempted), or "backpressure" for a shed submission.
+	// Status aggregates the per-request verdicts (admitted / rejected; a
+	// "preempted" status decodes from older files), or "backpressure" for
+	// a shed submission.
 	Status   string           `json:"status"`
 	Requests []RequestOutcome `json:"requests,omitempty"`
-	// ObjectiveDelta is the weighted-objective gain of the kept
-	// preemption displacement in the deciding epoch (present only when
-	// one happened).
+	// ObjectiveDelta is the weighted-objective gain of a kept preemption
+	// displacement. Nothing writes it any more (an admit is final); it
+	// still decodes from audit files of services that had preemption.
 	ObjectiveDelta float64 `json:"objectiveDelta,omitempty"`
 	// RetryAfterS echoes the backpressure retry hint, seconds.
 	RetryAfterS float64 `json:"retryAfterS,omitempty"`

@@ -170,6 +170,48 @@ func TestStorageProfiles(t *testing.T) {
 	}
 }
 
+// TestStoragePeakOverlappingHolds stages two items through machine 1 with
+// overlapping holds: the relay's peak is both copies at once, and the
+// destination keeps both for good.
+func TestStoragePeakOverlappingHolds(t *testing.T) {
+	b := testnet.NewBuilder()
+	ms := b.Machines(3, 1<<20)
+	day := 24 * time.Hour
+	b.Link(ms[0], ms[1], 0, day, 80000)
+	b.Link(ms[1], ms[2], 0, day, 80000)
+	b.Link(ms[2], ms[0], 0, day, 80000)
+	itemA := b.Item(1000, []model.Source{testnet.Src(ms[0], 0)},
+		[]model.Request{testnet.Req(ms[2], 30*time.Minute, model.High)})
+	itemB := b.Item(2000, []model.Source{testnet.Src(ms[0], 0)},
+		[]model.Request{testnet.Req(ms[2], 30*time.Minute, model.Low)})
+	sc := b.Build("peak")
+	st := state.New(sc)
+	// Serialize the two items' first hops on the shared link.
+	start := st.Holders(itemA)[0].Avail
+	for _, item := range []model.ItemID{itemA, itemB} {
+		tr, err := st.Commit(item, 0, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Commit(item, 1, tr.Arrival); err != nil {
+			t.Fatal(err)
+		}
+		start = tr.Arrival
+	}
+	p := Compute(sc, st.Transfers())
+	if len(p.Storage) != 2 {
+		t.Fatalf("storage profiles: %+v", p.Storage)
+	}
+	for _, sp := range p.Storage {
+		if sp.Machine != 1 && sp.Machine != 2 {
+			t.Errorf("source machine m%d has a storage profile", sp.Machine)
+		}
+		if sp.PeakBytes != 3000 {
+			t.Errorf("m%d peak: got %d, want 3000", sp.Machine, sp.PeakBytes)
+		}
+	}
+}
+
 func TestAttributeBlamesSaturatedLink(t *testing.T) {
 	sc := contended(t)
 	res := schedule(t, sc)

@@ -77,9 +77,6 @@ func (e *Engine) auditRecordLocked(kind lifecycle.Kind, t *Ticket, ep *epoch) *l
 		DecisionLatencyS:  wall(ep.decided),
 		Shard:             e.opts.Shard,
 	}
-	if t.status == StatusPreempted && ep.objDelta != 0 {
-		rec.ObjectiveDelta = ep.objDelta
-	}
 	for k := range t.verdicts {
 		v := &t.verdicts[k]
 		pri := 0

@@ -29,35 +29,28 @@ func auditedEngine(t *testing.T, o *obs.Obs, sink *bytes.Buffer, opts Options) *
 	return eng
 }
 
-// TestAuditTraceVerdicts drives one engine through every verdict shape —
-// admitted, rejected-with-blame, preempted (a revision), and a 429
-// backpressure shed — and checks each shape's audit trail over HTTP.
+// TestAuditTraceVerdicts drives engines through every verdict shape —
+// admitted, rejected-with-blame, a late admission (a rejected decision
+// revised to admitted), and a 429 backpressure shed — and checks each
+// shape's audit trail over HTTP.
 func TestAuditTraceVerdicts(t *testing.T) {
 	o := obs.New()
 	var sink bytes.Buffer
-	eng := auditedEngine(t, o, &sink, Options{
-		MaxBatch:   100,
-		QueueCap:   2,
-		Preemption: true,
-	})
+	eng := auditedEngine(t, o, &sink, Options{MaxBatch: 100, QueueCap: 2})
 
-	// Epoch 30s: r-0 (low) books the link's only feasible slot, then r-1
-	// (high) displaces it — r-0's decision is later revised to preempted.
-	if _, err := eng.Submit(lineSubmission(61500*time.Millisecond, int(model.Low))); err != nil {
-		t.Fatal(err)
-	}
+	// Epoch 30s: r-0 books the link's only feasible slot before 61.5s.
 	if err := eng.Advance(simtime.At(30 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Submit(lineSubmission(61500*time.Millisecond, int(model.High))); err != nil {
+	if _, err := eng.Submit(lineSubmission(61500*time.Millisecond, int(model.Low))); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// r-2 wants the same slot once it is gone: rejected with an explain
-	// reason.
-	if _, err := eng.Submit(lineSubmission(61500*time.Millisecond, int(model.Low))); err != nil {
+	// r-1 wants the same slot once it is gone: rejected with an explain
+	// reason, even at a higher priority — an admit is final.
+	if _, err := eng.Submit(lineSubmission(61500*time.Millisecond, int(model.High))); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Flush(); err != nil {
@@ -78,39 +71,13 @@ func TestAuditTraceVerdicts(t *testing.T) {
 	c := &Client{BaseURL: srv.URL}
 	ctx := context.Background()
 
-	// Preempted: a decision record then a revision carrying the objective
-	// delta of the displacement.
+	// Admitted: completion instant committed, full lifecycle timeline.
 	tr, err := c.Trace(ctx, "r-0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Records) != 2 {
-		t.Fatalf("r-0 trace has %d records, want decision+revision: %+v", len(tr.Records), tr.Records)
-	}
-	dec, rev := tr.Records[0], tr.Records[1]
-	if dec.Kind != lifecycle.KindDecision || dec.Status != string(StatusAdmitted) {
-		t.Errorf("r-0 first record = %s/%s, want decision/admitted", dec.Kind, dec.Status)
-	}
-	if rev.Kind != lifecycle.KindRevision || rev.Status != string(StatusPreempted) {
-		t.Errorf("r-0 second record = %s/%s, want revision/preempted", rev.Kind, rev.Status)
-	}
-	if rev.ObjectiveDelta <= 0 {
-		t.Errorf("preemption revision has objective delta %v, want > 0", rev.ObjectiveDelta)
-	}
-	if rev.Requests[0].Reason == "" {
-		t.Error("preempted outcome has no reason")
-	}
-	if dec.Epoch != 1 || rev.Epoch != 2 {
-		t.Errorf("r-0 epochs = %d then %d, want 1 then 2", dec.Epoch, rev.Epoch)
-	}
-
-	// Admitted: completion instant committed, full lifecycle timeline.
-	tr, err = c.Trace(ctx, "r-1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(tr.Records) != 1 || tr.Records[0].Status != string(StatusAdmitted) {
-		t.Fatalf("r-1 trace = %+v, want one admitted decision", tr.Records)
+		t.Fatalf("r-0 trace = %+v, want one admitted decision", tr.Records)
 	}
 	adm := tr.Records[0]
 	if adm.Requests[0].Completion <= 0 {
@@ -131,18 +98,17 @@ func TestAuditTraceVerdicts(t *testing.T) {
 	if adm.Timeline[0].V != int64(simtime.At(30*time.Second)) || adm.EpochAt != adm.Timeline[2].V {
 		t.Errorf("timeline instants wrong: %+v", adm.Timeline)
 	}
-	// Advance flushed r-0 before the clock moved, so r-1 flushed alone.
 	if adm.BatchSize != 1 || adm.QueueDepth != 0 {
-		t.Errorf("r-1 batch size %d / queue depth %d, want 1 / 0", adm.BatchSize, adm.QueueDepth)
+		t.Errorf("r-0 batch size %d / queue depth %d, want 1 / 0", adm.BatchSize, adm.QueueDepth)
 	}
 
 	// Rejected: the explain blame survives into the audit record.
-	tr, err = c.Trace(ctx, "r-2")
+	tr, err = c.Trace(ctx, "r-1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Records) != 1 || tr.Records[0].Status != string(StatusRejected) {
-		t.Fatalf("r-2 trace = %+v, want one rejected decision", tr.Records)
+		t.Fatalf("r-1 trace = %+v, want one rejected decision", tr.Records)
 	}
 	if tr.Records[0].Requests[0].Reason == "" {
 		t.Error("rejected outcome has no explain reason")
@@ -178,6 +144,63 @@ func TestAuditTraceVerdicts(t *testing.T) {
 	if _, err := c.Trace(ctx, "nope"); err == nil {
 		t.Error("trace of unknown ticket did not fail")
 	}
+
+	// Late admission: the narrow network never gains room it once lacked,
+	// so the shape comes from the oversubscribed stream, whose unsettled
+	// pass late-admits. Its first ticket that was rejected and later
+	// admitted must show both records over HTTP.
+	base, arrivals := offerStream(t)
+	se := newStreamEngine(t, base)
+	for _, a := range arrivals {
+		se.submitFlush(t, a)
+	}
+	srv = httptest.NewServer(se.Handler())
+	defer srv.Close()
+	c = &Client{BaseURL: srv.URL}
+	recs, err = c.Audit(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decided := make(map[string]string)
+	late := ""
+	for _, r := range recs {
+		if r.Kind == lifecycle.KindDecision {
+			decided[r.Ticket] = r.Status
+		} else if r.Kind == lifecycle.KindRevision && r.Status == string(StatusAdmitted) &&
+			decided[r.Ticket] == string(StatusRejected) {
+			late = r.Ticket
+			break
+		}
+	}
+	if late == "" {
+		t.Fatal("stream late-admitted no rejected ticket")
+	}
+	tr, err = c.Trace(ctx, late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Records) < 2 {
+		t.Fatalf("%s trace has %d records, want decision+revision: %+v", late, len(tr.Records), tr.Records)
+	}
+	dec, rev := tr.Records[0], tr.Records[1]
+	if dec.Kind != lifecycle.KindDecision || dec.Status != string(StatusRejected) {
+		t.Errorf("%s first record = %s/%s, want decision/rejected", late, dec.Kind, dec.Status)
+	}
+	if rev.Kind != lifecycle.KindRevision || rev.Status != string(StatusAdmitted) {
+		t.Errorf("%s second record = %s/%s, want revision/admitted", late, rev.Kind, rev.Status)
+	}
+	if rev.Epoch <= dec.Epoch {
+		t.Errorf("%s epochs = %d then %d, want the revision later", late, dec.Epoch, rev.Epoch)
+	}
+	completed := false
+	for _, rq := range rev.Requests {
+		if rq.Status == string(StatusAdmitted) && rq.Completion > 0 {
+			completed = true
+		}
+	}
+	if !completed {
+		t.Errorf("%s revision admits no request with a completion instant: %+v", late, rev.Requests)
+	}
 }
 
 // TestAuditDisabled404: without a recorder the trace and audit endpoints
@@ -210,7 +233,7 @@ func TestAuditDisabled404(t *testing.T) {
 func TestAuditByteStability(t *testing.T) {
 	run := func() *bytes.Buffer {
 		var sink bytes.Buffer
-		eng := auditedEngine(t, obs.New(), &sink, Options{MaxBatch: 100, Preemption: true})
+		eng := auditedEngine(t, obs.New(), &sink, Options{MaxBatch: 100})
 		if _, err := eng.Submit(lineSubmission(61500*time.Millisecond, int(model.Low))); err != nil {
 			t.Fatal(err)
 		}

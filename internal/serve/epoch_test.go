@@ -14,6 +14,7 @@ import (
 	"datastaging/internal/obs/lifecycle"
 	"datastaging/internal/scenario"
 	"datastaging/internal/simtime"
+	"datastaging/internal/validator"
 	"datastaging/internal/workload"
 )
 
@@ -158,6 +159,28 @@ func TestOfferEqualsFlush(t *testing.T) {
 	if revisions == 0 {
 		t.Error("stream late-admitted nothing: the unsettled pass went untested")
 	}
+
+	// An admit is final: every request a decision record admitted is
+	// delivered by the final schedule at exactly the promised instant.
+	sat, err := validator.SatisfiedSet(&flush.sc, flush.Schedule().Transfers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range flush.Audit().Records() {
+		if r.Kind != lifecycle.KindDecision {
+			continue
+		}
+		for _, rq := range r.Requests {
+			if rq.Status != string(StatusAdmitted) {
+				continue
+			}
+			id := model.RequestID{Item: model.ItemID(rq.Item), Index: rq.Index}
+			if at, ok := sat[id]; !ok || int64(at) != rq.Completion {
+				t.Errorf("%s: admitted request %v promised at %d, final schedule delivers %v (%v)",
+					r.Ticket, id, rq.Completion, at, ok)
+			}
+		}
+	}
 }
 
 // TestOfferAbortRestores: the same stream with every third offer aborted and
@@ -253,55 +276,5 @@ func TestOfferEpochTimeline(t *testing.T) {
 	}
 	if n := o.Counter("serve.epochs_total").Value(); n != 1 {
 		t.Errorf("serve.epochs_total = %d after one commit and one abort, want 1", n)
-	}
-}
-
-// TestOfferNeverPreempts pins where preemption sits: between plan and finish
-// of a flush, so with Options.Preemption on a high-priority submission that
-// arrives through Submit+Flush displaces a committed low-priority transfer
-// and the very same submission arriving as an offer does not.
-func TestOfferNeverPreempts(t *testing.T) {
-	for _, offered := range []bool{false, true} {
-		eng, err := New(narrowNet(), Options{
-			Config:       cfgC4(obs.New()),
-			VirtualClock: true,
-			MaxBatch:     100,
-			Preemption:   true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A low-priority submission books the link's only slot before 61.5s.
-		if _, err := eng.Submit(lineSubmission(61500*time.Millisecond, int(model.Low))); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Advance(simtime.At(30 * time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		high := lineSubmission(61500*time.Millisecond, int(model.High))
-		wantLow, wantHigh := StatusPreempted, StatusAdmitted
-		if offered {
-			wantLow, wantHigh = StatusAdmitted, StatusRejected
-			p, err := eng.Propose(high)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Admitted() {
-				t.Fatal("offer admitted: it displaced the committed transfer")
-			}
-			p.Commit()
-		} else {
-			if _, err := eng.Submit(high); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		low, _ := eng.TicketView("r-0")
-		hi, _ := eng.TicketView("r-1")
-		if low.Status != wantLow || hi.Status != wantHigh {
-			t.Errorf("offered=%v: low %q high %q, want %q and %q", offered, low.Status, hi.Status, wantLow, wantHigh)
-		}
 	}
 }

@@ -94,7 +94,6 @@ type LoadReport struct {
 	Requests   int
 	Admitted   int
 	Rejected   int
-	Preempted  int
 	Errors     int
 	Overloaded int // 429 responses (retried; counts shed attempts)
 	Elapsed    time.Duration
@@ -156,9 +155,6 @@ func (r *LoadReport) Write(w io.Writer) {
 	fmt.Fprintf(w, "requests   %d\n", r.Requests)
 	fmt.Fprintf(w, "admitted   %d (%.1f%%)\n", r.Admitted, pct(r.Admitted, r.Requests))
 	fmt.Fprintf(w, "rejected   %d (%.1f%%)\n", r.Rejected, pct(r.Rejected, r.Requests))
-	if r.Preempted > 0 {
-		fmt.Fprintf(w, "preempted  %d\n", r.Preempted)
-	}
 	if r.Errors > 0 {
 		fmt.Fprintf(w, "errors     %d\n", r.Errors)
 	}
@@ -321,8 +317,6 @@ func ReplayTrace(ctx context.Context, c *Client, tr *workload.Trace) (*LoadRepor
 			rep.Admitted++
 		case StatusRejected:
 			rep.Rejected++
-		case StatusPreempted:
-			rep.Preempted++
 		default:
 			rep.Errors++
 		}
@@ -405,8 +399,6 @@ func RunLoad(ctx context.Context, c *Client, p LoadParams) (*LoadReport, error) 
 					rep.Admitted++
 				case StatusRejected:
 					rep.Rejected++
-				case StatusPreempted:
-					rep.Preempted++
 				default:
 					decided = false
 				}

@@ -10,7 +10,7 @@ import (
 // and the stageload summary are built on.
 func TestLoadReportStats(t *testing.T) {
 	r := &LoadReport{
-		Requests: 8, Admitted: 5, Rejected: 3, Preempted: 1, Errors: 2,
+		Requests: 8, Admitted: 5, Rejected: 3, Errors: 2,
 		Overloaded: 4, Elapsed: 2 * time.Second,
 		Latencies: []time.Duration{1, 2, 3, 4, 5, 6, 7, 8},
 		Ordered:   []time.Duration{2, 2, 4, 4, 6, 6, 8, 8},
@@ -53,7 +53,7 @@ func TestLoadReportStats(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"requests   8", "admitted   5 (62.5%)", "rejected   3 (37.5%)",
-		"preempted  1", "errors     2", "overloaded 4", "latency", "throughput 4.0",
+		"errors     2", "overloaded 4", "latency", "throughput 4.0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)

@@ -30,9 +30,9 @@ type Proposal struct {
 // Propose speculatively admits one submission at the engine's current
 // instant: pending queued submissions are flushed first (the offer builds
 // on a settled world), then the submission is planned as an epoch of one.
-// An offer never preempts. The returned proposal holds the engine lock; the
-// caller MUST call Commit or Abort. Errors (validation, draining, a wedged
-// engine) leave the engine unlocked.
+// The returned proposal holds the engine lock; the caller MUST call Commit
+// or Abort. Errors (validation, draining, a wedged engine) leave the engine
+// unlocked.
 func (e *Engine) Propose(sub Submission) (*Proposal, error) {
 	if err := sub.validate(e.sc.Network.NumMachines()); err != nil {
 		return nil, err

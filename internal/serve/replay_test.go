@@ -103,9 +103,9 @@ func TestHTTPEquivalenceBursty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.Admitted+rep.Rejected+rep.Preempted != len(arrivals) {
+			if rep.Admitted+rep.Rejected != len(arrivals) {
 				t.Fatalf("replay decided %d of %d arrivals",
-					rep.Admitted+rep.Rejected+rep.Preempted, len(arrivals))
+					rep.Admitted+rep.Rejected, len(arrivals))
 			}
 
 			got, err := c.Schedule(ctx)

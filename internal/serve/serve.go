@@ -10,15 +10,11 @@
 // in the system.
 //
 // Each submission receives a per-request verdict: admitted (with the
-// committed route and delivery instant), rejected (with an explain blame:
+// committed route and delivery instant) or rejected (with an explain blame:
 // starved-by-contention and the most-obstructed link, or
-// infeasible-even-alone), or — when preemption is enabled — preempted,
-// meaning a lower-priority earlier admit was displaced by a higher-priority
-// arrival. Preemption is conservative: only transfers that have not started
-// by the epoch instant are candidates, only items whose every request sits
-// strictly below the new arrival's priority may be displaced, and the
-// displacement is kept only if it strictly increases the weighted
-// objective; otherwise the world is rolled back bit-identically.
+// infeasible-even-alone). An admit is final: no later arrival displaces a
+// committed transfer. A rejected request can still late-admit when a later
+// epoch's replan finds room for it.
 //
 // The intake queue is bounded: when it is full, Submit fails fast with
 // ErrOverloaded and the HTTP layer translates that into 429 + Retry-After,
@@ -93,10 +89,6 @@ type Options struct {
 	// wall second one simulated minute, so a day-long scenario can be
 	// driven in minutes.
 	TimeScale float64
-	// Preemption lets a higher-priority arrival displace not-yet-started
-	// transfers of strictly lower-priority items when that strictly
-	// increases the weighted objective.
-	Preemption bool
 	// Intro, when non-nil, receives the live epoch phase for /runinfo.
 	Intro *introspect.Server
 	// Audit, when non-nil, receives one lifecycle record per admission
@@ -158,8 +150,8 @@ type Ticket struct {
 func (t *Ticket) ID() string { return t.id }
 
 // Done is closed when the ticket's admission epoch has run and the first
-// verdict is available. The verdict may still change later (late admission,
-// preemption); View always returns the current one.
+// verdict is available. A rejection may still turn into a late admission;
+// View always returns the current one.
 func (t *Ticket) Done() <-chan struct{} { return t.done }
 
 // View returns a consistent snapshot of the ticket.
@@ -191,11 +183,11 @@ type Engine struct {
 	audit *lifecycle.Recorder
 	start time.Time
 
-	mAdmitted, mRejected, mPreempted, mBackpressure, mEpochs *obs.Counter
-	mEpochsFull                                              *obs.Counter
-	gQueue                                                   *obs.Gauge
-	hBatch, hQueueWait                                       *obs.Histogram
-	epochTimer                                               *obs.PhaseTimer
+	mAdmitted, mRejected, mBackpressure, mEpochs *obs.Counter
+	mEpochsFull                                  *obs.Counter
+	gQueue                                       *obs.Gauge
+	hBatch, hQueueWait                           *obs.Histogram
+	epochTimer                                   *obs.PhaseTimer
 
 	mu        sync.Mutex
 	dyn       *dynamic.Engine
@@ -205,7 +197,6 @@ type Engine struct {
 	flushed   []*Ticket // tickets whose epoch has run, in admission order
 	unsettled []*Ticket // flushed tickets with an unsatisfied request (late-admission candidates)
 	tickets   map[string]*Ticket
-	preempted map[model.RequestID]bool
 	nextID    int
 	epochs    int
 	fatal     error // first replan failure; the engine wedges closed
@@ -280,17 +271,16 @@ func New(base *scenario.Scenario, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		opts:      opts,
-		o:         opts.Config.Obs,
-		intro:     opts.Intro,
-		audit:     opts.Audit,
-		start:     time.Now(),
-		sc:        *base,
-		tickets:   make(map[string]*Ticket),
-		preempted: make(map[model.RequestID]bool),
-		kick:      make(chan struct{}, 1),
-		drainCh:   make(chan struct{}),
-		stopped:   make(chan struct{}),
+		opts:    opts,
+		o:       opts.Config.Obs,
+		intro:   opts.Intro,
+		audit:   opts.Audit,
+		start:   time.Now(),
+		sc:      *base,
+		tickets: make(map[string]*Ticket),
+		kick:    make(chan struct{}, 1),
+		drainCh: make(chan struct{}),
+		stopped: make(chan struct{}),
 	}
 	// Deep-copy the item list: flushes append to it.
 	e.sc.Items = append([]model.Item(nil), base.Items...)
@@ -308,7 +298,6 @@ func New(base *scenario.Scenario, opts Options) (*Engine, error) {
 	e.mAdmitted = e.o.Counter("serve.admitted_total")
 	e.mEpochsFull = e.o.Counter("serve.epochs_full_total")
 	e.mRejected = e.o.Counter("serve.rejected_total")
-	e.mPreempted = e.o.Counter("serve.preempted_total")
 	e.mBackpressure = e.o.Counter("serve.rejected_backpressure_total")
 	e.mEpochs = e.o.Counter("serve.epochs_total")
 	e.gQueue = e.o.Gauge("serve.queue_depth")
@@ -526,10 +515,6 @@ type epoch struct {
 	// prevValue is the weighted objective before the plan; an offer's
 	// ObjectiveDelta is measured against it.
 	prevValue float64
-	// objDelta is the weighted-objective gain of a kept preemption
-	// displacement (0 when none happened); audit records of preempted
-	// tickets carry it.
-	objDelta float64
 
 	// Wall-clock stamps of the epoch's phases: the audit timeline, and the
 	// base of the queue-wait histogram. In deterministic (virtual-clock)
@@ -538,9 +523,7 @@ type epoch struct {
 }
 
 // flushLocked runs one admission epoch at instant at over everything
-// pending: plan, optionally attempt preemption, finish. Preemption is a
-// policy of this path only — it sits between plan and finish here, so an
-// offer (Propose) never displaces anyone. Call with e.mu held.
+// pending: plan, then finish. Call with e.mu held.
 func (e *Engine) flushLocked(at simtime.Instant) {
 	if len(e.queue) == 0 || e.fatal != nil {
 		return
@@ -550,14 +533,9 @@ func (e *Engine) flushLocked(at simtime.Instant) {
 	e.gQueue.Set(0)
 	e.qdepth.Store(0)
 	defer e.epochTimer.Start().Stop()
-	ep, ok := e.planLocked(at, batch...)
-	if !ok {
-		return
+	if ep, ok := e.planLocked(at, batch...); ok {
+		e.finishLocked(&ep)
 	}
-	if e.opts.Preemption && !e.preemptLocked(&ep) {
-		return
-	}
-	e.finishLocked(&ep)
 }
 
 // planLocked opens an epoch at instant at: checkpoint the world, extend the
@@ -630,8 +608,8 @@ func (e *Engine) finishLocked(ep *epoch) {
 // abortLocked discards the epoch's plan and restores the pre-plan world
 // bit-identically: the appended items are truncated, the checkpoint is
 // rolled back, and one replan rebuilds the exact pre-speculation schedule
-// (replay and heuristics are deterministic — the same guarantee the
-// preemption path relies on).
+// (replay and heuristics are deterministic, and the rolled-back history
+// holds only transfers the pre-plan world had committed).
 func (e *Engine) abortLocked(ep *epoch) {
 	e.sc.Items = e.sc.Items[:ep.prevItems]
 	e.totalReqs = ep.prevTotalReqs
@@ -685,71 +663,12 @@ func (e *Engine) failLocked(err error, batch []*Ticket) {
 	e.publishLocked()
 }
 
-// preemptLocked attempts to displace not-yet-started transfers of strictly
-// lower-priority items on behalf of unsatisfied new requests. The
-// displacement is kept only when it strictly improves the weighted
-// objective; otherwise the checkpoint is rolled back and the world replans
-// to the bit-identical pre-speculation schedule. False means a replan
-// failed and the engine wedged.
-func (e *Engine) preemptLocked(ep *epoch) bool {
-	sat := e.dyn.Satisfied()
-	maxPri := -1
-	for _, t := range ep.batch {
-		for k, rq := range e.sc.Items[t.item].Requests {
-			if _, ok := sat[model.RequestID{Item: t.item, Index: k}]; !ok && int(rq.Priority) > maxPri {
-				maxPri = int(rq.Priority)
-			}
-		}
-	}
-	if maxPri <= 0 {
-		return true // nothing unsatisfied, or nothing that outranks any priority
-	}
-	prevValue := e.weightedValueLocked()
-	prevSat := make(map[model.RequestID]simtime.Instant, len(sat))
-	for id, t := range sat {
-		prevSat[id] = t
-	}
-	cp := e.dyn.Checkpoint()
-	dropped := e.dyn.DropHistory(func(tr state.Transfer) bool {
-		return !tr.Start.Before(ep.at) && e.itemMaxPriorityLocked(tr.Item) < maxPri
-	})
-	if dropped == 0 {
-		return true
-	}
-	if !e.replanLocked(ep) {
-		return false
-	}
-	if newValue := e.weightedValueLocked(); newValue > prevValue {
-		ep.objDelta = newValue - prevValue
-		newSat := e.dyn.Satisfied()
-		for id := range prevSat {
-			if _, ok := newSat[id]; !ok {
-				e.preempted[id] = true
-				e.mPreempted.Inc()
-			}
-		}
-		return true
-	}
-	e.dyn.Rollback(cp)
-	return e.replanLocked(ep)
-}
-
-func (e *Engine) itemMaxPriorityLocked(item model.ItemID) int {
-	max := -1
-	for _, rq := range e.sc.Items[item].Requests {
-		if int(rq.Priority) > max {
-			max = int(rq.Priority)
-		}
-	}
-	return max
-}
-
 // weightedValueLocked returns the weighted objective over every satisfied
 // request. Incremental: the state's satisfaction log is append-only, so each
 // call folds in only the suffix past what the tracker already summed. A
 // full-replay epoch swaps in a rebuilt state whose fresh log re-derives the
 // sum from scratch (the state pointer is the generation tag), which is what
-// keeps preemption's before/after comparisons correct across rollbacks.
+// keeps the objective correct after an aborted offer's rollback.
 func (e *Engine) weightedValueLocked() float64 {
 	st := e.dyn.State()
 	if st == nil {
@@ -768,19 +687,20 @@ func (e *Engine) weightedValueLocked() float64 {
 
 // settleLocked refreshes ticket verdicts against the current satisfaction
 // map. New tickets (the batch) get full verdicts with an explain diagnosis
-// on rejection; older tickets only transition status (late admission,
-// preemption) without re-diagnosing.
+// on rejection; older tickets only transition status (late admission)
+// without re-diagnosing.
 //
 // The old-ticket pass is incremental: committed transfers survive an
 // incremental epoch, so a fully-admitted ticket's verdicts cannot change
 // without a history rewrite — only tickets with an unsatisfied request
-// (the unsettled list) can late-admit and need re-examining. Full-replay
-// epochs rewrote the past (preemption, rollback), so every flushed ticket
-// is re-settled and the unsettled list is rebuilt from scratch.
+// (the unsettled list) can late-admit and need re-examining. A full-replay
+// epoch rebuilt the state from the history (after a rollback, say), so
+// every flushed ticket is re-settled and the unsettled list is rebuilt
+// from scratch.
 // settleLocked returns the previously-flushed tickets whose verdicts this
-// epoch changed (late admission, preemption) — the revision records the
-// audit log emits. Revision detection only runs when auditing is on; the
-// returned slice is nil otherwise.
+// epoch changed (late admission) — the revision records the audit log
+// emits. Revision detection only runs when auditing is on; the returned
+// slice is nil otherwise.
 func (e *Engine) settleLocked(batch []*Ticket) (revised []*Ticket) {
 	sat := e.dyn.Satisfied()
 	st := e.dyn.State()
@@ -860,7 +780,6 @@ func (e *Engine) settleTicketLocked(t *Ticket, sat map[model.RequestID]simtime.I
 		}
 	}
 	admitted := 0
-	preempted := 0
 	for k := range t.verdicts {
 		v := &t.verdicts[k]
 		if arr, ok := sat[v.Request]; ok {
@@ -868,7 +787,6 @@ func (e *Engine) settleTicketLocked(t *Ticket, sat map[model.RequestID]simtime.I
 				// Late admission: a replan for a later epoch found room.
 				e.mAdmitted.Inc()
 			}
-			delete(e.preempted, v.Request)
 			v.Status = StatusAdmitted
 			v.Completion = Instant(arr)
 			v.Reason = ""
@@ -881,27 +799,17 @@ func (e *Engine) settleTicketLocked(t *Ticket, sat map[model.RequestID]simtime.I
 			v.Status = StatusRejected
 			e.mRejected.Inc()
 			e.diagnoseLocked(v)
-		case v.Status == StatusAdmitted && e.preempted[v.Request]:
-			v.Status = StatusPreempted
-			v.Completion = 0
-			v.Reason = "displaced by a higher-priority arrival"
 		case v.Status == StatusAdmitted:
-			// Lost satisfaction without a preemption marker (cannot happen
-			// without link failures, which serve does not inject).
+			// An admit is final short of a link failure, which serve does
+			// not inject; this only keeps a lost delivery from reading as
+			// admitted.
 			v.Status = StatusRejected
 			v.Completion = 0
 		}
-		if v.Status == StatusPreempted {
-			preempted++
-		}
 	}
-	switch {
-	case admitted > 0:
+	t.status = StatusRejected
+	if admitted > 0 {
 		t.status = StatusAdmitted
-	case preempted > 0:
-		t.status = StatusPreempted
-	default:
-		t.status = StatusRejected
 	}
 	t.route = st.TransfersFor(t.item)
 	if fresh {

@@ -259,79 +259,6 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// TestPreemption: a higher-priority arrival displaces a not-yet-started
-// lower-priority transfer exactly when Options.Preemption is on and the
-// weighted objective strictly improves.
-func TestPreemption(t *testing.T) {
-	run := func(preempt bool) (*Engine, *obs.Obs) {
-		t.Helper()
-		o := obs.New()
-		eng, err := New(narrowNet(), Options{
-			Config:       cfgC4(o),
-			VirtualClock: true,
-			MaxBatch:     100,
-			Preemption:   preempt,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Epoch 0: a low-priority submission books the link's opening slot
-		// [60s, 61s). Its deadline leaves no second slot before 61.5s.
-		if _, err := eng.Submit(lineSubmission(61500*time.Millisecond, int(model.Low))); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Advance(simtime.At(30 * time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		// Epoch 30s: a high-priority arrival needs that same slot.
-		if _, err := eng.Submit(lineSubmission(61500*time.Millisecond, int(model.High))); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return eng, o
-	}
-
-	eng, o := run(true)
-	low, _ := eng.TicketView("r-0")
-	high, _ := eng.TicketView("r-1")
-	if high.Status != StatusAdmitted {
-		t.Fatalf("with preemption: high-priority ticket %q, want admitted", high.Status)
-	}
-	if low.Status != StatusPreempted {
-		t.Fatalf("with preemption: low-priority ticket %q, want preempted", low.Status)
-	}
-	if low.Requests[0].Reason == "" {
-		t.Error("preempted verdict has no reason")
-	}
-	if n := o.Counter("serve.preempted_total").Value(); n != 1 {
-		t.Errorf("serve.preempted_total = %d, want 1", n)
-	}
-	if v := eng.Schedule().WeightedValue; v != model.Weights1x10x100.Of(model.High) {
-		t.Errorf("weighted value %v, want the high weight alone", v)
-	}
-	if err := validator.Validate(eng.Scenario(), eng.Schedule().Transfers); err != nil {
-		t.Errorf("post-preemption schedule invalid: %v", err)
-	}
-
-	eng, o = run(false)
-	low, _ = eng.TicketView("r-0")
-	high, _ = eng.TicketView("r-1")
-	if low.Status != StatusAdmitted {
-		t.Fatalf("without preemption: low-priority ticket %q, want admitted", low.Status)
-	}
-	if high.Status != StatusRejected {
-		t.Fatalf("without preemption: high-priority ticket %q, want rejected", high.Status)
-	}
-	if high.Requests[0].Reason == "" {
-		t.Error("rejection has no explain reason")
-	}
-	if n := o.Counter("serve.preempted_total").Value(); n != 0 {
-		t.Errorf("serve.preempted_total = %d, want 0", n)
-	}
-}
-
 // TestDrain: draining closes intake, completes the pending epoch, resolves
 // every ticket, and stops the wall loop; the HTTP layer answers 503
 // afterwards.

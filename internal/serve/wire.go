@@ -164,9 +164,6 @@ const (
 	// StatusRejected: no feasible schedule satisfies the request alongside
 	// the committed load.
 	StatusRejected Status = "rejected"
-	// StatusPreempted: a previously admitted request lost its delivery to a
-	// higher-priority arrival (only with Options.Preemption).
-	StatusPreempted Status = "preempted"
 )
 
 // RequestVerdict is the admission decision for one request of a submission.
@@ -192,7 +189,7 @@ type RequestVerdict struct {
 type TicketView struct {
 	ID string `json:"id"`
 	// Status aggregates the per-request verdicts: admitted if any request
-	// is admitted, preempted if an admit was displaced, rejected otherwise;
+	// is admitted, rejected otherwise;
 	// queued before the admission epoch ran.
 	Status Status `json:"status"`
 	// Item is the scenario item id assigned at admission (-1 while queued).
