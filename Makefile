@@ -62,15 +62,17 @@ e2e-bench:
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 || exit 1; \
 	done
 
-# Boot the admission daemon on a loopback port, drive 200 submissions
-# through the closed-loop load generator, and require at least one admit
-# plus a clean SIGTERM drain.
+# Boot the admission daemon on a loopback port with a wall clock, replay
+# the steady builtin trace open-loop through stageload, and require at least
+# one admit plus a clean SIGTERM drain.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# A short admission-latency soak: a few thousand submissions through the
-# daemon with a gate on the completion-order latency slope — per-epoch
-# admission cost must stay flat as the committed schedule grows.
+# An admission-latency soak: replay the soak builtin trace (about 6,000
+# arrivals) through a virtual-clock daemon with a gate on the trace-order
+# latency slope — per-epoch admission cost must stay flat as the committed
+# schedule grows. Leaves .soak-smoke.trace.json and .soak-smoke.txt for CI
+# to upload.
 soak-smoke:
 	sh scripts/soak_smoke.sh
 

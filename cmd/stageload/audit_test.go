@@ -35,7 +35,7 @@ func auditedService(t *testing.T) *httptest.Server {
 			Weights:   model.Weights1x10x100,
 			Obs:       o,
 		},
-		TimeScale: 3600,
+		TimeScale: 36000,
 		Audit:     lifecycle.New(lifecycle.Options{Obs: o}),
 	})
 	if err != nil {
@@ -51,14 +51,15 @@ func auditedService(t *testing.T) *httptest.Server {
 	return srv
 }
 
-// TestClassSummary drives a synthetic load and checks the per-class audit
-// table appended by -class-summary.
+// TestClassSummary replays a trace and checks the per-class audit table
+// appended by -class-summary. The table has no preempted column: an admit
+// is final, so a live audit stream never carries that verdict.
 func TestClassSummary(t *testing.T) {
 	srv := auditedService(t)
+	path, _ := writeTestTrace(t, 4)
 	var out bytes.Buffer
 	err := run(context.Background(), []string{
-		"-url", srv.URL, "-n", "24", "-workers", "4", "-seed", "2",
-		"-slack-min", "4h", "-slack-max", "12h", "-class-summary",
+		"-url", srv.URL, "-trace", path, "-class-summary",
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
@@ -67,6 +68,9 @@ func TestClassSummary(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("class summary missing %q:\n%s", want, out.String())
 		}
+	}
+	if strings.Contains(out.String(), "preempted") {
+		t.Errorf("class summary still has a preempted column:\n%s", out.String())
 	}
 	// At least one priority-class row made it through the audit stream.
 	if !strings.Contains(out.String(), "low") && !strings.Contains(out.String(), "normal") &&
@@ -80,10 +84,10 @@ func TestClassSummary(t *testing.T) {
 // error, not a bare HTTP status.
 func TestClassSummaryNeedsAudit(t *testing.T) {
 	srv := testService(t)
+	path, _ := writeTestTrace(t, 4)
 	var out bytes.Buffer
 	err := run(context.Background(), []string{
-		"-url", srv.URL, "-n", "4", "-seed", "2",
-		"-slack-min", "4h", "-slack-max", "12h", "-class-summary",
+		"-url", srv.URL, "-trace", path, "-class-summary",
 	}, &out)
 	if err == nil || !strings.Contains(err.Error(), "-audit") {
 		t.Fatalf("want an enable-audit hint, got %v", err)

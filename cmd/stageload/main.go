@@ -1,42 +1,42 @@
-// Command stageload drives a deterministic closed-loop load against a
-// running stagesvc and prints an admission-rate / latency summary. The
-// submission stream is fully determined by -seed and the target service's
-// machine count, so a run can be replayed exactly.
+// Command stageload replays a canonical workload trace against a running
+// stagesvc and prints an admission-rate / latency summary. The trace is the
+// whole traffic model: its arrival instants, sizes, slacks and priorities
+// come from a workload.Spec (stagesim -emit-trace writes one per builtin
+// spec), so a run is as reproducible as the file.
 //
 // Usage:
 //
-//	stageload -url http://127.0.0.1:8080 [-n 200] [-seed 1] [-workers 8]
-//	          [-size-min BYTES] [-size-max BYTES]
-//	          [-slack-min DUR] [-slack-max DUR] [-max-priority 2]
-//	          [-backoff DUR] [-backoff-max DUR] [-timeout DUR] [-min-admitted N]
-//	          [-windows K] [-max-slope X]
-//	          [-trace FILE] [-class-summary]
+//	stageload -url http://127.0.0.1:8080 -trace FILE
+//	          [-timeout DUR] [-min-admitted N] [-windows K] [-max-slope X]
+//	          [-class-summary]
 //
-// Each worker keeps one submission in flight (POST /v1/requests?wait=1),
-// backing off and retrying on 429 with seeded jittered exponential delays
-// (base -backoff doubled per attempt up to -backoff-max, each sleep drawn
-// from the run's own seed so retry timing replays exactly; set
-// -backoff-max at or below -backoff for the legacy fixed delay). -min-admitted makes the run a check:
-// the exit status is non-zero unless at least that many submissions were
-// admitted — the smoke test's assertion.
+// The replay follows the target's clock (GET /v1/info):
+//
+//   - virtual clock (stagesvc -virtual-clock): the driver advances the clock
+//     to each arrival instant, so the service decides exactly the offline
+//     engine's admission epochs, and a submission's latency is the wall time
+//     of the advance that decided it — the per-epoch cost;
+//   - wall clock: the trace is shifted once so its first arrival lands on the
+//     service's now, and each arrival is sent open-loop when the service
+//     clock (advancing at its -time-scale) reaches it. Latency runs from the
+//     arrival's due instant, so a slow service is charged for the sends it
+//     delayed, and a 429 is counted as overloaded, never retried.
+//
+// -min-admitted makes the run a check: the exit status is non-zero unless
+// at least that many submissions were admitted — the smoke test's
+// assertion.
 //
 // Soak mode: -windows K splits the decided-submission latencies into K
-// completion-order windows and reports each window's mean; -max-slope X
-// fails the run when the last window's mean exceeds the first's by more
-// than the ratio X. A growing slope means per-epoch admission cost scales
-// with the committed history — the regression the incremental engine
-// exists to prevent.
+// trace-order windows and reports each window's mean; -max-slope X fails
+// the run when the last window's mean exceeds the first's by more than the
+// ratio X. A growing slope means per-epoch admission cost scales with the
+// committed history — the regression the incremental engine exists to
+// prevent.
 //
 // -class-summary appends a per-priority-class table (requests, verdict
 // mix, admission rate, p50/p99 decision latency) derived from the
 // service's audit stream; the target must run with auditing enabled
 // (stagesvc -audit).
-//
-// Trace mode: -trace FILE replays a canonical .trace.json (see
-// internal/workload) instead of generating a synthetic stream. The target
-// must run with -virtual-clock; the driver advances the clock to each
-// arrival instant so the service decides exactly the offline engine's
-// admission epochs.
 package main
 
 import (
@@ -69,25 +69,13 @@ func main() {
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("stageload", flag.ContinueOnError)
 	url := fs.String("url", "", "stagesvc base URL (required), e.g. http://127.0.0.1:8080")
-	n := fs.Int("n", 200, "total submissions to drive")
-	seed := fs.Int64("seed", 1, "submission-stream seed")
-	workers := fs.Int("workers", 8, "closed-loop concurrency (one in-flight submission each)")
-	sizeMin := fs.Int64("size-min", 64<<10, "minimum item size in bytes")
-	sizeMax := fs.Int64("size-max", 16<<20, "maximum item size in bytes (log-uniform draw)")
-	slackMin := fs.Duration("slack-min", time.Hour, "minimum deadline slack past the service's now")
-	slackMax := fs.Duration("slack-max", 8*time.Hour, "maximum deadline slack")
-	maxPriority := fs.Int("max-priority", 2, "priorities drawn uniformly from [0, this]")
-	backoff := fs.Duration("backoff", 50*time.Millisecond, "base retry delay after a 429")
-	backoffMax := fs.Duration("backoff-max", time.Second,
-		"cap of the jittered exponential retry schedule (at or below -backoff: fixed delay)")
+	tracePath := fs.String("trace", "", "canonical .trace.json to replay (required)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "overall run budget")
 	minAdmitted := fs.Int("min-admitted", 0, "fail unless at least this many submissions were admitted")
 	windows := fs.Int("windows", 0,
-		"split latencies into this many completion-order windows and report their means (soak mode)")
+		"split latencies into this many trace-order windows and report their means (soak mode)")
 	maxSlope := fs.Float64("max-slope", 0,
 		"fail when last-window mean latency exceeds first-window mean by this ratio (requires -windows)")
-	tracePath := fs.String("trace", "",
-		"replay this canonical .trace.json instead of generating a synthetic stream (target needs -virtual-clock)")
 	classSummary := fs.Bool("class-summary", false,
 		"print a per-priority-class verdict/latency table from the service's audit stream (target needs -audit)")
 	if err := fs.Parse(args); err != nil {
@@ -96,43 +84,23 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *url == "" {
 		return fmt.Errorf("-url is required")
 	}
-
-	ctx, cancel := context.WithTimeout(ctx, *timeout)
-	defer cancel()
-	if *tracePath != "" {
-		tr, err := workload.ReadTraceFile(*tracePath)
-		if err != nil {
-			return err
-		}
-		rep, err := serve.ReplayTrace(ctx, &serve.Client{BaseURL: *url}, tr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "trace      %s (%d arrivals, %d requests)\n",
-			tr.Name, len(tr.Arrivals), workload.NumRequests(tr.Arrivals))
-		rep.Write(out)
-		if *classSummary {
-			if err := printClassSummary(ctx, &serve.Client{BaseURL: *url}, out); err != nil {
-				return err
-			}
-		}
-		if rep.Admitted < *minAdmitted {
-			return fmt.Errorf("admitted %d submissions, need at least %d", rep.Admitted, *minAdmitted)
-		}
-		return nil
+	if *tracePath == "" {
+		return fmt.Errorf("-trace is required (stagesim -emit-trace writes one)")
 	}
-	p := serve.DefaultLoadParams(*seed, *n)
-	p.Workers = *workers
-	p.SizeMin, p.SizeMax = *sizeMin, *sizeMax
-	p.SlackMin, p.SlackMax = *slackMin, *slackMax
-	p.MaxPriority = *maxPriority
-	p.Backoff = *backoff
-	p.BackoffMax = *backoffMax
-
-	rep, err := serve.RunLoad(ctx, &serve.Client{BaseURL: *url}, p)
+	tr, err := workload.ReadTraceFile(*tracePath)
 	if err != nil {
 		return err
 	}
+
+	ctx, cancel := context.WithTimeout(ctx, *timeout)
+	defer cancel()
+	c := &serve.Client{BaseURL: *url}
+	rep, err := serve.ReplayTrace(ctx, c, tr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "trace      %s (%d arrivals, %d requests)\n",
+		tr.Name, len(tr.Arrivals), workload.NumRequests(tr.Arrivals))
 	rep.Write(out)
 	if *windows > 1 {
 		means := rep.WindowMeans(*windows)
@@ -148,7 +116,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	if *classSummary {
-		if err := printClassSummary(ctx, &serve.Client{BaseURL: *url}, out); err != nil {
+		if err := printClassSummary(ctx, c, out); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func testService(t *testing.T) *httptest.Server {
 			Weights:   model.Weights1x10x100,
 			Obs:       obs.New(),
 		},
-		TimeScale: 3600,
+		TimeScale: 36000, // ten simulated hours per wall second
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,19 +47,20 @@ func testService(t *testing.T) *httptest.Server {
 	return srv
 }
 
-// TestRunAgainstService drives the CLI end to end against an in-process
-// service and checks the summary and the -min-admitted gate.
+// TestRunAgainstService replays a trace open-loop through the CLI against
+// an in-process wall-clock service and checks the summary and the
+// -min-admitted gate.
 func TestRunAgainstService(t *testing.T) {
 	srv := testService(t)
+	path, n := writeTestTrace(t, 4)
 	var out bytes.Buffer
 	err := run(context.Background(), []string{
-		"-url", srv.URL, "-n", "40", "-workers", "4", "-seed", "2",
-		"-slack-min", "4h", "-slack-max", "12h", "-min-admitted", "1",
+		"-url", srv.URL, "-trace", path, "-min-admitted", "1",
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"requests   40", "admitted", "latency", "throughput"} {
+	for _, want := range []string{fmt.Sprintf("requests   %d", n), "admitted", "latency", "throughput"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("summary missing %q:\n%s", want, out.String())
 		}
@@ -67,20 +69,28 @@ func TestRunAgainstService(t *testing.T) {
 	// An unachievable admission floor fails the run.
 	out.Reset()
 	err = run(context.Background(), []string{
-		"-url", srv.URL, "-n", "4", "-seed", "2",
-		"-slack-min", "4h", "-slack-max", "12h", "-min-admitted", "1000",
+		"-url", srv.URL, "-trace", path, "-min-admitted", "1000",
 	}, &out)
 	if err == nil || !strings.Contains(err.Error(), "need at least") {
 		t.Errorf("min-admitted gate did not fire: %v", err)
 	}
 }
 
+// TestRunFlagErrors: -url and -trace are required, and the synthetic
+// generator's flags are gone with it.
 func TestRunFlagErrors(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(context.Background(), nil, &out); err == nil {
-		t.Error("missing -url accepted")
-	}
-	if err := run(context.Background(), []string{"-url", "http://127.0.0.1:0", "-n", "0"}, &out); err == nil {
-		t.Error("zero request count accepted")
+	path, _ := writeTestTrace(t, 4)
+	for _, args := range [][]string{
+		nil,
+		{"-trace", path},
+		{"-url", "http://127.0.0.1:0"},
+		{"-url", "http://127.0.0.1:0", "-trace", path, "-n", "10"},
+		{"-url", "http://127.0.0.1:0", "-trace", path, "-workers", "4"},
+		{"-url", "http://127.0.0.1:0", "-trace", path, "-backoff", "1s"},
+	} {
+		var out bytes.Buffer
+		if err := run(context.Background(), args, &out); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
 	}
 }

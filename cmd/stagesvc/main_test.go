@@ -10,10 +10,11 @@ import (
 	"time"
 
 	"datastaging/internal/serve"
+	"datastaging/internal/workload"
 )
 
-// TestEndToEndLoopback boots the daemon on a loopback port, drives a
-// deterministic closed-loop load through the real HTTP stack, checks the
+// TestEndToEndLoopback boots the daemon on a loopback port, replays a
+// trace open-loop on its wall clock through the real HTTP stack, checks the
 // Prometheus surface, then triggers the graceful drain and verifies a
 // clean exit with a validated final-schedule report — once per service
 // implementation, since both sit behind the same handler set.
@@ -43,7 +44,7 @@ func loopback(t *testing.T, extra []string) {
 			"-addr", "127.0.0.1:0",
 			"-seed", "3",
 			"-queue-cap", "64",
-			"-time-scale", "3600", // an hour of simulated time per wall second
+			"-time-scale", "36000", // ten simulated hours per wall second
 		}, extra...), &out)
 	}()
 
@@ -56,19 +57,27 @@ func loopback(t *testing.T, extra []string) {
 		t.Fatal("daemon never became ready")
 	}
 
-	c := &serve.Client{BaseURL: "http://" + addr}
-	p := serve.DefaultLoadParams(1, 64)
-	p.Workers = 4
-	p.SlackMin, p.SlackMax = 4*time.Hour, 12*time.Hour
-	rep, err := serve.RunLoad(ctx, c, p)
+	// Two simulated hours of traffic: 0.2 s of wall time at this scale.
+	spec := workload.Spec{Name: "loopback", Seed: 1, Phases: []workload.Phase{{
+		Duration: 2 * time.Hour, PerHour: 32, PriorityWeights: []float64{1, 1, 1},
+		SizeMinBytes: 64 << 10, SizeMaxBytes: 4 << 20,
+		SlackMin: 4 * time.Hour, SlackMax: 12 * time.Hour,
+	}}}
+	arrivals, err := spec.Compile(4)
 	if err != nil {
-		t.Fatalf("load run: %v", err)
+		t.Fatal(err)
+	}
+	c := &serve.Client{BaseURL: "http://" + addr}
+	rep, err := serve.ReplayTrace(ctx, c, workload.NewTrace(spec.Name, 4, &spec, arrivals))
+	if err != nil {
+		t.Fatalf("trace replay: %v", err)
 	}
 	if rep.Admitted == 0 {
-		t.Errorf("load run admitted nothing: %+v", rep)
+		t.Errorf("replay admitted nothing: %+v", rep)
 	}
-	if got := rep.Admitted + rep.Rejected + rep.Errors; got != p.Requests {
-		t.Errorf("verdicts for %d of %d submissions", got, p.Requests)
+	if got := rep.Admitted + rep.Rejected; got != len(arrivals) || rep.Errors+rep.Overloaded != 0 {
+		t.Errorf("verdicts for %d of %d arrivals (%d errors, %d shed)",
+			got, len(arrivals), rep.Errors, rep.Overloaded)
 	}
 
 	resp, err := http.Get("http://" + addr + "/metrics")

@@ -1,9 +1,9 @@
-package arena
+package core
 
 import "testing"
 
-func TestAllocDisjoint(t *testing.T) {
-	var a Arena[int]
+func TestArenaAllocDisjoint(t *testing.T) {
+	var a arena[int]
 	s1 := a.Alloc(10)
 	s2 := a.Alloc(10)
 	for i := range s1 {
@@ -27,8 +27,8 @@ func TestAllocDisjoint(t *testing.T) {
 	}
 }
 
-func TestAllocLargerThanSlab(t *testing.T) {
-	var a Arena[byte]
+func TestArenaAllocLargerThanSlab(t *testing.T) {
+	var a arena[byte]
 	big := a.Alloc(3 * minSlab)
 	if len(big) != 3*minSlab {
 		t.Fatalf("len = %d", len(big))
@@ -38,8 +38,8 @@ func TestAllocLargerThanSlab(t *testing.T) {
 	}
 }
 
-func TestResetRecyclesSlabs(t *testing.T) {
-	var a Arena[int64]
+func TestArenaResetRecyclesSlabs(t *testing.T) {
+	var a arena[int64]
 	const n, rounds = 64, 200
 	for i := 0; i < minSlab/n; i++ {
 		a.Alloc(n)
@@ -59,8 +59,8 @@ func TestResetRecyclesSlabs(t *testing.T) {
 	}
 }
 
-func TestZeroValueReady(t *testing.T) {
-	var a Arena[struct{ x, y int }]
+func TestArenaZeroValueReady(t *testing.T) {
+	var a arena[struct{ x, y int }]
 	s := a.Alloc(5)
 	if len(s) != 5 {
 		t.Fatalf("len = %d", len(s))
@@ -71,8 +71,8 @@ func TestZeroValueReady(t *testing.T) {
 	}
 }
 
-func TestSlabGrowthDoubles(t *testing.T) {
-	var a Arena[byte]
+func TestArenaSlabGrowthDoubles(t *testing.T) {
+	var a arena[byte]
 	total := 0
 	for i := 0; i < 20; i++ {
 		a.Alloc(minSlab)

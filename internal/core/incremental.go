@@ -10,7 +10,7 @@ import (
 )
 
 // Planner is a persistent planner for incremental admission epochs: unlike
-// Schedule/ScheduleState, which build a fresh plan cache per call, a Planner
+// Schedule, which builds a fresh plan cache per call, a Planner
 // keeps its state, plan cache, dead-item flags, and scratch memory alive
 // across any number of Epoch calls, so each epoch costs O(delta) — the new
 // arrivals plus whatever cached forests the epoch genuinely disturbed — not

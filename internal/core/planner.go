@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"datastaging/internal/arena"
 	"datastaging/internal/dijkstra"
 	"datastaging/internal/model"
 	"datastaging/internal/obs"
@@ -93,11 +92,11 @@ type planner struct {
 	// Reset — plans live as long as the planner — they only amortize
 	// growth into O(log n) slab allocations; steady state is covered by
 	// freePlans recycling.
-	planArena arena.Arena[dijkstra.Plan]
-	instArena arena.Arena[simtime.Instant]
-	machArena arena.Arena[model.MachineID]
-	linkArena arena.Arena[model.LinkID]
-	durArena  arena.Arena[time.Duration]
+	planArena arena[dijkstra.Plan]
+	instArena arena[simtime.Instant]
+	machArena arena[model.MachineID]
+	linkArena arena[model.LinkID]
+	durArena  arena[time.Duration]
 	// queue, byR, and cands are per-iteration scratch reused across
 	// rounds to keep the select-and-commit loop allocation-free; hops,
 	// pathBuf, and seen back the commit paths the same way.

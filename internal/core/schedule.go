@@ -47,19 +47,6 @@ func Schedule(sc *scenario.Scenario, cfg Config) (*Result, error) {
 	return p.run(cfg, begin)
 }
 
-// ScheduleState runs the heuristic loop against an existing state,
-// extending whatever is already committed there. The dynamic simulator
-// uses this to re-plan at each event epoch: the state carries prior
-// transfers, the planning floor, withheld items, and link outages.
-func ScheduleState(st *state.State, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	begin := time.Now()
-	p := plannerOn(st, cfg)
-	return p.run(cfg, begin)
-}
-
 func (p *planner) run(cfg Config, begin time.Time) (*Result, error) {
 	for {
 		cands := p.candidates()

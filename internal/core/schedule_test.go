@@ -201,15 +201,21 @@ func TestScheduleOversubscribedGenerated(t *testing.T) {
 	}
 }
 
-func TestScheduleStateContinuesExisting(t *testing.T) {
+// TestPlannerOnContinuesExisting: a planner built over a state with
+// committed transfers extends that schedule instead of starting over.
+func TestPlannerOnContinuesExisting(t *testing.T) {
 	sc := testnet.Line(4, 1024, 8000, time.Hour)
 	cfg := Config{Heuristic: PartialPath, Criterion: C4, EU: EUFromLog10(0), Weights: model.Weights1x10x100}
 	st := state.New(sc)
-	// Pre-commit the first hop by hand; ScheduleState must finish the job.
+	// Pre-commit the first hop by hand; the planner must finish the job.
 	if _, err := st.Commit(0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ScheduleState(st, cfg)
+	pl, err := NewPlannerOn(st, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pl.Epoch(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +228,7 @@ func TestScheduleStateContinuesExisting(t *testing.T) {
 	if res.Transfers[0].Link != 0 {
 		t.Error("pre-committed transfer missing from the result")
 	}
-	if _, err := ScheduleState(st, Config{}); err == nil {
+	if _, err := NewPlannerOn(st, Config{}); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

@@ -2,7 +2,6 @@ package dynamic
 
 import (
 	"fmt"
-	"time"
 
 	"datastaging/internal/core"
 	"datastaging/internal/model"
@@ -46,7 +45,6 @@ type Engine struct {
 	history []state.Transfer
 	aborted []state.Transfer
 	replans int
-	elapsed time.Duration
 
 	// dirty records that the past was rewritten (link failure, rollback)
 	// since the last epoch; the next ReplanAt must take
@@ -266,7 +264,6 @@ func (e *Engine) replanIncremental(at simtime.Instant, deltaItems int) (*core.Re
 func (e *Engine) finishEpoch(res *core.Result, es EpochStats) {
 	e.history = e.st.Transfers()
 	e.replans++
-	e.elapsed += res.Elapsed
 	e.last = es
 	observeEpoch(e.cfg.Obs, es)
 }
@@ -308,9 +305,6 @@ func (e *Engine) Aborted() []state.Transfer { return e.aborted }
 
 // Replans counts completed epochs.
 func (e *Engine) Replans() int { return e.replans }
-
-// Elapsed is the total scheduling time across epochs.
-func (e *Engine) Elapsed() time.Duration { return e.elapsed }
 
 // Checkpoint captures the engine's epoch bookkeeping so a speculative
 // ReplanAt can be undone with Rollback.

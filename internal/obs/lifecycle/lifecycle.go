@@ -490,14 +490,13 @@ type ClassSummary struct {
 	Requests      int
 	Admitted      int
 	Rejected      int
-	Preempted     int
 	AdmissionRate float64
 	P50, P99      time.Duration
 }
 
 // Summarize folds an audit stream into per-class summaries, sorted by
 // class. Verdicts come from each ticket's latest record (so a late
-// admission or preemption counts at its final state); latencies from each
+// admission counts at its final state); latencies from each
 // ticket's decision record (the wait the submitter actually experienced).
 func Summarize(recs []Record) []ClassSummary {
 	latest := make(map[string]*Record)
@@ -531,8 +530,6 @@ func Summarize(recs []Record) []ClassSummary {
 			switch rq.Status {
 			case "admitted":
 				cs.Admitted++
-			case "preempted":
-				cs.Preempted++
 			default:
 				cs.Rejected++
 			}

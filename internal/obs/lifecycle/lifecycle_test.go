@@ -151,12 +151,13 @@ func TestSummarize(t *testing.T) {
 	rej.Status = "rejected"
 	rej.Requests[0].Status = "rejected"
 	add(rej)
-	add(decisionRecord("r-2", 0, 0.020)) // admitted...
+	late := decisionRecord("r-2", 0, 0.020) // rejected...
+	late.Status = "rejected"
+	late.Requests[0].Status = "rejected"
+	add(late)
 	rev := decisionRecord("r-2", 0, 0.040)
 	rev.Kind = KindRevision
-	rev.Status = "preempted"
-	rev.Requests[0].Status = "preempted"
-	add(rev) // ...then preempted: final state wins
+	add(rev) // ...then admitted late: final state wins
 	add(&Record{Kind: KindBackpressure, Item: -1, Status: "backpressure",
 		Timeline: []Hop{{Stage: StageReceived, V: 5}}, RetryAfterS: 1})
 
@@ -168,8 +169,8 @@ func TestSummarize(t *testing.T) {
 	if c0.Class != 0 || c2.Class != 2 {
 		t.Fatalf("classes out of order: %+v", sums)
 	}
-	if c0.Requests != 1 || c0.Preempted != 1 || c0.Admitted != 0 {
-		t.Errorf("class 0 = %+v, want 1 request preempted", c0)
+	if c0.Requests != 1 || c0.Admitted != 1 || c0.Rejected != 0 {
+		t.Errorf("class 0 = %+v, want 1 request admitted late", c0)
 	}
 	if c2.Requests != 2 || c2.Admitted != 1 || c2.Rejected != 1 {
 		t.Errorf("class 2 = %+v, want 1 admitted + 1 rejected", c2)

@@ -267,10 +267,10 @@ func SaturationRows(res *workload.SaturationResult) ([]string, [][]string) {
 }
 
 // AuditClassRows renders per-priority-class audit summaries (the stageload
-// -class-summary table): how each class fared across admission, rejection,
-// and preemption, with decision-latency quantiles.
+// -class-summary table): how each class fared across admission and
+// rejection, with decision-latency quantiles.
 func AuditClassRows(sums []lifecycle.ClassSummary) ([]string, [][]string) {
-	headers := []string{"class", "requests", "admitted", "rejected", "preempted",
+	headers := []string{"class", "requests", "admitted", "rejected",
 		"adm rate", "p50 decide", "p99 decide"}
 	var rows [][]string
 	for _, cs := range sums {
@@ -279,7 +279,6 @@ func AuditClassRows(sums []lifecycle.ClassSummary) ([]string, [][]string) {
 			fmt.Sprintf("%d", cs.Requests),
 			fmt.Sprintf("%d", cs.Admitted),
 			fmt.Sprintf("%d", cs.Rejected),
-			fmt.Sprintf("%d", cs.Preempted),
 			fmt.Sprintf("%.3f", cs.AdmissionRate),
 			cs.P50.Round(time.Microsecond).String(),
 			cs.P99.Round(time.Microsecond).String(),

@@ -81,7 +81,9 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if out == nil {
 		return nil
 	}
-	return json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(out)
+	// No size cap here: maxBodyBytes bounds what a client may send, and a
+	// schedule document grows with the committed history.
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // Submit posts a submission; when wait is true the call blocks until the
@@ -138,9 +140,9 @@ func (c *Client) Schedule(ctx context.Context) (ScheduleView, error) {
 }
 
 // Advance moves the service's virtual clock (virtual-clock mode only) and
-// returns the schedule after the flush.
-func (c *Client) Advance(ctx context.Context, to Instant) (ScheduleView, error) {
-	var v ScheduleView
+// returns the service description after the flush.
+func (c *Client) Advance(ctx context.Context, to Instant) (Info, error) {
+	var v Info
 	err := c.do(ctx, http.MethodPost, "/v1/advance", advanceBody{To: to}, &v)
 	return v, err
 }

@@ -52,7 +52,8 @@ type API[T Pending] interface {
 //	                              auditing is off)
 //	GET  /v1/schedule             committed schedule + weighted objective
 //	GET  /v1/audit                the whole audit log as JSONL
-//	POST /v1/advance              move the virtual clock (body: {"to": Instant})
+//	POST /v1/advance              move the virtual clock (body: {"to": Instant});
+//	                              answers the /v1/info document
 //	GET  /v1/info                 service description for clients
 //	GET  /healthz                 liveness
 //
@@ -206,7 +207,7 @@ func (h handler[T]) advance(w http.ResponseWriter, r *http.Request) {
 		h.fail(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, h.svc.Schedule())
+	WriteJSON(w, http.StatusOK, h.svc.Info())
 }
 
 func (h handler[T]) info(w http.ResponseWriter, _ *http.Request) {

@@ -60,6 +60,9 @@ func TestHTTPEnvelope(t *testing.T) {
 		queued   = "{\n  \"id\": \"t-7\",\n  \"status\": \"queued\",\n  \"item\": -1,\n  \"arrived\": 0\n}\n"
 		schedule = "{\n  \"now\": 0,\n  \"epochs\": 0,\n  \"items\": 0,\n  \"totalRequests\": 0,\n" +
 			"  \"satisfied\": 0,\n  \"weightedValue\": 0,\n  \"transfers\": null\n}\n"
+		info = "{\n  \"scenario\": \"stub\",\n  \"machines\": 0,\n  \"links\": 0,\n  \"items\": 0,\n" +
+			"  \"horizon\": 0,\n  \"now\": 0,\n  \"queue\": 0,\n  \"queueCap\": 0,\n  \"maxBatch\": 0,\n" +
+			"  \"virtualClock\": false,\n  \"timeScale\": 0,\n  \"scheduler\": \"\",\n  \"draining\": false\n}\n"
 		jsonType = "application/json"
 	)
 	audited := lifecycle.New(lifecycle.Options{})
@@ -118,7 +121,7 @@ func TestHTTPEnvelope(t *testing.T) {
 
 		{name: "schedule", method: "GET", path: "/v1/schedule", code: 200, ctype: jsonType, want: schedule},
 		{name: "advance", method: "POST", path: "/v1/advance", body: `{"to": "90m"}`,
-			code: 200, ctype: jsonType, want: schedule},
+			code: 200, ctype: jsonType, want: info},
 		{name: "advance malformed", method: "POST", path: "/v1/advance", body: `not json`,
 			code: 400, ctype: jsonType},
 		{name: "advance refused", svc: stubAPI{opErr: backwards}, method: "POST", path: "/v1/advance", body: `{"to": 0}`,
@@ -126,7 +129,7 @@ func TestHTTPEnvelope(t *testing.T) {
 		{name: "advance wedged", svc: stubAPI{opErr: boom, wedged: boom}, method: "POST", path: "/v1/advance", body: `{"to": 1}`,
 			code: 500, ctype: jsonType, want: `{"error":"core: replan failed"}` + "\n"},
 
-		{name: "info", method: "GET", path: "/v1/info", code: 200, ctype: jsonType},
+		{name: "info", method: "GET", path: "/v1/info", code: 200, ctype: jsonType, want: info},
 		{name: "healthz", method: "GET", path: "/healthz", code: 200, ctype: "text/plain; charset=utf-8", want: "ok\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

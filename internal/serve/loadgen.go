@@ -2,10 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -13,100 +12,26 @@ import (
 	"datastaging/internal/workload"
 )
 
-// LoadParams shapes the synthetic submission stream of the load generator.
-// The zero value is useless; start from DefaultLoadParams.
-type LoadParams struct {
-	// Seed makes the generated submission stream deterministic: the same
-	// seed against the same service Info yields the same submissions.
-	Seed int64
-	// Requests is the total number of submissions to drive.
-	Requests int
-	// Workers is the closed-loop concurrency: each worker keeps exactly one
-	// submission in flight.
-	Workers int
-	// SizeBytes is the item-size range, drawn log-uniformly.
-	SizeMin, SizeMax int64
-	// Slack is the deadline slack range: a deadline lands uniformly in
-	// [now+SlackMin, now+SlackMax], clamped under the horizon.
-	SlackMin, SlackMax time.Duration
-	// MaxPriority draws priorities uniformly from [0, MaxPriority].
-	MaxPriority int
-	// Backoff is the base retry delay after a 429 (the retry re-submits
-	// the same submission; it still counts once).
-	Backoff time.Duration
-	// BackoffMax caps the jittered exponential retry schedule: attempt a
-	// sleeps a seeded-random duration in [b/2, b) where b is Backoff
-	// doubled a times, capped at BackoffMax. The jitter is drawn from the
-	// generator's own seed (mixed with the submission index and attempt),
-	// so a load run's retry timing is as reproducible as its submission
-	// stream. A BackoffMax at or below Backoff restores the legacy fixed
-	// delay.
-	BackoffMax time.Duration
-}
-
-// DefaultLoadParams returns the stageload defaults: small items with an
-// hour-scale slack against the paper's day-long horizon.
-func DefaultLoadParams(seed int64, n int) LoadParams {
-	return LoadParams{
-		Seed:        seed,
-		Requests:    n,
-		Workers:     8,
-		SizeMin:     64 << 10,
-		SizeMax:     16 << 20,
-		SlackMin:    time.Hour,
-		SlackMax:    8 * time.Hour,
-		MaxPriority: 2,
-		Backoff:     50 * time.Millisecond,
-		BackoffMax:  time.Second,
-	}
-}
-
-// BackoffDelay returns the retry delay of the i-th submission's attempt-th
-// 429 (attempt counts from 0). Deterministic: the jitter RNG is seeded
-// from the load seed, the submission index, and the attempt, so two runs
-// of the same parameters sleep identically. The exponential-with-jitter
-// schedule decorrelates the retry herd a fixed delay creates: when a
-// flushed epoch sheds a whole batch, fixed-backoff workers all come back
-// in the same instant and collide again.
-func BackoffDelay(p LoadParams, i, attempt int) time.Duration {
-	if p.Backoff <= 0 {
-		return 0
-	}
-	if p.BackoffMax <= p.Backoff {
-		return p.Backoff // legacy fixed delay
-	}
-	base := p.Backoff
-	for a := 0; a < attempt && base < p.BackoffMax; a++ {
-		base *= 2
-	}
-	if base > p.BackoffMax {
-		base = p.BackoffMax
-	}
-	if base < 2 {
-		return base
-	}
-	rng := rand.New(rand.NewSource(p.Seed ^ int64(i)*0x5851F42D4C957F2D ^ int64(attempt+1)*0x2545F4914F6CDD1D))
-	return base/2 + time.Duration(rng.Int63n(int64(base/2)))
-}
-
-// LoadReport is the outcome of one load run.
+// LoadReport is the outcome of one trace replay.
 type LoadReport struct {
 	Requests   int
 	Admitted   int
 	Rejected   int
 	Errors     int
-	Overloaded int // 429 responses (retried; counts shed attempts)
+	Overloaded int // 429 responses (counted, never retried)
 	Elapsed    time.Duration
-	// Latencies of every decided submission (submit → verdict), sorted.
+	// Latencies of every decided submission, sorted: from the arrival's due
+	// instant to its verdict on the wall clock, or the wall duration of the
+	// Advance that flushed its epoch on the virtual clock.
 	Latencies []time.Duration
-	// Ordered holds the same latencies in completion order. Windowed means
-	// over it are the soak check: per-epoch admission cost that grows with
-	// the committed history shows up as a rising tail of windows, while the
+	// Ordered holds the same latencies in trace order. Windowed means over
+	// it are the soak check: per-epoch admission cost that grows with the
+	// committed history shows up as a rising tail of windows, while the
 	// incremental engine should hold them flat.
 	Ordered []time.Duration
 }
 
-// WindowMeans splits the completion-ordered latencies into k contiguous
+// WindowMeans splits the trace-ordered latencies into k contiguous
 // windows and returns each window's mean. Fewer than k samples yield one
 // window per sample.
 func (r *LoadReport) WindowMeans(k int) []time.Duration {
@@ -130,7 +55,7 @@ func (r *LoadReport) WindowMeans(k int) []time.Duration {
 }
 
 // Slope is the ratio of the last window's mean latency to the first's over
-// k completion-order windows: ~1 when per-epoch admission cost is flat,
+// k trace-order windows: ~1 when per-epoch admission cost is flat,
 // rising when it scales with the committed schedule. It is the quantity
 // the soak smoke test gates on.
 func (r *LoadReport) Slope(k int) float64 {
@@ -158,7 +83,7 @@ func (r *LoadReport) Write(w io.Writer) {
 	if r.Errors > 0 {
 		fmt.Fprintf(w, "errors     %d\n", r.Errors)
 	}
-	fmt.Fprintf(w, "overloaded %d (429s, retried)\n", r.Overloaded)
+	fmt.Fprintf(w, "overloaded %d (429s, not retried)\n", r.Overloaded)
 	fmt.Fprintf(w, "elapsed    %v\n", r.Elapsed.Round(time.Millisecond))
 	if len(r.Latencies) > 0 {
 		fmt.Fprintf(w, "latency    p50 %v  p90 %v  p99 %v  max %v\n",
@@ -178,47 +103,10 @@ func pct(n, of int) float64 {
 	return 100 * float64(n) / float64(of)
 }
 
-// GenSubmission synthesizes the i-th submission of a seeded stream against
-// a service description. Exposed so tests can replay the exact stream a
-// load run produced.
-func GenSubmission(p LoadParams, info Info, i int) Submission {
-	rng := rand.New(rand.NewSource(p.Seed + int64(i)))
-	src := rng.Intn(info.Machines)
-	dst := rng.Intn(info.Machines - 1)
-	if dst >= src {
-		dst++
-	}
-	size := p.SizeMin
-	if p.SizeMax > p.SizeMin {
-		// Log-uniform: small items common, large items rare — the shape a
-		// shared staging network actually sees.
-		lo, hi := float64(p.SizeMin), float64(p.SizeMax)
-		size = int64(lo * math.Pow(hi/lo, rng.Float64()))
-	}
-	slack := p.SlackMin
-	if p.SlackMax > p.SlackMin {
-		slack += time.Duration(rng.Int63n(int64(p.SlackMax - p.SlackMin)))
-	}
-	deadline := Instant(info.Now) + Instant(slack)
-	if info.Horizon > 0 && deadline > info.Horizon {
-		deadline = info.Horizon
-	}
-	return Submission{
-		Name:      fmt.Sprintf("load-%d", i),
-		SizeBytes: size,
-		Sources:   []SourceSpec{{Machine: src}},
-		Requests: []RequestSpec{{
-			Machine:  dst,
-			Deadline: deadline,
-			Priority: rng.Intn(p.MaxPriority + 1),
-		}},
-	}
-}
-
 // SubmissionFromArrival converts a canonical-trace arrival into the
 // submission the admission API accepts. The conversion is lossless modulo
-// the arrival instant, which the replay driver supplies by advancing the
-// virtual clock to Arrival.At before submitting.
+// the arrival instant, which the replay driver supplies by submitting when
+// the service clock reaches Arrival.At.
 func SubmissionFromArrival(a workload.Arrival) Submission {
 	sub := Submission{Name: a.Name, SizeBytes: a.SizeBytes}
 	for _, src := range a.Sources {
@@ -234,26 +122,30 @@ func SubmissionFromArrival(a workload.Arrival) Submission {
 	return sub
 }
 
-// ReplayTrace replays a canonical trace against a stagesvc endpoint,
-// bit-identically to the offline engine: advance the virtual clock to each
-// distinct arrival instant (flushing the previous instant's batch into one
-// admission epoch), submit that instant's arrivals, and flush the final
-// batch. Requires a virtual-clock service whose max-batch and queue-cap
-// exceed the largest same-instant batch — otherwise a batch would split
-// across epochs and the replay would diverge from the offline schedule.
-// Each decided submission's latency is the wall duration of the Advance
-// call that flushed its epoch.
+// ReplayTrace replays a canonical trace against a stagesvc endpoint, on
+// whichever clock the service runs (Info.Virtual).
+//
+// On the virtual clock the replay is bit-identical to the offline engine:
+// advance the clock to each distinct arrival instant (flushing the previous
+// instant's batch into one admission epoch), submit that instant's
+// arrivals, and flush the final batch. The service's max-batch and
+// queue-cap must exceed the largest same-instant batch — otherwise a batch
+// would split across epochs and the replay would diverge from the offline
+// schedule. Each decided submission's latency is the wall duration of the
+// Advance call that flushed its epoch.
+//
+// On the wall clock the replay is open-loop (see replayWall).
 func ReplayTrace(ctx context.Context, c *Client, tr *workload.Trace) (*LoadReport, error) {
 	info, err := c.Info(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("serve: cannot describe service: %w", err)
 	}
-	if !info.Virtual {
-		return nil, fmt.Errorf("serve: trace replay needs a virtual-clock service (stagesvc -virtual-clock)")
-	}
 	if info.Machines < tr.Machines {
 		return nil, fmt.Errorf("serve: trace %q wants %d machines, service has %d",
 			tr.Name, tr.Machines, info.Machines)
+	}
+	if !info.Virtual {
+		return replayWall(ctx, c, tr, info)
 	}
 	maxGroup := 0
 	for i, g := 0, 0; i < len(tr.Arrivals); i++ {
@@ -326,95 +218,84 @@ func ReplayTrace(ctx context.Context, c *Client, tr *workload.Trace) (*LoadRepor
 	return rep, nil
 }
 
-// RunLoad drives a deterministic closed-loop load against a stagesvc
-// endpoint: Workers goroutines each submit with ?wait=1, retrying on 429
-// on the BackoffDelay schedule, until Requests submissions have a verdict.
-func RunLoad(ctx context.Context, c *Client, p LoadParams) (*LoadReport, error) {
-	if p.Requests <= 0 {
-		return nil, fmt.Errorf("serve: load run needs a positive request count")
+// replayWall is ReplayTrace against a wall-clock service: an open-loop
+// driver. The trace is shifted once, by the single offset that puts its
+// first arrival on the service's current instant, and every arrival is
+// submitted (?wait=1) on its own goroutine when the service clock reaches
+// its shifted instant, whatever earlier submissions are doing. Latency runs
+// from that due instant, not from the send, so a stalled service is charged
+// for the sends it delayed. A 429 is counted as overloaded and not retried:
+// a retry would be a later arrival the trace does not contain. In-flight
+// submissions are bounded by the trace's length; past its queue cap the
+// service sheds them.
+func replayWall(ctx context.Context, c *Client, tr *workload.Trace, info Info) (*LoadReport, error) {
+	if info.TimeScale <= 0 {
+		return nil, fmt.Errorf("serve: service reports time scale %v; need a positive one", info.TimeScale)
 	}
-	if p.Workers <= 0 {
-		p.Workers = 1
+	rep := &LoadReport{Requests: len(tr.Arrivals)}
+	if len(tr.Arrivals) == 0 {
+		return rep, nil
 	}
-	info, err := c.Info(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("serve: cannot describe service: %w", err)
-	}
-	if info.Machines < 2 {
-		return nil, fmt.Errorf("serve: scenario has %d machines; need at least 2", info.Machines)
-	}
+	first := tr.Arrivals[0].At
+	shift := info.Now - Instant(first)
+	begin := time.Now() // where Info read the service's now
 
-	var (
-		mu  sync.Mutex
-		rep = LoadReport{Requests: p.Requests}
-	)
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := 0; i < p.Requests; i++ {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	begin := time.Now()
+	type outcome struct {
+		status Status
+		lat    time.Duration
+		err    error
+	}
+	outs := make([]outcome, len(tr.Arrivals))
 	var wg sync.WaitGroup
-	for w := 0; w < p.Workers; w++ {
+	for i := range tr.Arrivals {
+		// The wall instant the service clock reaches the shifted arrival.
+		due := begin.Add(time.Duration(float64(tr.Arrivals[i].At.Sub(first)) / info.TimeScale))
+		select {
+		case <-time.After(time.Until(due)):
+		case <-ctx.Done():
+		}
+		if ctx.Err() != nil {
+			break
+		}
+		sub := SubmissionFromArrival(tr.Arrivals[i])
+		for k := range sub.Sources {
+			sub.Sources[k].Available += shift
+		}
+		for k := range sub.Requests {
+			sub.Requests[k].Deadline += shift
+		}
 		wg.Add(1)
-		go func() {
+		go func(out *outcome) {
 			defer wg.Done()
-			for i := range next {
-				sub := GenSubmission(p, info, i)
-				start := time.Now()
-				var view TicketView
-				for attempt := 0; ; attempt++ {
-					var err error
-					view, err = c.Submit(ctx, sub, true)
-					if st, ok := err.(*ErrStatus); ok && st.IsOverloaded() {
-						mu.Lock()
-						rep.Overloaded++
-						mu.Unlock()
-						select {
-						case <-time.After(BackoffDelay(p, i, attempt)):
-							continue
-						case <-ctx.Done():
-							return
-						}
-					}
-					if err != nil {
-						mu.Lock()
-						rep.Errors++
-						mu.Unlock()
-					}
-					break
-				}
-				lat := time.Since(start)
-				mu.Lock()
-				decided := true
-				switch view.Status {
-				case StatusAdmitted:
-					rep.Admitted++
-				case StatusRejected:
-					rep.Rejected++
-				default:
-					decided = false
-				}
-				if decided {
-					rep.Latencies = append(rep.Latencies, lat)
-					rep.Ordered = append(rep.Ordered, lat)
-				}
-				mu.Unlock()
-			}
-		}()
+			view, err := c.Submit(ctx, sub, true)
+			out.status, out.lat, out.err = view.Status, time.Since(due), err
+		}(&outs[i])
 	}
 	wg.Wait()
 	rep.Elapsed = time.Since(begin)
-	sort.Slice(rep.Latencies, func(a, b int) bool { return rep.Latencies[a] < rep.Latencies[b] })
 	if err := ctx.Err(); err != nil {
-		return &rep, err
+		return rep, err
 	}
-	return &rep, nil
+	for _, out := range outs {
+		var st *ErrStatus
+		switch {
+		case errors.As(out.err, &st) && st.IsOverloaded():
+			rep.Overloaded++
+			continue
+		case out.err != nil:
+			rep.Errors++
+			continue
+		case out.status == StatusAdmitted:
+			rep.Admitted++
+		case out.status == StatusRejected:
+			rep.Rejected++
+		default:
+			rep.Errors++
+			continue
+		}
+		rep.Latencies = append(rep.Latencies, out.lat)
+		rep.Ordered = append(rep.Ordered, out.lat)
+	}
+	sort.Slice(rep.Latencies, func(a, b int) bool { return rep.Latencies[a] < rep.Latencies[b] })
+	return rep, nil
 }

@@ -66,35 +66,3 @@ func TestLoadReportStats(t *testing.T) {
 		t.Errorf("zero report:\n%s", zb.String())
 	}
 }
-
-// TestGenSubmission: the synthetic stream is deterministic, in-range, and
-// never sources and requests the same machine.
-func TestGenSubmission(t *testing.T) {
-	p := DefaultLoadParams(7, 100)
-	info := Info{Machines: 10, Now: Instant(time.Hour), Horizon: Instant(24 * time.Hour)}
-	for i := 0; i < 100; i++ {
-		a, b := GenSubmission(p, info, i), GenSubmission(p, info, i)
-		if a.Name != b.Name || a.SizeBytes != b.SizeBytes ||
-			a.Sources[0] != b.Sources[0] || a.Requests[0] != b.Requests[0] {
-			t.Fatalf("submission %d not deterministic: %+v vs %+v", i, a, b)
-		}
-		if a.Sources[0].Machine == a.Requests[0].Machine {
-			t.Fatalf("submission %d: source == destination %d", i, a.Sources[0].Machine)
-		}
-		if a.SizeBytes < p.SizeMin || a.SizeBytes > p.SizeMax {
-			t.Fatalf("submission %d: size %d outside [%d, %d]", i, a.SizeBytes, p.SizeMin, p.SizeMax)
-		}
-		rq := a.Requests[0]
-		if rq.Deadline < info.Now+Instant(p.SlackMin) || rq.Deadline > info.Horizon {
-			t.Fatalf("submission %d: deadline %v outside slack/horizon", i, rq.Deadline)
-		}
-		if rq.Priority < 0 || rq.Priority > p.MaxPriority {
-			t.Fatalf("submission %d: priority %d", i, rq.Priority)
-		}
-	}
-	// A tight horizon clamps the deadline.
-	tight := Info{Machines: 3, Now: 0, Horizon: Instant(time.Minute)}
-	if d := GenSubmission(p, tight, 0).Requests[0].Deadline; d != tight.Horizon {
-		t.Fatalf("deadline %v not clamped to horizon %v", d, tight.Horizon)
-	}
-}

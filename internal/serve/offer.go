@@ -10,9 +10,9 @@ import (
 // returns with the engine lock HELD, so the world cannot move until the
 // caller closes the epoch with exactly one of Commit (finishLocked) or Abort
 // (abortLocked). The two-level cross-shard admission path (internal/shard)
-// builds an offer per touched shard, inspects earliest completions and the
-// objective delta, and commits only on all-accept — otherwise each shard
-// rolls back bit-identically via the engine's O(1) checkpoint.
+// builds an offer per touched shard, reads each leg's earliest completion,
+// and commits only on all-accept — otherwise each shard rolls back
+// bit-identically via the engine's O(1) checkpoint.
 //
 // Holding the lock across the round is what makes an offer a real
 // reservation rather than a racy estimate: no local submission, flush, or
@@ -23,7 +23,6 @@ type Proposal struct {
 	e       *Engine
 	t       *Ticket
 	ep      epoch
-	delta   float64
 	settled bool
 }
 
@@ -56,30 +55,7 @@ func (e *Engine) Propose(sub Submission) (*Proposal, error) {
 		e.mu.Unlock()
 		return nil, e.fatal
 	}
-	return &Proposal{e: e, t: t, ep: ep, delta: e.weightedValueLocked() - ep.prevValue}, nil
-}
-
-// TicketID returns the id the ticket will carry if the offer commits.
-func (p *Proposal) TicketID() string { return p.t.id }
-
-// At returns the epoch instant the offer was planned at.
-func (p *Proposal) At() simtime.Instant { return p.ep.at }
-
-// ObjectiveDelta is the weighted-objective gain of admitting the
-// submission on top of the committed world — the per-shard term the
-// coordinator sums when scoring an offer round.
-func (p *Proposal) ObjectiveDelta() float64 { return p.delta }
-
-// Admitted reports whether every request of the proposed submission is
-// satisfied by the speculative plan (the all-accept criterion).
-func (p *Proposal) Admitted() bool {
-	sat := p.e.dyn.Satisfied()
-	for k := range p.t.sub.Requests {
-		if _, ok := sat[model.RequestID{Item: p.t.item, Index: k}]; !ok {
-			return false
-		}
-	}
-	return true
+	return &Proposal{e: e, t: t, ep: ep}, nil
 }
 
 // Completion returns request k's committed delivery instant under the

@@ -30,9 +30,10 @@ func newOfferEngine(t *testing.T) *Engine {
 	return eng
 }
 
-// TestProposeCommit: a feasible offer reports admission, a positive
-// objective delta, and a completion instant; committing it registers a
-// live, decided ticket backed by the committed schedule.
+// TestProposeCommit: a feasible offer reports a completion instant;
+// committing it registers a live, decided ticket, planned at the engine's
+// instant and backed by the committed schedule, whose objective rose by the
+// request's weight.
 func TestProposeCommit(t *testing.T) {
 	eng := newOfferEngine(t)
 	defer eng.Drain(context.Background())
@@ -40,18 +41,6 @@ func TestProposeCommit(t *testing.T) {
 	p, err := eng.Propose(lineSubmission(2*time.Hour, 2))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !p.Admitted() {
-		t.Fatal("feasible proposal not admitted")
-	}
-	if p.ObjectiveDelta() <= 0 {
-		t.Fatalf("ObjectiveDelta = %v, want > 0", p.ObjectiveDelta())
-	}
-	if p.At() != eng.Now() {
-		t.Fatalf("At = %v, engine now %v", p.At(), eng.Now())
-	}
-	if !strings.HasPrefix(p.TicketID(), "r-") {
-		t.Fatalf("TicketID = %q", p.TicketID())
 	}
 	cmp, ok := p.Completion(0)
 	if !ok || cmp <= 0 {
@@ -68,8 +57,15 @@ func TestProposeCommit(t *testing.T) {
 	if v.Status != StatusAdmitted || v.Requests[0].Completion.Instant() != cmp {
 		t.Fatalf("committed view %+v, want admitted at %v", v, cmp)
 	}
-	if sv := eng.Schedule(); sv.Satisfied != 1 || sv.Items != 1 {
+	if !strings.HasPrefix(v.ID, "r-") || v.Epoch.Instant() != eng.Now() {
+		t.Fatalf("committed ticket %q planned at %v, engine now %v", v.ID, v.Epoch.Instant(), eng.Now())
+	}
+	sv := eng.Schedule()
+	if sv.Satisfied != 1 || sv.Items != 1 {
 		t.Fatalf("schedule after commit: %+v", sv)
+	}
+	if w := cfgC4(nil).Weights.Of(2); sv.WeightedValue != w {
+		t.Fatalf("objective after commit %v, want the priority-2 weight %v", sv.WeightedValue, w)
 	}
 	if _, ok := eng.TicketView(tk.ID()); !ok {
 		t.Fatal("committed ticket not registered")
@@ -78,8 +74,8 @@ func TestProposeCommit(t *testing.T) {
 
 // TestProposeAbort: aborting an offer restores the world bit-identically —
 // same transfers, same objective, same item count — and the engine keeps
-// serving; an unsatisfiable offer reports !Admitted so the coordinator can
-// abort it.
+// serving; an unsatisfiable offer reports no completion so the coordinator
+// can abort it.
 func TestProposeAbort(t *testing.T) {
 	eng := newOfferEngine(t)
 	defer eng.Drain(context.Background())
@@ -96,7 +92,7 @@ func TestProposeAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Admitted() {
+	if _, ok := p.Completion(0); !ok {
 		t.Fatal("second offer not admitted")
 	}
 	p.Abort()
@@ -110,9 +106,6 @@ func TestProposeAbort(t *testing.T) {
 	pi, err := eng.Propose(lineSubmission(time.Nanosecond, 2))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if pi.Admitted() {
-		t.Fatal("impossible offer admitted")
 	}
 	if _, ok := pi.Completion(0); ok {
 		t.Fatal("impossible offer has a completion")

@@ -194,8 +194,14 @@ func TestGroupCommitConservation(t *testing.T) {
 	}
 
 	snap := o.Snapshot()
-	if got := len(eng.flushed); got != total {
-		t.Errorf("%d tickets flushed, want %d", got, total)
+	decided := 0
+	for _, tk := range eng.tickets {
+		if tk.View().Status != StatusQueued {
+			decided++
+		}
+	}
+	if decided != total {
+		t.Errorf("%d tickets decided, want %d", decided, total)
 	}
 	batches := snap.Histograms["serve.batch_size"]
 	if batches.Sum != total {

@@ -43,6 +43,11 @@ func TestHTTPEquivalenceBursty(t *testing.T) {
 
 	for _, spec := range workload.Builtins() {
 		spec := spec
+		if testing.Short() && spec.Name == "soak" {
+			// The whole soak stream takes ~40 s under the race detector;
+			// the -short lane replays a tenth of it.
+			spec = spec.ScaleRate(0.1)
+		}
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			arrivals, err := spec.Compile(machines)
@@ -134,9 +139,10 @@ func TestHTTPEquivalenceBursty(t *testing.T) {
 	}
 }
 
-// TestReplayTraceGuards pins the preconditions that keep a replay
-// bit-identical: a wall-clock service is rejected, as is a batching
-// configuration that could split one arrival instant across epochs.
+// TestReplayTraceGuards pins the preconditions of a replay: a trace that
+// wants more machines than the service has is refused on either clock, and
+// on the virtual clock so is a batching configuration that could split one
+// arrival instant across epochs.
 func TestReplayTraceGuards(t *testing.T) {
 	base, err := gen.NetworkOnly(*replayNet(t), 9)
 	if err != nil {
@@ -156,7 +162,8 @@ func TestReplayTraceGuards(t *testing.T) {
 		EU: core.EUFromLog10(2), Weights: model.Weights1x10x100}
 	ctx := context.Background()
 
-	// Wall-clock service: refused.
+	// A trace for a bigger network than the wall-clock service's: refused
+	// before anything is sent.
 	empty := *base
 	wall, err := serve.New(&empty, serve.Options{Config: cfg})
 	if err != nil {
@@ -164,8 +171,13 @@ func TestReplayTraceGuards(t *testing.T) {
 	}
 	srv := httptest.NewServer(wall.Handler())
 	defer srv.Close()
-	if _, err := serve.ReplayTrace(ctx, &serve.Client{BaseURL: srv.URL}, tr); err == nil {
-		t.Fatal("replay against a wall-clock service should fail")
+	wide := *tr
+	wide.Machines = base.Network.NumMachines() + 1
+	if _, err := serve.ReplayTrace(ctx, &serve.Client{BaseURL: srv.URL}, &wide); err == nil {
+		t.Fatal("replay of a trace wider than the service's network should fail")
+	}
+	if sv := wall.Schedule(); sv.Items != 0 {
+		t.Fatalf("refused replay still submitted %d items", sv.Items)
 	}
 
 	// Virtual clock but a max-batch small enough to split an epoch: refused.

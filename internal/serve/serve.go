@@ -194,8 +194,7 @@ type Engine struct {
 	sc        scenario.Scenario // private copy; Items grows as submissions are admitted
 	diag      explain.Diagnoser // the idle world every rejection's blame is computed against
 	queue     []*Ticket
-	flushed   []*Ticket // tickets whose epoch has run, in admission order
-	unsettled []*Ticket // flushed tickets with an unsatisfied request (late-admission candidates)
+	unsettled []*Ticket // decided tickets with an unsatisfied request (late-admission candidates)
 	tickets   map[string]*Ticket
 	nextID    int
 	epochs    int
@@ -512,9 +511,6 @@ type epoch struct {
 	cp            dynamic.Checkpoint
 	prevItems     int
 	prevTotalReqs int
-	// prevValue is the weighted objective before the plan; an offer's
-	// ObjectiveDelta is measured against it.
-	prevValue float64
 
 	// Wall-clock stamps of the epoch's phases: the audit timeline, and the
 	// base of the queue-wait histogram. In deterministic (virtual-clock)
@@ -549,7 +545,6 @@ func (e *Engine) planLocked(at simtime.Instant, batch ...*Ticket) (epoch, bool) 
 		cp:            e.dyn.Checkpoint(),
 		prevItems:     len(e.sc.Items),
 		prevTotalReqs: e.totalReqs,
-		prevValue:     e.weightedValueLocked(),
 	}
 	if e.intro != nil {
 		e.intro.SetPhase(fmt.Sprintf("epoch %d @ %v (%d submissions)", e.epochs+1, at, len(batch)))
@@ -596,7 +591,6 @@ func (e *Engine) finishLocked(ep *epoch) {
 		e.emitAuditLocked(ep, revised)
 	}
 	for _, t := range ep.batch {
-		e.flushed = append(e.flushed, t)
 		if !t.resolved {
 			t.resolved = true
 			close(t.done)
@@ -690,14 +684,15 @@ func (e *Engine) weightedValueLocked() float64 {
 // on rejection; older tickets only transition status (late admission)
 // without re-diagnosing.
 //
-// The old-ticket pass is incremental: committed transfers survive an
-// incremental epoch, so a fully-admitted ticket's verdicts cannot change
-// without a history rewrite — only tickets with an unsatisfied request
-// (the unsettled list) can late-admit and need re-examining. A full-replay
-// epoch rebuilt the state from the history (after a rollback, say), so
-// every flushed ticket is re-settled and the unsettled list is rebuilt
-// from scratch.
-// settleLocked returns the previously-flushed tickets whose verdicts this
+// The old-ticket pass is incremental: committed transfers survive every
+// epoch serve runs, so a fully-admitted ticket's verdicts cannot change —
+// only tickets with an unsatisfied request (the unsettled list) can
+// late-admit and need re-examining. That holds across a full replay too:
+// serve settles after one only at the first epoch, when no ticket has been
+// decided yet (abortLocked's replay restores the pre-plan world and never
+// settles, and an epoch instant never precedes the floor).
+//
+// settleLocked returns the previously-decided tickets whose verdicts this
 // epoch changed (late admission) — the revision records the audit log
 // emits. Revision detection only runs when auditing is on; the returned
 // slice is nil otherwise.
@@ -706,38 +701,21 @@ func (e *Engine) settleLocked(batch []*Ticket) (revised []*Ticket) {
 	st := e.dyn.State()
 	auditing := e.audit.Enabled()
 
-	resettle := func(t *Ticket) {
-		if !auditing {
-			e.settleTicketLocked(t, sat, st, false)
-			return
+	keep := e.unsettled[:0]
+	for _, t := range e.unsettled {
+		var before []Status
+		if auditing {
+			before = t.verdictStatuses()
 		}
-		before := t.verdictStatuses()
 		e.settleTicketLocked(t, sat, st, false)
-		if t.verdictsChanged(before) {
+		if auditing && t.verdictsChanged(before) {
 			revised = append(revised, t)
 		}
+		if !e.settledForGoodLocked(t) {
+			keep = append(keep, t)
+		}
 	}
-
-	if e.dyn.LastEpoch().Full {
-		for _, t := range e.flushed {
-			resettle(t)
-		}
-		e.unsettled = e.unsettled[:0]
-		for _, t := range e.flushed {
-			if !e.settledForGoodLocked(t) {
-				e.unsettled = append(e.unsettled, t)
-			}
-		}
-	} else {
-		keep := e.unsettled[:0]
-		for _, t := range e.unsettled {
-			resettle(t)
-			if !e.settledForGoodLocked(t) {
-				keep = append(keep, t)
-			}
-		}
-		e.unsettled = keep
-	}
+	e.unsettled = keep
 	for _, t := range batch {
 		e.settleTicketLocked(t, sat, st, true)
 		if !e.settledForGoodLocked(t) {
@@ -864,7 +842,7 @@ func (e *Engine) Schedule() ScheduleView {
 	return v
 }
 
-// Info describes the service for clients (notably the load generator).
+// Info describes the service for clients (notably the trace replay).
 // Lock-free: static fields are immutable after New, the rest come from the
 // published snapshot and the intake/clock/drain atomics.
 func (e *Engine) Info() Info {
@@ -880,6 +858,7 @@ func (e *Engine) Info() Info {
 		QueueCap:  e.opts.QueueCap,
 		MaxBatch:  e.opts.MaxBatch,
 		Virtual:   e.opts.VirtualClock,
+		TimeScale: e.opts.TimeScale,
 		Scheduler: fmt.Sprintf("%v/%v", e.opts.Config.Heuristic, e.opts.Config.Criterion),
 		Draining:  e.draining.Load(),
 	}

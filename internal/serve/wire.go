@@ -222,8 +222,10 @@ type ScheduleView struct {
 	Transfers     []state.Transfer `json:"transfers"`
 }
 
-// Info is the service description served at GET /v1/info: what a load
-// generator needs to synthesize valid submissions, plus live queue state.
+// Info is the service description served at GET /v1/info: what a trace
+// replay needs to place its arrivals on the service's clock (Now, and on the
+// wall clock TimeScale, simulated seconds per wall second), plus live queue
+// state. Every field is read-only.
 // A sharded service (stagesvc -shards) additionally reports the partition:
 // one ShardInfo per region plus the cut-link summary.
 type Info struct {
@@ -237,6 +239,7 @@ type Info struct {
 	QueueCap  int     `json:"queueCap"`
 	MaxBatch  int     `json:"maxBatch"`
 	Virtual   bool    `json:"virtualClock"`
+	TimeScale float64 `json:"timeScale"`
 	Scheduler string  `json:"scheduler"`
 	Draining  bool    `json:"draining"`
 	// Shards describes each admission region of a sharded service, in

@@ -175,9 +175,6 @@ func New(base *scenario.Scenario, plan *Plan, opts serve.Options) (*Service, err
 // Plan returns the service's partition.
 func (s *Service) Plan() *Plan { return s.plan }
 
-// Engines exposes the per-shard engines (tests and per-shard info).
-func (s *Service) Engines() []*serve.Engine { return s.engines }
-
 // allocGID registers the submission's true item in the global scenario and
 // returns its id, reusing a freed slot when one exists.
 func (s *Service) allocGID(sub serve.Submission) int {
@@ -492,6 +489,7 @@ func (s *Service) Info() serve.Info {
 		QueueCap:  first.QueueCap,
 		MaxBatch:  first.MaxBatch,
 		Virtual:   first.Virtual,
+		TimeScale: first.TimeScale,
 		Scheduler: first.Scheduler,
 		CutLinks:  len(s.cut),
 	}

@@ -8,9 +8,10 @@ import (
 
 // Builtin returns one of the named built-in specs. Every built-in is sized
 // for the paper's §5.3 network (10 Kbit/s–1.5 Mbit/s links over a 24 h
-// day): item sizes are large enough that an offered-load multiplier of a
-// few times unity saturates the network, which is what the saturation
-// analyzer sweeps.
+// day). The traffic shapes carry item sizes large enough that an
+// offered-load multiplier of a few times unity saturates the network, which
+// is what the saturation analyzer sweeps; soak instead carries thousands of
+// small items, so the committed schedule grows all day.
 func Builtin(name string) (Spec, error) {
 	for _, s := range Builtins() {
 		if s.Name == name {
@@ -119,6 +120,21 @@ func Builtins() []Spec {
 					SizeMinBytes:    16 << 20, SizeMaxBytes: 192 << 20,
 					SlackMin: 45 * time.Minute, SlackMax: 3 * time.Hour,
 					MaxDests: 2},
+			},
+		},
+		{
+			// soak: a long stationary stream of small items, most of which
+			// are admitted, so the committed history grows by thousands of
+			// transfers over the day. On the virtual clock each arrival is
+			// its own admission epoch, and the soak smoke gates how that
+			// epoch's cost moves as the history grows.
+			Name: "soak",
+			Seed: 15,
+			Phases: []Phase{
+				{Name: "flat", Duration: 24 * time.Hour, PerHour: 260,
+					PriorityWeights: uniform,
+					SizeMinBytes:    64 << 10, SizeMaxBytes: 1 << 20,
+					SlackMin: time.Hour, SlackMax: 4 * time.Hour},
 			},
 		},
 	}

@@ -1,9 +1,11 @@
 #!/bin/sh
 # serve_smoke.sh — end-to-end smoke check of the online admission service:
-# build stagesvc and stageload, boot the daemon on a loopback port, drive
-# 200 submissions through the closed-loop load generator, require at least
-# one admit, then SIGTERM the daemon and require a clean graceful drain
-# (exit 0 plus a final-schedule report).
+# build stagesvc and stageload, compile the steady builtin workload into a
+# canonical trace, boot the daemon on a loopback port with a wall clock,
+# replay the trace open-loop (each arrival sent when the service clock
+# reaches it, latency from that due instant), require at least one admit,
+# then SIGTERM the daemon and require a clean graceful drain (exit 0 plus a
+# final-schedule report).
 #
 # Usage: scripts/serve_smoke.sh
 set -eu
@@ -16,10 +18,11 @@ trap '[ -n "$svcpid" ] && kill "$svcpid" 2>/dev/null || true; rm -rf "$bindir"' 
 
 go build -o "$bindir/stagesvc" ./cmd/stagesvc
 go build -o "$bindir/stageload" ./cmd/stageload
+go run ./cmd/stagesim -seed 3 -emit-trace "$bindir/steady.trace.json" -sat-spec steady >&2
 
-# An hour of simulated time per wall second, so the generated deadlines
-# stay ahead of the service clock for the duration of the run.
-"$bindir/stagesvc" -addr 127.0.0.1:0 -seed 3 -time-scale 3600 \
+# Two simulated hours per wall second: the trace's 24-hour day replays in
+# twelve seconds, shifted to start at the service's now.
+"$bindir/stagesvc" -addr 127.0.0.1:0 -seed 3 -time-scale 7200 \
     > "$logfile" 2>&1 &
 svcpid=$!
 
@@ -43,8 +46,7 @@ if [ -z "$addr" ]; then
 fi
 echo "serve-smoke: stagesvc up at $addr" >&2
 
-"$bindir/stageload" -url "http://$addr" -n 200 -workers 8 -seed 1 \
-    -slack-min 4h -slack-max 12h -min-admitted 1
+"$bindir/stageload" -url "http://$addr" -trace "$bindir/steady.trace.json" -min-admitted 1
 
 kill -TERM "$svcpid"
 if ! wait "$svcpid"; then
