@@ -258,9 +258,16 @@ func TestSelectBestTieBreaks(t *testing.T) {
 		return c
 	}
 	cfg := Config{Criterion: C1, EU: EUWeights{WE: 1, WU: 1}}
+	// selectBest reads the costs the planner stores when it builds a group.
+	price := func(cands []candidate) []candidate {
+		for i := range cands {
+			cands[i].score, cands[i].bestDest = cands[i].cost(cfg)
+		}
+		return cands
+	}
 	// All equal cost; lowest (item, machine, link) wins regardless of order.
-	cands := []candidate{mk(2, 0, 0), mk(1, 3, 2), mk(1, 3, 1), mk(1, 5, 0)}
-	bi, _ := selectBest(cands, cfg)
+	cands := price([]candidate{mk(2, 0, 0), mk(1, 3, 2), mk(1, 3, 1), mk(1, 5, 0)})
+	bi, _ := selectBest(cands)
 	if cands[bi].item != 1 || cands[bi].hop.To != 3 || cands[bi].hop.Link != 1 {
 		t.Errorf("tie-break: got item %d to %d link %d",
 			cands[bi].item, cands[bi].hop.To, cands[bi].hop.Link)
@@ -268,8 +275,8 @@ func TestSelectBestTieBreaks(t *testing.T) {
 	// A strictly cheaper candidate wins no matter its ids.
 	cheap := mk(9, 9, 9)
 	cheap.dests[0].weight = 100
-	cands = append(cands, cheap)
-	bi, _ = selectBest(cands, cfg)
+	cands = price(append(cands, cheap))
+	bi, _ = selectBest(cands)
 	if cands[bi].item != 9 {
 		t.Errorf("cheapest should win: got item %d", cands[bi].item)
 	}

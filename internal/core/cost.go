@@ -36,11 +36,16 @@ func (d destInfo) cost1(eu EUWeights) float64 {
 // candidate is one valid next communication step: the first hop of item's
 // current shortest-path forest toward the next machine hop.To, annotated
 // with Drq[i, r] — every satisfiable destination whose path starts with
-// that hop.
+// that hop — and with what cost makes of them. A candidate's cost depends
+// only on its dests and the Config, so the planner costs it once, when it
+// builds the group, and selection (before) reads the stored values.
 type candidate struct {
 	item  model.ItemID
 	hop   dijkstra.Hop
 	dests []destInfo
+	// score and bestDest are cost's two results.
+	score    float64
+	bestDest int
 }
 
 // cost evaluates the configured criterion for the candidate and returns the
@@ -144,27 +149,21 @@ func urgencyFactor(slackSec, tau float64) float64 {
 	return tau / (tau + slackSec)
 }
 
-// selectBest returns the index of the minimum-cost candidate, breaking ties
-// deterministically by (item, next machine, link) so runs are reproducible.
-// The second result is the best-destination index within that candidate.
-func selectBest(cands []candidate, cfg Config) (int, int) {
-	bestIdx, bestDest := -1, 0
-	bestCost := math.Inf(1)
-	for i := range cands {
-		cost, destIdx := cands[i].cost(cfg)
-		if bestIdx >= 0 && !(cost < bestCost) {
-			if cost > bestCost {
-				continue
-			}
-			// Tie: keep the earlier (item, machine, link) triple.
-			a, b := &cands[i], &cands[bestIdx]
-			if a.item > b.item ||
-				(a.item == b.item && a.hop.To > b.hop.To) ||
-				(a.item == b.item && a.hop.To == b.hop.To && a.hop.Link >= b.hop.Link) {
-				continue
-			}
-		}
-		bestIdx, bestDest, bestCost = i, destIdx, cost
+// before reports whether c comes before o in selection order: the lower
+// cost, with ties broken deterministically by the earlier (item, next
+// machine, link) so runs are reproducible.
+func (c *candidate) before(o *candidate) bool {
+	if c.score < o.score {
+		return true
 	}
-	return bestIdx, bestDest
+	if c.score > o.score {
+		return false
+	}
+	if c.item != o.item {
+		return c.item < o.item
+	}
+	if c.hop.To != o.hop.To {
+		return c.hop.To < o.hop.To
+	}
+	return c.hop.Link < o.hop.Link
 }

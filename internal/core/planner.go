@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -58,6 +59,10 @@ type Stats struct {
 // holder (its labels can improve). TestPlanCacheMatchesParanoidRerun and
 // FuzzPlanCacheMatchesParanoid pin the invariant against Config.Paranoid,
 // which recomputes every forest on every commit as the paper does.
+//
+// A commit asks planConflicts only about the forests the touch index names
+// for it (see dropConflicts); TestTouchIndexMatchesSweep pins that against the
+// sweep over every cached forest it replaced.
 type planner struct {
 	st    *state.State
 	cfg   Config
@@ -97,11 +102,10 @@ type planner struct {
 	machArena arena[model.MachineID]
 	linkArena arena[model.LinkID]
 	durArena  arena[time.Duration]
-	// queue, byR, and cands are per-iteration scratch reused across
-	// rounds to keep the select-and-commit loop allocation-free; hops,
-	// pathBuf, and seen back the commit paths the same way.
+	// queue and cands are per-iteration scratch reused across rounds to
+	// keep the select-and-commit loop allocation-free; hops, pathBuf, and
+	// seen back the commit paths the same way.
 	queue   []model.ItemID
-	byR     map[model.MachineID]int
 	cands   []candidate
 	hops    []dijkstra.Hop
 	pathBuf []dijkstra.Hop
@@ -125,6 +129,14 @@ type planner struct {
 	// per-request satisfaction probes entirely.
 	openCache [][]int
 	openValid []bool
+	// touch is the plan cache's subscription index: touch[v] is the set of
+	// items whose cached forest has a kept hop entering machine v (with
+	// serialized transfers, entering or leaving it) or has v in CapFailed,
+	// and capBlocked the set whose cached forest is CapBlocked. A forest
+	// subscribes where it enters the cache (plan, prefetch) and unsubscribes
+	// in invalidate, so the index names exactly the cached forests.
+	touch      []itemSet
+	capBlocked itemSet
 	// paranoid drops every cached forest on every commit, reproducing the
 	// paper's re-run-Dijkstra-each-iteration implementation. Tests compare
 	// it against the conflict-tracking cache to prove they are equivalent.
@@ -167,12 +179,14 @@ func plannerOn(st *state.State, cfg Config) *planner {
 		candValid:  make([]bool, items),
 		openCache:  make([][]int, items),
 		openValid:  make([]bool, items),
+		touch:      make([]itemSet, st.Scenario().Network.NumMachines()),
 		scratch:    dijkstra.NewScratch(),
 		paranoid:   cfg.Paranoid,
 	}
 	for i := range p.live {
 		p.live[i] = model.ItemID(i)
 	}
+	p.grow()
 	o := cfg.Obs
 	p.tr = o.Trace()
 	p.replanTimer = o.Phase("core.replan")
@@ -227,10 +241,11 @@ func (p *planner) takeFree() *dijkstra.Plan {
 
 // takePlan returns a Plan ready for the compute kernels: a recycled one
 // when available, otherwise a fresh one carved from the planner's arenas
-// with every label slice pre-sized to the machine count, so the kernels'
-// growSlice calls always hit capacity and a growth burst (a new item wave)
-// costs a handful of slab allocations instead of six per plan. CapFailed
-// grows on a plan's first capacity failure and is recycled with it.
+// with every label slice and Kept pre-sized to the machine count, so the
+// kernels' growSlice calls always hit capacity and a growth burst (a new
+// item wave) costs a handful of slab allocations instead of seven per plan.
+// CapFailed grows on a plan's first capacity failure and is recycled with
+// it.
 func (p *planner) takePlan() *dijkstra.Plan {
 	if pl := p.takeFree(); pl != nil {
 		return pl
@@ -242,6 +257,7 @@ func (p *planner) takePlan() *dijkstra.Plan {
 	pl.Via = p.linkArena.Alloc(m)
 	pl.Start = p.instArena.Alloc(m)
 	pl.Dur = p.durArena.Alloc(m)
+	pl.Kept = p.machArena.Alloc(m)[:0]
 	return pl
 }
 
@@ -254,6 +270,7 @@ func (p *planner) invalidate(item model.ItemID, why obs.Reason) {
 		p.openValid[item] = false
 	}
 	if pl := p.plans[item]; pl != nil {
+		p.subscribe(item, pl, false)
 		p.freePlans = append(p.freePlans, pl)
 		p.plans[item] = nil
 		p.fresh[item] = false
@@ -281,10 +298,10 @@ func (p *planner) markDead(item model.ItemID, why obs.Reason) {
 	}
 }
 
-// grow extends the per-item planner bookkeeping to cover items appended to
-// the scenario since the planner was built (incremental epochs over an
-// append-only growing scenario). New items start live with no cached
-// forest.
+// grow extends the per-item planner bookkeeping, the touch index's sets
+// included, to cover items appended to the scenario since the planner was
+// built (incremental epochs over an append-only growing scenario). New
+// items start live with no cached forest.
 func (p *planner) grow() {
 	items := len(p.st.Scenario().Items)
 	for i := len(p.plans); i < items; i++ {
@@ -297,6 +314,10 @@ func (p *planner) grow() {
 		p.openCache = append(p.openCache, nil)
 		p.openValid = append(p.openValid, false)
 	}
+	for v := range p.touch {
+		p.touch[v] = p.touch[v].grow(items)
+	}
+	p.capBlocked = p.capBlocked.grow(items)
 }
 
 // advanceFloor moves the planning floor to at and drops every cached
@@ -341,8 +362,49 @@ func (p *planner) plan(item model.ItemID) *dijkstra.Plan {
 	pl := p.scratch.ComputeTrimmed(p.st, item, p.takePlan())
 	span.Stop()
 	p.plans[item] = pl
+	p.subscribe(item, pl, true)
 	p.countRun(item)
 	return pl
+}
+
+// subscribe adds (on) or removes (!on) the item at every touch entry its
+// forest pl names: the machine each kept hop enters (and, with serialized
+// transfers, the one it leaves), each CapFailed machine, and capBlocked
+// when the forest is cap-blocked.
+func (p *planner) subscribe(item model.ItemID, pl *dijkstra.Plan, on bool) {
+	serial := p.st.SerialTransfers()
+	for _, v := range pl.Kept {
+		p.touch[v].put(item, on)
+		if serial {
+			p.touch[pl.Pred[v]].put(item, on)
+		}
+	}
+	for _, v := range pl.CapFailed {
+		p.touch[v].put(item, on)
+	}
+	if pl.CapBlocked {
+		p.capBlocked.put(item, on)
+	}
+}
+
+// itemSet is a set of items, one bit per item ID.
+type itemSet []uint64
+
+// grow returns s extended to hold items [0, n).
+func (s itemSet) grow(n int) itemSet {
+	for len(s)*64 < n {
+		s = append(s, 0)
+	}
+	return s
+}
+
+// put adds (on) or removes (!on) item.
+func (s itemSet) put(item model.ItemID, on bool) {
+	if on {
+		s[item/64] |= 1 << (item % 64)
+	} else {
+		s[item/64] &^= 1 << (item % 64)
+	}
 }
 
 // countRun charges one shortest-path computation for the item to the stats,
@@ -406,6 +468,7 @@ func (p *planner) prefetch() {
 	span := p.replanTimer.Start()
 	for _, item := range queue {
 		p.plans[item] = p.scratch.ComputeTrimmed(p.st, item, p.takePlan())
+		p.subscribe(item, p.plans[item], true)
 		p.fresh[item] = true
 	}
 	span.Stop()
@@ -438,12 +501,28 @@ func (p *planner) openRequests(item model.ItemID) []int {
 
 // candidates builds every valid next communication step: for each live
 // item, the first hops of its forest toward its satisfiable open requests,
-// grouped by next machine (the paper's Drq[i, r]). Items that end up with
-// no satisfiable destination are marked dead. The returned slice is
-// planner-owned scratch, valid until the next call.
+// grouped by next machine (the paper's Drq[i, r]), in ascending item order.
+// The returned slice is planner-owned scratch, valid until the next call.
+// The heuristic loop does not need the list and calls refresh directly.
 func (p *planner) candidates() []candidate {
-	p.prefetch()
+	p.refresh()
 	out := p.cands[:0]
+	for _, item := range p.live {
+		if !p.dead[item] && p.st.IsReleased(item) {
+			out = append(out, p.candGroups[item]...)
+		}
+	}
+	p.cands = out
+	return out
+}
+
+// refresh is the candidates pass: it brings every live item's candidate
+// groups up to date, marking items that end up with no satisfiable
+// destination dead, and returns how many groups there are and the first
+// of them in selection order (candidate.before), nil when there are none.
+// It picks in place: the groups stay in their per-item cache slots.
+func (p *planner) refresh() (n int, best *candidate) {
+	p.prefetch()
 	live := p.live
 	w := 0
 	for _, item := range live {
@@ -467,17 +546,22 @@ func (p *planner) candidates() []candidate {
 		} else {
 			p.buildItemCands(item)
 		}
-		out = append(out, p.candGroups[item]...)
+		groups := p.candGroups[item]
+		n += len(groups)
+		for g := range groups {
+			if best == nil || groups[g].before(best) {
+				best = &groups[g]
+			}
+		}
 	}
 	p.live = live[:w]
-	p.cands = out
-	return out
+	return n, best
 }
 
 // buildItemCands rebuilds one item's candidate groups into its cache slot
-// (recycling the slot's previous group and dest backing arrays) and marks
-// the cache valid, or marks the item dead when no open request remains
-// satisfiable now or at any later floor.
+// (recycling the slot's previous group and dest backing arrays), costs each
+// group once, and marks the cache valid, or marks the item dead when no
+// open request remains satisfiable now or at any later floor.
 func (p *planner) buildItemCands(item model.ItemID) {
 	groups := p.candGroups[item][:0]
 	defer func() { p.candGroups[item] = groups }()
@@ -488,9 +572,6 @@ func (p *planner) buildItemCands(item model.ItemID) {
 	}
 	pl := p.plan(item)
 	it := p.st.Scenario().Item(item)
-	// byR maps a next machine to its group's index; the map is reused
-	// across items and rounds, cleared on first use per item.
-	cleared := false
 	for _, k := range open {
 		rq := &it.Requests[k]
 		at := pl.Arrival[rq.Machine]
@@ -507,18 +588,11 @@ func (p *planner) buildItemCands(item model.ItemID) {
 			weight:   p.cfg.Weights.Of(rq.Priority),
 			slackSec: rq.Deadline.Sub(at).Seconds(),
 		}
-		if !cleared {
-			if p.byR == nil {
-				p.byR = make(map[model.MachineID]int, 8)
-			} else {
-				clear(p.byR)
-			}
-			cleared = true
-		}
-		idx, seen := p.byR[hop.To]
-		if !seen {
+		// An item has a handful of groups, so a scan finds the next
+		// machine's group faster than a map would.
+		idx := slices.IndexFunc(groups, func(c candidate) bool { return c.hop.To == hop.To })
+		if idx < 0 {
 			idx = len(groups)
-			p.byR[hop.To] = idx
 			groups = appendCandidate(groups, item, hop)
 		}
 		groups[idx].dests = append(groups[idx].dests, d)
@@ -539,6 +613,10 @@ func (p *planner) buildItemCands(item model.ItemID) {
 			return
 		}
 	}
+	for g := range groups {
+		groups[g].score, groups[g].bestDest = groups[g].cost(p.cfg)
+	}
+	p.mCostEvals.Add(int64(len(groups)))
 	p.candValid[item] = true
 }
 
@@ -574,23 +652,37 @@ func (p *planner) commit(item model.ItemID, link model.LinkID, start simtime.Ins
 		}
 		return nil
 	}
-	// Only live items can hold a cached forest: markDead recycles the
-	// plan, so a nil check covers items that died since the last
-	// compaction of the live list.
+	p.dropConflicts(tr)
+	return nil
+}
+
+// dropConflicts invalidates every cached forest planConflicts says the
+// committed transfer can have changed. It asks only about the forests the
+// touch index names, in ascending item order. Unless transfers are
+// serialized, every rule needs the forest to touch tr.To: a hop on tr.Link
+// enters tr.To, the capacity rule needs a kept hop into tr.To, and the
+// cap-blocked rule needs tr.To in CapFailed. With serialized transfers a
+// planned hop may also clash with tr.From's send port, and every
+// cap-blocked forest goes. Items below the lowest live one hold no forest,
+// so the walk starts there (the committed item is live, so there is one).
+func (p *planner) dropConflicts(tr state.Transfer) {
 	trSpan := simtime.Span(tr.Start, tr.Duration)
 	serial := p.st.SerialTransfers()
-	for _, i := range p.live {
-		pl := p.plans[i]
-		if pl == nil || i == item {
-			continue
+	to, from := p.touch[tr.To], p.touch[tr.From]
+	for w := int(p.live[0]) / 64; w < len(to); w++ {
+		word := to[w]
+		if serial {
+			word |= from[w] | p.capBlocked[w]
 		}
-		if p.planConflicts(pl, tr, trSpan, serial) {
-			p.invalidate(i, obs.ReasonConflict)
-			p.stats.Invalidations++
-			p.mInvalidations.Inc()
+		for ; word != 0; word &= word - 1 {
+			i := model.ItemID(w*64 + bits.TrailingZeros64(word))
+			if p.planConflicts(p.plans[i], tr, trSpan, serial) {
+				p.invalidate(i, obs.ReasonConflict)
+				p.stats.Invalidations++
+				p.mInvalidations.Inc()
+			}
 		}
 	}
-	return nil
 }
 
 // observeCommit emits the transfer-booked event plus one request-satisfied
@@ -634,28 +726,26 @@ func (p *planner) planConflicts(pl *dijkstra.Plan, tr state.Transfer, trSpan sim
 	if pl.CapBlocked && (serial || slices.Contains(pl.CapFailed, tr.To)) {
 		return true
 	}
-	for v := range pl.Via {
-		if pl.Via[v] == dijkstra.NoLink {
-			continue
-		}
-		span := simtime.Span(pl.Start[v], pl.Dur[v])
-		if pl.Via[v] == tr.Link && span.Overlaps(trSpan) {
-			return true
-		}
-		if serial && span.Overlaps(trSpan) {
-			// The committed transfer occupies tr.From's send port and
-			// tr.To's receive port; a planned hop sharing either machine
-			// in an overlapping span may no longer fit. (Slightly
-			// conservative: send vs receive port distinctions are folded
-			// into a machine match; over-invalidation only costs a
-			// recompute.)
-			from, to := pl.Pred[v], model.MachineID(v)
-			if from == tr.From || from == tr.To || to == tr.From || to == tr.To {
+	to := tr.To
+	if serial {
+		// The committed transfer occupies tr.From's send port and tr.To's
+		// receive port; a planned hop sharing either machine in an
+		// overlapping span may no longer fit. A hop on tr.Link enters
+		// tr.To, so this covers the link too. (Slightly conservative: send
+		// vs receive port distinctions are folded into a machine match;
+		// over-invalidation only costs a recompute.)
+		for _, v := range pl.Kept {
+			from := pl.Pred[v]
+			if (from == tr.From || from == to || v == tr.From || v == to) &&
+				simtime.Span(pl.Start[v], pl.Dur[v]).Overlaps(trSpan) {
 				return true
 			}
 		}
+	} else if pl.Via[to] == tr.Link && simtime.Span(pl.Start[to], pl.Dur[to]).Overlaps(trSpan) {
+		// A hop on tr.Link enters tr.To, and a forest plans at most one
+		// hop into a machine.
+		return true
 	}
-	to := tr.To
 	if pl.Arrival[to] != simtime.Never && pl.Pred[to] != dijkstra.NoMachine {
 		size := p.st.Scenario().Item(pl.Item).SizeBytes
 		hold := p.st.HoldInterval(pl.Item, to, pl.Arrival[to])
@@ -690,40 +780,12 @@ func (p *planner) commitPath(item model.ItemID, dest model.MachineID) error {
 }
 
 // commitTree commits the union of the forest paths to every destination of
-// the candidate (the full path/all destinations heuristic's step). The
-// union is a tree — each machine has one incoming planned hop — so hops are
-// deduplicated by receiving machine and committed in start order.
+// the candidate (the full path/all destinations heuristic's step).
 func (p *planner) commitTree(item model.ItemID, c *candidate) error {
-	pl := p.plan(item)
-	m := len(pl.Arrival)
-	if cap(p.seen) < m {
-		p.seen = make([]bool, m)
+	hops, err := p.treeHops(item, c)
+	if err != nil {
+		return err
 	}
-	seen := p.seen[:m]
-	for i := range seen {
-		seen[i] = false
-	}
-	hops := p.hops[:0]
-	path := p.pathBuf
-	for _, d := range c.dests {
-		var ok bool
-		path, ok = pl.AppendPathTo(path[:0], d.machine)
-		if !ok {
-			p.hops, p.pathBuf = hops, path
-			return fmt.Errorf("core: no path for item %d to machine %d", item, d.machine)
-		}
-		for _, h := range path {
-			if !seen[h.To] {
-				seen[h.To] = true
-				hops = append(hops, h)
-			}
-		}
-	}
-	p.hops, p.pathBuf = hops, path
-	// Parents always start (strictly) before their children finish, and a
-	// hop starts no earlier than its parent's arrival, so start order is a
-	// valid commit order.
-	sortHops(hops)
 	for _, h := range hops {
 		if err := p.commit(item, h.Link, h.Start); err != nil {
 			if p.st.SerialTransfers() {
@@ -740,6 +802,45 @@ func (p *planner) commitTree(item model.ItemID, c *candidate) error {
 		}
 	}
 	return nil
+}
+
+// treeHops returns the union of the forest paths to every destination of
+// the candidate in commit order. The union is a tree — each machine has one
+// incoming planned hop — so hops are deduplicated by receiving machine and
+// sorted by start. The list lives in planner scratch: hop values are copied
+// out of the forest before the first commit invalidates it.
+func (p *planner) treeHops(item model.ItemID, c *candidate) ([]dijkstra.Hop, error) {
+	pl := p.plan(item)
+	m := len(pl.Arrival)
+	if cap(p.seen) < m {
+		p.seen = make([]bool, m)
+	}
+	seen := p.seen[:m]
+	for i := range seen {
+		seen[i] = false
+	}
+	hops := p.hops[:0]
+	path := p.pathBuf
+	for _, d := range c.dests {
+		var ok bool
+		path, ok = pl.AppendPathTo(path[:0], d.machine)
+		if !ok {
+			p.hops, p.pathBuf = hops, path
+			return nil, fmt.Errorf("core: no path for item %d to machine %d", item, d.machine)
+		}
+		for _, h := range path {
+			if !seen[h.To] {
+				seen[h.To] = true
+				hops = append(hops, h)
+			}
+		}
+	}
+	p.hops, p.pathBuf = hops, path
+	// Parents always start (strictly) before their children finish, and a
+	// hop starts no earlier than its parent's arrival, so start order is a
+	// valid commit order.
+	sortHops(hops)
+	return hops, nil
 }
 
 func sortHops(hops []dijkstra.Hop) {

@@ -176,7 +176,7 @@ func TestPlannerMarksDeadItems(t *testing.T) {
 		if len(cands) == 0 {
 			break
 		}
-		bi, _ := selectBest(cands, cfg)
+		bi, _ := selectBest(cands)
 		if err := pl.commitHop(cands[bi].item, cands[bi].hop); err != nil {
 			t.Fatal(err)
 		}

@@ -49,20 +49,17 @@ func Schedule(sc *scenario.Scenario, cfg Config) (*Result, error) {
 
 func (p *planner) run(cfg Config, begin time.Time) (*Result, error) {
 	for {
-		cands := p.candidates()
-		if len(cands) == 0 {
+		n, c := p.refresh()
+		if c == nil {
 			break
 		}
-		p.hCandidates.Observe(float64(len(cands)))
-		p.mCostEvals.Add(int64(len(cands)))
-		bi, bd := selectBest(cands, cfg)
-		c := &cands[bi]
+		p.hCandidates.Observe(float64(n))
 		var err error
 		switch cfg.Heuristic {
 		case PartialPath:
 			err = p.commitHop(c.item, c.hop)
 		case FullPathOneDest:
-			err = p.commitPath(c.item, c.dests[bd].machine)
+			err = p.commitPath(c.item, c.dests[c.bestDest].machine)
 		case FullPathAllDests:
 			err = p.commitTree(c.item, c)
 		}
@@ -75,7 +72,7 @@ func (p *planner) run(cfg Config, begin time.Time) (*Result, error) {
 		p.stats.Iterations++
 		p.mIterations.Inc()
 		if p.tr.Enabled() {
-			p.tr.Emit(obs.Event{Kind: obs.EvIteration, N: len(cands)})
+			p.tr.Emit(obs.Event{Kind: obs.EvIteration, N: n})
 		}
 	}
 	return p.result(cfg, begin), nil

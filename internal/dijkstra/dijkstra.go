@@ -77,6 +77,11 @@ type Plan struct {
 	// shortens the hold, so this is the list the planner's cache checks
 	// commits against. Its backing array is recycled with the plan.
 	CapFailed []model.MachineID
+	// Kept lists, in ascending order, the machines the forest keeps with a
+	// planned hop into them (Via != NoLink): every hop the forest plans, so
+	// a walk over it costs the hops, not the machines. Its backing array is
+	// recycled with the plan.
+	Kept []model.MachineID
 }
 
 // Hop is one transfer along a planned path.
@@ -126,13 +131,6 @@ type ScratchStats struct {
 // ReuseHits is Computes minus Grows: calls served entirely from recycled
 // buffers.
 func (s ScratchStats) ReuseHits() int { return s.Computes - s.Grows }
-
-// Add accumulates other into s (high-water marks take the max).
-func (s *ScratchStats) Add(other ScratchStats) {
-	s.Computes += other.Computes
-	s.Grows += other.Grows
-	s.HeapHighWater = max(s.HeapHighWater, other.HeapHighWater)
-}
 
 // Stats returns the Scratch's lifetime counters.
 func (s *Scratch) Stats() ScratchStats { return s.stats }
@@ -259,13 +257,17 @@ func (s *Scratch) compute(st *state.State, item model.ItemID, reuse *Plan, kind 
 	p.Start = growSlice(p.Start, m)
 	p.Dur = growSlice(p.Dur, m)
 	p.CapFailed = p.CapFailed[:0]
+	p.Kept = growSlice(p.Kept, m)[:0]
 
 	// holdEnd[u] is when u's copy (existing or planned) disappears; the
 	// latest instant a transfer out of u may still be in flight.
 	s.holdEnd = growSlice(s.holdEnd, m)
 	s.done = growSlice(s.done, m)
 	s.mark = growSlice(s.mark, m)
-	s.pq = s.pq[:0]
+	// The queue lives in a local for the whole walk: storing its header
+	// back into the Scratch on every push and pop would cost a GC write
+	// barrier each time while a collection is marking.
+	pq := s.pq[:0]
 	holdEnd, done, mark := s.holdEnd, s.done, s.mark
 	var dm durMemo
 
@@ -279,11 +281,12 @@ func (s *Scratch) compute(st *state.State, item model.ItemID, reuse *Plan, kind 
 	for _, h := range st.Holders(item) {
 		p.Arrival[h.Machine] = h.Avail
 		holdEnd[h.Machine] = h.End
-		s.push(heapEntry{at: h.Avail, machine: h.Machine})
+		pq = s.push(pq, heapEntry{at: h.Avail, machine: h.Machine})
 	}
 
-	for len(s.pq) > 0 {
-		e := s.pop()
+	for len(pq) > 0 {
+		var e heapEntry
+		e, pq = pop(pq)
 		u := e.machine
 		if done[u] || e.at != p.Arrival[u] {
 			continue // stale entry
@@ -310,6 +313,12 @@ func (s *Scratch) compute(st *state.State, item model.ItemID, reuse *Plan, kind 
 					break
 				}
 				d := dm.transferDuration(l, size)
+				// A slot starts no earlier than ready or the window does:
+				// when even that start cannot beat v's label, the slot
+				// query cannot either.
+				if simtime.MaxInstant(ready, l.Window.Start).Add(d) >= p.Arrival[v] {
+					continue
+				}
 				slot, ok := st.EarliestTransferSlot(id, ready, d)
 				if !ok {
 					continue
@@ -349,10 +358,11 @@ func (s *Scratch) compute(st *state.State, item model.ItemID, reuse *Plan, kind 
 				p.Start[v] = slot
 				p.Dur[v] = d
 				holdEnd[v] = hold.End
-				s.push(heapEntry{at: arrival, machine: v})
+				pq = s.push(pq, heapEntry{at: arrival, machine: v})
 			}
 		}
 	}
+	s.pq = pq
 	p.CapBlocked = len(p.CapFailed) > 0
 
 	// keep[v] says v survives: every popped machine, or in a trim only the
@@ -379,6 +389,8 @@ func (s *Scratch) compute(st *state.State, item model.ItemID, reuse *Plan, kind 
 			p.Arrival[v] = simtime.Never
 			p.Pred[v] = NoMachine
 			p.Via[v] = NoLink
+		} else if p.Via[v] != NoLink {
+			p.Kept = append(p.Kept, model.MachineID(v))
 		}
 	}
 	return p
@@ -434,17 +446,10 @@ func (p *Plan) Reachable(m model.MachineID) bool { return p.Arrival[m] != simtim
 // floor advance.
 func (p *Plan) EarliestHopStart() simtime.Instant {
 	earliest := simtime.Forever
-	for v := range p.Via {
-		if p.Via[v] != NoLink && p.Start[v] < earliest {
-			earliest = p.Start[v]
-		}
+	for _, v := range p.Kept {
+		earliest = min(earliest, p.Start[v])
 	}
 	return earliest
-}
-
-// IsRoot reports whether machine m holds the item in the planned forest.
-func (p *Plan) IsRoot(m model.MachineID) bool {
-	return p.Arrival[m] != simtime.Never && p.Pred[m] == NoMachine
 }
 
 // PathTo returns the hops from the root holder to machine m in planned
@@ -528,11 +533,12 @@ func entryLess(a, b heapEntry) bool {
 	return a.machine < b.machine
 }
 
-// push and pop implement a binary min-heap directly on the Scratch's
-// backing array: container/heap would box every entry into an interface,
-// allocating once per push on the hottest loop in the scheduler.
-func (s *Scratch) push(e heapEntry) {
-	h := append(s.pq, e)
+// push and pop implement a binary min-heap directly on the queue's backing
+// array: container/heap would box every entry into an interface,
+// allocating once per push on the hottest loop in the scheduler. push also
+// keeps the Scratch's heap high-water mark.
+func (s *Scratch) push(h []heapEntry, e heapEntry) []heapEntry {
+	h = append(h, e)
 	if len(h) > s.stats.HeapHighWater {
 		s.stats.HeapHighWater = len(h)
 	}
@@ -545,11 +551,10 @@ func (s *Scratch) push(e heapEntry) {
 		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
-	s.pq = h
+	return h
 }
 
-func (s *Scratch) pop() heapEntry {
-	h := s.pq
+func pop(h []heapEntry) (heapEntry, []heapEntry) {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
@@ -570,6 +575,5 @@ func (s *Scratch) pop() heapEntry {
 		h[i], h[least] = h[least], h[i]
 		i = least
 	}
-	s.pq = h
-	return top
+	return top, h
 }

@@ -2,6 +2,7 @@ package dijkstra
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -72,13 +73,26 @@ func capWitnesses(st *state.State, item model.ItemID, full *Plan) (mayFail, must
 	return mayFail, mustFail, true
 }
 
+// plannedHops lists the machines with a planned hop into them, found by
+// scanning every machine: what Plan.Kept must say.
+func plannedHops(p *Plan) []model.MachineID {
+	var out []model.MachineID
+	for v, via := range p.Via {
+		if via != NoLink {
+			out = append(out, model.MachineID(v))
+		}
+	}
+	return out
+}
+
 // TestQuickTrimmedForestMatchesFull pins ComputeTrimmed against Compute on
 // random committed states: on every machine it keeps, the trimmed forest is
 // the full forest hop for hop; it keeps every request machine reached by
 // its deadline; a forest that is not cap-blocked keeps nothing else but the
 // paths to them, and a cap-blocked one keeps every machine reached by L;
-// and CapBlocked is true exactly when a capacity check failed at an
-// arrival ≤ L, with CapFailed naming each such machine once.
+// CapBlocked is true exactly when a capacity check failed at an arrival
+// ≤ L, with CapFailed naming each such machine once; and both forests'
+// Kept lists are exactly their planned hops' machines, ascending.
 func TestQuickTrimmedForestMatchesFull(t *testing.T) {
 	params := tightParams()
 	var s Scratch
@@ -150,6 +164,12 @@ func TestQuickTrimmedForestMatchesFull(t *testing.T) {
 				}
 				if !trimmed.CapBlocked && !onPath[v] {
 					return fail("machine %d is on no path to a request reached in time but was kept", v)
+				}
+			}
+
+			for _, pl := range []*Plan{full, trimmed} {
+				if want := plannedHops(pl); !slices.Equal(pl.Kept, want) {
+					return fail("Kept %v, want the planned hops' machines %v", pl.Kept, want)
 				}
 			}
 
