@@ -36,8 +36,7 @@ type Planner struct {
 
 // NewPlannerOn builds a persistent planner over an existing state. The
 // state is owned by the planner from here on: the caller may still read it
-// (and apply withhold/release/commit deltas between epochs) but must not
-// rewind it.
+// (and grow its scenario between epochs) but must not rewind it.
 func NewPlannerOn(st *state.State, cfg Config) (*Planner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

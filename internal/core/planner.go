@@ -79,11 +79,10 @@ type planner struct {
 	// passes iterate it (compacting dead entries away) instead of scanning
 	// every scenario item, so a long-lived incremental planner pays per
 	// epoch for its open backlog, not for the world's whole history.
-	// Withheld items stay live until released. Invariant: live is a
-	// superset of the items with dead[i] == false, ascending; items that
-	// die during a candidates pass linger until the next pass compacts
-	// them (their plans are already recycled, so the lingering entries
-	// are nil-plan no-ops everywhere live is walked).
+	// Invariant: live is a superset of the items with dead[i] == false,
+	// ascending; items that die during a candidates pass linger until the
+	// next pass compacts them (their plans are already recycled, so the
+	// lingering entries are nil-plan no-ops everywhere live is walked).
 	live  []model.ItemID
 	stats Stats
 	// freePlans recycles invalidated Plan structs: their slices back the
@@ -450,7 +449,7 @@ func (p *planner) boundAdmits(item model.ItemID, open []int) bool {
 func (p *planner) prefetch() {
 	queue := p.queue[:0]
 	for _, item := range p.live {
-		if p.dead[item] || p.plans[item] != nil || !p.st.IsReleased(item) {
+		if p.dead[item] || p.plans[item] != nil {
 			continue
 		}
 		if len(p.openRequests(item)) == 0 {
@@ -508,7 +507,7 @@ func (p *planner) candidates() []candidate {
 	p.refresh()
 	out := p.cands[:0]
 	for _, item := range p.live {
-		if !p.dead[item] && p.st.IsReleased(item) {
+		if !p.dead[item] {
 			out = append(out, p.candGroups[item]...)
 		}
 	}
@@ -531,9 +530,6 @@ func (p *planner) refresh() (n int, best *candidate) {
 		}
 		live[w] = item
 		w++
-		if !p.st.IsReleased(item) {
-			continue // never mark withheld items dead: they may be released later
-		}
 		if p.candValid[item] {
 			// Served from the candidate cache: the forest reuse this
 			// replaces is counted exactly where the uncached pass's

@@ -12,8 +12,8 @@ import (
 )
 
 // determinismEvents builds a mixed event script — staggered releases plus
-// a couple of link failures — that exercises every replan path: withheld
-// items entering, in-flight aborts, and downstream cascades.
+// a couple of link failures — that exercises every replan path: items
+// arriving, in-flight aborts, and downstream cascades.
 func determinismEvents(sc *scenario.Scenario) []Event {
 	evs := []Event{
 		{At: simtime.Instant(600), Kind: ItemRelease, Item: model.ItemID(len(sc.Items) / 3)},

@@ -76,14 +76,13 @@ type Outcome struct {
 // Simulate runs the event-driven re-planning loop. Events may be given in
 // any order; simultaneous events are applied together (releases before
 // failures at the same instant would be arbitrary, so all events of one
-// epoch apply before the epoch's re-plan). It is a thin driver over Engine:
-// the admission service (internal/serve) walks the very same epoch code
-// path online.
+// epoch apply before the epoch's re-plan). It is a thin driver over Engine
+// that grows the scenario the way the admission service (internal/serve)
+// does online: an item exists from its release instant — its earliest
+// ItemRelease event, or 0 without one — and the engine plans over the
+// items in (release instant, ID) order. The caller's scenario is not
+// mutated, and the Outcome is in the caller's item IDs.
 func Simulate(sc *scenario.Scenario, cfg core.Config, events []Event) (*Outcome, error) {
-	eng, err := NewEngine(sc, cfg)
-	if err != nil {
-		return nil, err
-	}
 	for i, ev := range events {
 		if err := checkEvent(sc, ev); err != nil {
 			return nil, fmt.Errorf("dynamic: event %d: %w", i, err)
@@ -93,12 +92,41 @@ func Simulate(sc *scenario.Scenario, cfg core.Config, events []Event) (*Outcome,
 	copy(evs, events)
 	sort.SliceStable(evs, func(a, b int) bool { return evs[a].At < evs[b].At })
 
-	for _, ev := range evs {
-		if ev.Kind == ItemRelease && ev.At > 0 {
-			eng.Withhold(ev.Item)
+	// release[i] is item i's arrival: its earliest ItemRelease, else 0.
+	release := make([]simtime.Instant, len(sc.Items))
+	for i := len(evs) - 1; i >= 0; i-- { // evs ascend: the earliest writes last
+		if evs[i].Kind == ItemRelease {
+			release[evs[i].Item] = evs[i].At
 		}
 	}
+	order := make([]model.ItemID, len(sc.Items))
+	for i := range order {
+		order[i] = model.ItemID(i)
+	}
+	sort.SliceStable(order, func(a, b int) bool { return release[order[a]] < release[order[b]] })
+	// order[k] is the caller's ID of the k-th item to arrive, and items
+	// holds them renumbered in that order. The engine plans over work,
+	// whose Items is always a prefix of items; it holds &work, so it sees
+	// each longer prefix without a SetScenario check.
+	items := make([]model.Item, len(order))
+	for k, id := range order {
+		items[k] = sc.Items[id]
+		items[k].ID = model.ItemID(k)
+	}
+	work := *sc
+	known := 0
+	grow := func(at simtime.Instant) {
+		for known < len(items) && release[order[known]] <= at {
+			known++
+		}
+		work.Items = items[:known]
+	}
 
+	grow(0)
+	eng, err := NewEngine(&work, cfg)
+	if err != nil {
+		return nil, err
+	}
 	begin := time.Now()
 	// Epoch 0: schedule everything known at time zero.
 	if _, err := eng.ReplanAt(0); err != nil {
@@ -108,25 +136,38 @@ func Simulate(sc *scenario.Scenario, cfg core.Config, events []Event) (*Outcome,
 	for i := 0; i < len(evs); {
 		at := evs[i].At
 		for ; i < len(evs) && evs[i].At == at; i++ {
-			switch evs[i].Kind {
-			case ItemRelease:
-				eng.Release(evs[i].Item)
-			case LinkFail:
+			if evs[i].Kind == LinkFail {
 				eng.FailLink(evs[i].Link, at)
 			}
 		}
+		grow(at)
 		if _, err := eng.ReplanAt(at); err != nil {
 			return nil, err
 		}
 	}
 
+	sat := make(map[model.RequestID]simtime.Instant, len(eng.Satisfied()))
+	for id, t := range eng.Satisfied() {
+		id.Item = order[id.Item]
+		sat[id] = t
+	}
 	return &Outcome{
-		Transfers: eng.Transfers(),
-		Satisfied: eng.Satisfied(),
-		Aborted:   eng.Aborted(),
+		Transfers: callerIDs(eng.Transfers(), order),
+		Satisfied: sat,
+		Aborted:   callerIDs(eng.Aborted(), order),
 		Replans:   eng.Replans(),
 		Elapsed:   time.Since(begin),
 	}, nil
+}
+
+// callerIDs copies transfers with their items mapped back through order.
+func callerIDs(trs []state.Transfer, order []model.ItemID) []state.Transfer {
+	out := make([]state.Transfer, len(trs))
+	for i, tr := range trs {
+		tr.Item = order[tr.Item]
+		out[i] = tr
+	}
+	return out
 }
 
 func checkEvent(sc *scenario.Scenario, ev Event) error {

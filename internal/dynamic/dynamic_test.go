@@ -1,6 +1,9 @@
 package dynamic
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -260,5 +263,137 @@ func TestSimultaneousEventsOneEpoch(t *testing.T) {
 	}
 	if len(out.Satisfied) != 1 {
 		t.Errorf("satisfied %d, want 1", len(out.Satisfied))
+	}
+}
+
+// TestSimulateReportsCallerIDs pins Simulate's item numbering: it plans
+// over the items in (release instant, ID) order, but the Outcome speaks the
+// caller's IDs, and an item's release is its earliest ItemRelease event.
+// Releases are drawn out of ID order in the shape of the arrival sweep's
+// (a random half of the items, each at an instant before half its earliest
+// deadline); item a is released at both 0 and its latest deadline, item b
+// twice — early, and again at its latest deadline. A release at an item's
+// latest deadline leaves it unsatisfiable, so a satisfied request of a or b
+// shows that the earlier release won.
+func TestSimulateReportsCallerIDs(t *testing.T) {
+	sc := gen.MustGenerate(func() gen.Params {
+		p := gen.Default()
+		p.Machines = gen.IntRange{Min: 6, Max: 6}
+		p.RequestsPerMachine = gen.IntRange{Min: 6, Max: 6}
+		return p
+	}(), 11)
+	cfg := cfgC4()
+	static, err := core.Schedule(sc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var satItems []model.ItemID
+	for id := range static.Satisfied {
+		satItems = append(satItems, id.Item)
+	}
+	sort.Slice(satItems, func(i, j int) bool { return satItems[i] < satItems[j] })
+	a, b := satItems[0], satItems[len(satItems)-1]
+
+	rng := rand.New(rand.NewSource(11))
+	release := make([]simtime.Instant, len(sc.Items)) // earliest release per item
+	var events []Event
+	for i := range sc.Items {
+		id := model.ItemID(i)
+		it := &sc.Items[i]
+		earliest := simtime.Never
+		for _, rq := range it.Requests {
+			earliest = min(earliest, rq.Deadline)
+		}
+		switch {
+		case id == a:
+			events = append(events, Event{At: 0, Kind: ItemRelease, Item: id})
+		case id == b:
+			release[i] = earliest / 4
+			events = append(events, Event{At: release[i], Kind: ItemRelease, Item: id})
+		case rng.Intn(2) == 0:
+			release[i] = simtime.Instant(rng.Int63n(int64(earliest) / 2))
+			events = append(events, Event{At: release[i], Kind: ItemRelease, Item: id})
+		default:
+			continue
+		}
+		if id == a || id == b {
+			events = append(events, Event{At: it.LatestDeadline(), Kind: ItemRelease, Item: id})
+		}
+	}
+	rng.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
+
+	order := make([]model.ItemID, len(sc.Items)) // planning order, in caller IDs
+	for i := range order {
+		order[i] = model.ItemID(i)
+	}
+	sort.SliceStable(order, func(i, j int) bool { return release[order[i]] < release[order[j]] })
+	if sort.SliceIsSorted(order, func(i, j int) bool { return order[i] < order[j] }) {
+		t.Fatal("fixture releases items in ID order; the mapping goes untested")
+	}
+
+	out, err := Simulate(sc, cfg, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := validator.Validate(sc, out.Transfers); err != nil {
+		t.Fatalf("outcome invalid against the caller's scenario: %v", err)
+	}
+	want, err := validator.SatisfiedSet(sc, out.Transfers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Satisfied, want) {
+		t.Fatalf("Satisfied is not in the caller's IDs: %d entries, transfers satisfy %d", len(out.Satisfied), len(want))
+	}
+	for _, id := range []model.ItemID{a, b} {
+		satisfied := false
+		for rq := range out.Satisfied {
+			satisfied = satisfied || rq.Item == id
+		}
+		if !satisfied {
+			t.Errorf("item %d: nothing satisfied; its later release won", id)
+		}
+	}
+	for _, tr := range out.Transfers {
+		if tr.Item == b && tr.Start < release[b] {
+			t.Errorf("item %d moves at %v, before its release %v", b, tr.Start, release[b])
+		}
+	}
+
+	// The same items pre-sorted into release order, with the same events
+	// renumbered: Simulate's numbering is then the identity, and mapping
+	// its outcome back must reproduce the first run.
+	pos := make([]model.ItemID, len(order)) // caller ID -> pre-sorted ID
+	sorted := *sc
+	sorted.Items = make([]model.Item, len(order))
+	for k, id := range order {
+		pos[id] = model.ItemID(k)
+		sorted.Items[k] = sc.Items[id]
+		sorted.Items[k].ID = model.ItemID(k)
+	}
+	sortedEvents := make([]Event, len(events))
+	for i, ev := range events {
+		ev.Item = pos[ev.Item]
+		sortedEvents[i] = ev
+	}
+	ref, err := Simulate(&sorted, cfg, sortedEvents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Replans != ref.Replans || len(out.Transfers) != len(ref.Transfers) || len(out.Satisfied) != len(ref.Satisfied) {
+		t.Fatalf("outcome %d replans, %d transfers, %d satisfied; pre-sorted run %d, %d, %d",
+			out.Replans, len(out.Transfers), len(out.Satisfied), ref.Replans, len(ref.Transfers), len(ref.Satisfied))
+	}
+	for i, tr := range ref.Transfers {
+		tr.Item = order[tr.Item]
+		if out.Transfers[i] != tr {
+			t.Fatalf("transfer %d: %+v, pre-sorted run maps to %+v", i, out.Transfers[i], tr)
+		}
+	}
+	for rq, at := range ref.Satisfied {
+		rq.Item = order[rq.Item]
+		if got, ok := out.Satisfied[rq]; !ok || got != at {
+			t.Fatalf("request %v: satisfied %v (%v), pre-sorted run %v", rq, got, ok, at)
+		}
 	}
 }

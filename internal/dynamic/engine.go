@@ -12,14 +12,15 @@ import (
 
 // Engine is the epoch re-planning seam shared by the offline simulator
 // (Simulate) and the online admission service (internal/serve). It owns the
-// event-world bookkeeping — which items are withheld, which links are down,
-// the surviving transfer history — and turns it into one scheduling epoch
-// at a time.
+// event-world bookkeeping — which links are down, the surviving transfer
+// history — and turns it into one scheduling epoch at a time. An item
+// exists from the instant it arrives: callers append it to the scenario
+// and hand the engine the grown scenario (SetScenario).
 //
 // Committed state persists across epochs: the engine keeps one live
 // state.State whose planning floor advances monotonically and one
 // persistent core.Planner whose plan cache carries forward, so an ordinary
-// epoch (new arrivals released, floor advanced, heuristic run over the open
+// epoch (new arrivals grown in, floor advanced, heuristic run over the open
 // backlog) costs O(epoch delta), independent of how much history has
 // accumulated. Only the two events that rewrite the past — a link failure
 // (FailLink), which can invalidate already-committed transfers, and a
@@ -36,8 +37,7 @@ type Engine struct {
 	st  *state.State
 	pl  *core.Planner
 
-	withheld map[model.ItemID]bool
-	outages  map[model.LinkID]simtime.Instant
+	outages map[model.LinkID]simtime.Instant
 
 	// history is the committed schedule surviving the last epoch. On the
 	// incremental path it aliases the live state's append-only transfer
@@ -80,10 +80,9 @@ func NewEngine(sc *scenario.Scenario, cfg core.Config) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{
-		cfg:      cfg,
-		sc:       sc,
-		withheld: make(map[model.ItemID]bool),
-		outages:  make(map[model.LinkID]simtime.Instant),
+		cfg:     cfg,
+		sc:      sc,
+		outages: make(map[model.LinkID]simtime.Instant),
 	}, nil
 }
 
@@ -150,29 +149,6 @@ func sameItem(a, b *model.Item) bool {
 	return true
 }
 
-// Withhold hides items from the scheduler until Release: dynamic requests
-// that have not arrived yet. Applied to the live state immediately; no
-// replay needed.
-func (e *Engine) Withhold(items ...model.ItemID) {
-	for _, it := range items {
-		e.withheld[it] = true
-		if e.st != nil {
-			e.st.WithholdItem(it)
-		}
-	}
-}
-
-// Release makes withheld items schedulable from the next epoch on. Applied
-// to the live state immediately; no replay needed.
-func (e *Engine) Release(items ...model.ItemID) {
-	for _, it := range items {
-		delete(e.withheld, it)
-		if e.st != nil {
-			e.st.ReleaseItem(it)
-		}
-	}
-}
-
 // FailLink takes a virtual link down permanently from instant t. Idempotent;
 // an earlier failure time wins. A failure can strand transfers that were
 // already committed (and anything causally downstream of them), so it
@@ -208,16 +184,13 @@ func (e *Engine) ReplanAt(at simtime.Instant) (*core.Result, error) {
 }
 
 // replanFull rebuilds the world from scratch: fresh state, current outages
-// and withholds re-applied, surviving history replayed (transfers that no
-// longer commit are aborted and the loss cascades), floor advanced, then
-// one epoch of the heuristic. It also rebuilds the persistent planner the
-// incremental path continues from.
+// re-applied, surviving history replayed (transfers that no longer commit
+// are aborted and the loss cascades), floor advanced, then one epoch of the
+// heuristic. It also rebuilds the persistent planner the incremental path
+// continues from.
 func (e *Engine) replanFull(at simtime.Instant, deltaItems int) (*core.Result, error) {
 	abortedBefore := len(e.aborted)
 	st := state.New(e.sc)
-	for item := range e.withheld {
-		st.WithholdItem(item)
-	}
 	for link, t := range e.outages {
 		st.FailLink(link, t)
 	}
@@ -251,7 +224,7 @@ func (e *Engine) replanFull(at simtime.Instant, deltaItems int) (*core.Result, e
 // replanIncremental runs one epoch against the persistent world. Nothing is
 // replayed: committed transfers, satisfied requests, dead items, and cached
 // forests all survive from the previous epoch, and only the delta (newly
-// appended items, newly released items, the floor advance) is processed.
+// appended items, the floor advance) is processed.
 func (e *Engine) replanIncremental(at simtime.Instant, deltaItems int) (*core.Result, error) {
 	res, err := e.pl.Epoch(at)
 	if err != nil {

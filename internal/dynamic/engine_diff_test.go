@@ -24,45 +24,40 @@ import (
 
 // diffOp is one epoch of a randomized trace.
 type diffOp struct {
-	at      simtime.Instant
-	release []model.ItemID
-	fail    []model.LinkID
-	// grow, when non-nil, is an append-only scenario extension applied
-	// before the epoch (the online service's arrival mechanism).
-	grow *scenario.Scenario
+	at simtime.Instant
+	// grow, when beyond the items already known, appends full's items up
+	// to that count before the epoch — the one arrival mechanism, as in
+	// the online service. fresh hands the engine the grown scenario as a
+	// new value (SetScenario's verified path) instead of growing the one
+	// it holds in place.
+	grow  int
+	fresh bool
+	fail  []model.LinkID
 	// rollback, when non-nil, runs a speculative epoch shaped like the
-	// admission service's offer abort: Checkpoint, Release one
-	// still-withheld item, ReplanAt; then either keep the result or undo
-	// it (Withhold the item again, Rollback, replan).
+	// admission service's offer abort: Checkpoint, append the next
+	// not-yet-arrived items, ReplanAt; then either keep the result or undo
+	// it (truncate the scenario, Rollback, replan).
 	rollback *rollbackOp
 }
 
 type rollbackOp struct {
-	// pick selects the released item: an index, modulo their count, into
-	// the items still withheld when the op runs (ascending id order).
-	pick int
+	// n is how many items the speculative epoch appends (fewer when fewer
+	// remain).
+	n    int
 	keep bool
 }
 
-// genDiffTrace derives a base scenario (a prefix of full's items) and a
-// time-sorted op trace from the rng. Items beyond the base arrive through
-// scenario growth; a random subset of base items is withheld at time zero
-// and released over time (the simulator's arrival mechanism).
-func genDiffTrace(r *rand.Rand, full *scenario.Scenario) (*scenario.Scenario, []model.ItemID, []diffOp) {
+// genDiffTrace derives a base scenario (a prefix of full's items: the
+// items known at time zero) and a time-sorted op trace from the rng. The
+// rest of full's items arrive over time by scenario growth.
+func genDiffTrace(r *rand.Rand, full *scenario.Scenario) (*scenario.Scenario, []diffOp) {
 	n := len(full.Items)
-	g := 1 + n/2 + r.Intn(n/2) // items known before the first growth step
+	g := 1 + n/3 + r.Intn(n/3+1)
 	if g > n {
 		g = n
 	}
 	base := *full
 	base.Items = full.Items[:g:g]
-
-	var withheld []model.ItemID
-	for i := 0; i < g; i++ {
-		if r.Intn(3) == 0 {
-			withheld = append(withheld, model.ItemID(i))
-		}
-	}
 
 	at := simtime.Instant(0)
 	step := func() simtime.Instant {
@@ -71,37 +66,26 @@ func genDiffTrace(r *rand.Rand, full *scenario.Scenario) (*scenario.Scenario, []
 	}
 	var ops []diffOp
 
-	// Releases of the withheld base items, in random group sizes.
-	for i := 0; i < len(withheld); {
-		k := 1 + r.Intn(3)
-		if i+k > len(withheld) {
-			k = len(withheld) - i
+	// Arrivals of the remaining items, in random group sizes.
+	for k := g; k < n; {
+		k += 1 + r.Intn(3)
+		if k > n {
+			k = n
 		}
-		ops = append(ops, diffOp{at: step(), release: withheld[i : i+k]})
-		i += k
-	}
-	// One or two growth steps extending toward the full item list.
-	if g < n {
-		mid := g + (n-g)/2
-		if mid > g {
-			sc1 := *full
-			sc1.Items = full.Items[:mid:mid]
-			ops = append(ops, diffOp{at: step(), grow: &sc1})
-		}
-		ops = append(ops, diffOp{at: step(), grow: full})
+		ops = append(ops, diffOp{at: step(), grow: k, fresh: r.Intn(4) == 0})
 	}
 	// Up to two link failures.
 	for i, k := 0, r.Intn(3); i < k; i++ {
 		ops = append(ops, diffOp{at: step(),
 			fail: []model.LinkID{model.LinkID(r.Intn(len(full.Network.Links)))}})
 	}
-	// One to three speculative epochs whenever something is withheld,
+	// One to three speculative epochs whenever something arrives later,
 	// mostly rolled back: an abort is the case where the incremental
 	// engine must notice that the past changed.
-	if len(withheld) > 0 {
+	if g < n {
 		for i, k := 0, 1+r.Intn(3); i < k; i++ {
 			ops = append(ops, diffOp{at: step(), rollback: &rollbackOp{
-				pick: r.Intn(len(withheld)), keep: r.Intn(4) == 0,
+				n: 1 + r.Intn(3), keep: r.Intn(4) == 0,
 			}})
 		}
 	}
@@ -114,74 +98,78 @@ func genDiffTrace(r *rand.Rand, full *scenario.Scenario) (*scenario.Scenario, []
 			ops[j], ops[j-1] = ops[j-1], ops[j]
 		}
 	}
-	// Growth steps must stay in extension order; re-assign the grow
-	// payloads along the timeline smallest-first.
-	var grows []*scenario.Scenario
+	// Arrivals must stay in order; re-assign the growth targets along the
+	// timeline smallest-first.
+	var grows []int
 	for i := range ops {
-		if ops[i].grow != nil {
+		if ops[i].grow > 0 {
 			grows = append(grows, ops[i].grow)
 		}
 	}
-	sort.Slice(grows, func(a, b int) bool { return len(grows[a].Items) < len(grows[b].Items) })
+	sort.Ints(grows)
 	gi := 0
 	for i := range ops {
-		if ops[i].grow != nil {
+		if ops[i].grow > 0 {
 			ops[i].grow = grows[gi]
 			gi++
 		}
 	}
-	return &base, withheld, ops
+	return &base, ops
+}
+
+// diffEngine is one engine of the harness with the scenario value it
+// holds, which the harness grows and truncates in place.
+type diffEngine struct {
+	*Engine
+	sc   *scenario.Scenario
+	full *scenario.Scenario
+}
+
+func newDiffEngine(t *testing.T, base, full *scenario.Scenario) *diffEngine {
+	t.Helper()
+	sc := *base
+	eng, err := NewEngine(&sc, cfgC4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &diffEngine{Engine: eng, sc: &sc, full: full}
 }
 
 // applyOp drives one engine through one epoch of the trace. It reports
 // whether the op rolled back a speculative epoch that had committed at
 // least one transfer.
-func applyOp(t *testing.T, eng *Engine, op diffOp) (undid bool) {
+func applyOp(t *testing.T, d *diffEngine, op diffOp) (undid bool) {
 	t.Helper()
-	if op.grow != nil {
-		if err := eng.SetScenario(op.grow); err != nil {
+	if op.grow > len(d.sc.Items) {
+		if op.fresh {
+			next := *d.sc
+			d.sc = &next
+		}
+		d.sc.Items = d.full.Items[:op.grow]
+		if err := d.SetScenario(d.sc); err != nil {
 			t.Fatalf("SetScenario: %v", err)
 		}
 	}
-	if len(op.release) > 0 {
-		eng.Release(op.release...)
-	}
 	for _, l := range op.fail {
-		eng.FailLink(l, op.at)
+		d.FailLink(l, op.at)
 	}
-	if op.rollback != nil {
-		if item, ok := pickWithheld(eng, op.rollback.pick); ok {
-			cp := eng.Checkpoint()
-			eng.Release(item)
-			if _, err := eng.ReplanAt(op.at); err != nil {
-				t.Fatalf("speculative replan at %v: %v", op.at, err)
-			}
-			if op.rollback.keep {
-				return false // speculation already landed
-			}
-			undid = len(eng.Transfers()) > len(cp.history)
-			eng.Withhold(item)
-			eng.Rollback(cp)
+	if prev := len(d.sc.Items); op.rollback != nil && prev < len(d.full.Items) {
+		cp := d.Checkpoint()
+		d.sc.Items = d.full.Items[:min(prev+op.rollback.n, len(d.full.Items))]
+		if _, err := d.ReplanAt(op.at); err != nil {
+			t.Fatalf("speculative replan at %v: %v", op.at, err)
 		}
+		if op.rollback.keep {
+			return false // speculation already landed
+		}
+		undid = len(d.Transfers()) > len(cp.history)
+		d.sc.Items = d.sc.Items[:prev]
+		d.Rollback(cp)
 	}
-	if _, err := eng.ReplanAt(op.at); err != nil {
+	if _, err := d.ReplanAt(op.at); err != nil {
 		t.Fatalf("replan at %v: %v", op.at, err)
 	}
 	return undid
-}
-
-// pickWithheld returns the pick-th (modulo) still-withheld item in
-// ascending id order; false when nothing is withheld any more.
-func pickWithheld(eng *Engine, pick int) (model.ItemID, bool) {
-	if len(eng.withheld) == 0 {
-		return 0, false
-	}
-	items := make([]model.ItemID, 0, len(eng.withheld))
-	for it := range eng.withheld {
-		items = append(items, it)
-	}
-	sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })
-	return items[pick%len(items)], true
 }
 
 // weightedObjective is the paper's -E[S] over an engine's satisfied set.
@@ -245,27 +233,19 @@ func runDifferential(t *testing.T, scSeed, traceSeed int64) (sawIncremental, saw
 		p.RequestsPerMachine = gen.IntRange{Min: 4, Max: 8}
 		return p
 	}(), scSeed)
-	base, withheld, ops := genDiffTrace(r, full)
+	base, ops := genDiffTrace(r, full)
 
-	inc, err := NewEngine(base, cfgC4())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := NewEngine(base, cfgC4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	inc := newDiffEngine(t, base, full)
+	oracle := newDiffEngine(t, base, full)
 	oracle.SetFullReplay(true)
 
-	inc.Withhold(withheld...)
-	oracle.Withhold(withheld...)
 	if _, err := inc.ReplanAt(0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := oracle.ReplanAt(0); err != nil {
 		t.Fatal(err)
 	}
-	compareEngines(t, "epoch 0", inc, oracle)
+	compareEngines(t, "epoch 0", inc.Engine, oracle.Engine)
 	if inc.LastEpoch().Full != true {
 		t.Error("first epoch must take the full path")
 	}
@@ -275,7 +255,7 @@ func runDifferential(t *testing.T, scSeed, traceSeed int64) (sawIncremental, saw
 			sawUndo = true
 		}
 		applyOp(t, oracle, op)
-		compareEngines(t, op.at.String(), inc, oracle)
+		compareEngines(t, op.at.String(), inc.Engine, oracle.Engine)
 		if le := inc.LastEpoch(); le.At != op.at {
 			t.Fatalf("op %d: LastEpoch.At = %v, want %v", i, le.At, op.at)
 		} else if !le.Full {

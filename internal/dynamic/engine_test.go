@@ -55,9 +55,9 @@ func TestCheckEventRejections(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesSimulate drives an Engine by hand through the same event
-// sequence Simulate would derive and checks both land on the identical
-// outcome — the refactor's contract that Simulate is a thin driver.
+// TestEngineMatchesSimulate drives an Engine by hand through the same
+// scenario growth Simulate would derive and checks both land on the
+// identical outcome — the contract that Simulate is a thin driver.
 func TestEngineMatchesSimulate(t *testing.T) {
 	sc := testnet.Line(4, 1024, 8000, time.Hour)
 	release := simtime.At(10 * time.Minute)
@@ -68,15 +68,18 @@ func TestEngineMatchesSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng, err := NewEngine(sc, cfgC4())
+	// The item arrives at its release: the engine's scenario starts empty
+	// and grows in place to the item.
+	work := *sc
+	work.Items = sc.Items[:0]
+	eng, err := NewEngine(&work, cfgC4())
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Withhold(0)
 	if _, err := eng.ReplanAt(0); err != nil {
 		t.Fatal(err)
 	}
-	eng.Release(0)
+	work.Items = sc.Items[:1]
 	if _, err := eng.ReplanAt(release); err != nil {
 		t.Fatal(err)
 	}

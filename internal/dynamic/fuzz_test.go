@@ -4,9 +4,11 @@ import "testing"
 
 // FuzzEngineIncrementalEquivalence fuzzes the differential harness: the
 // scenario seed varies the world (network shape, item sizes, deadlines) and
-// the trace seed varies arrival order, scenario growth points, link-failure
-// times, and speculative epochs (which withheld item is released, and
-// whether the epoch is kept or rolled back).
+// the trace seed varies how many items are known at time zero, when the
+// rest arrive and in what groups (grown in place or handed over as a new
+// scenario value), link-failure times, and speculative epochs (how many
+// items they append, and whether the epoch is kept or truncated and rolled
+// back).
 // Every epoch the incremental engine must match the full-replay oracle
 // bit-for-bit on transfers, satisfied requests, aborts, and the weighted
 // objective, and the final schedule must be validator-clean.

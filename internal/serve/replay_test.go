@@ -43,11 +43,6 @@ func TestHTTPEquivalenceBursty(t *testing.T) {
 
 	for _, spec := range workload.Builtins() {
 		spec := spec
-		if testing.Short() && spec.Name == "soak" {
-			// The whole soak stream takes ~40 s under the race detector;
-			// the -short lane replays a tenth of it.
-			spec = spec.ScaleRate(0.1)
-		}
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			arrivals, err := spec.Compile(machines)

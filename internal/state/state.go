@@ -75,10 +75,6 @@ type State struct {
 	// simulator advances it to "now" so re-planning cannot rewrite the
 	// past. Zero (the epoch) for static scheduling.
 	floor simtime.Instant
-	// unreleased marks items the scheduler must not yet see (dynamic
-	// ad-hoc requests). nil for static scheduling, where every item is
-	// known at time zero.
-	unreleased map[model.ItemID]bool
 	// outages records virtual links forced down from an instant onward
 	// (dynamic link failures).
 	outages map[model.LinkID]simtime.Instant
@@ -440,21 +436,6 @@ func (st *State) SetFloor(t simtime.Instant) { st.floor = t }
 
 // Floor returns the earliest instant new transfers may start.
 func (st *State) Floor() simtime.Instant { return st.floor }
-
-// WithholdItem hides an item from the scheduler until ReleaseItem is
-// called: a dynamic request that has not arrived yet.
-func (st *State) WithholdItem(item model.ItemID) {
-	if st.unreleased == nil {
-		st.unreleased = make(map[model.ItemID]bool)
-	}
-	st.unreleased[item] = true
-}
-
-// ReleaseItem makes a withheld item schedulable.
-func (st *State) ReleaseItem(item model.ItemID) { delete(st.unreleased, item) }
-
-// IsReleased reports whether the scheduler may plan for the item.
-func (st *State) IsReleased(item model.ItemID) bool { return !st.unreleased[item] }
 
 // FailLink removes the virtual link's availability from instant t onward:
 // no new transfer can be booked into [t, ∞), and a replayed transfer still

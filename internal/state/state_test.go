@@ -250,21 +250,6 @@ func TestFloorBlocksPastTransfers(t *testing.T) {
 	}
 }
 
-func TestWithholdAndRelease(t *testing.T) {
-	st, item := chainScenario()
-	if !st.IsReleased(item) {
-		t.Error("items are released by default")
-	}
-	st.WithholdItem(item)
-	if st.IsReleased(item) {
-		t.Error("withheld item reported released")
-	}
-	st.ReleaseItem(item)
-	if !st.IsReleased(item) {
-		t.Error("released item reported withheld")
-	}
-}
-
 func TestFailLink(t *testing.T) {
 	st, item := chainScenario()
 	if _, ok := st.Outage(0); ok {

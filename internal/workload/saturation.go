@@ -9,7 +9,6 @@ import (
 	"datastaging/internal/bounds"
 	"datastaging/internal/core"
 	"datastaging/internal/dynamic"
-	"datastaging/internal/model"
 	"datastaging/internal/obs"
 	"datastaging/internal/scenario"
 	"datastaging/internal/simtime"
@@ -150,58 +149,45 @@ func saturatePoint(opts SaturationOptions, load float64, machines int, now func(
 		return SaturationPoint{}, err
 	}
 	tr := NewTrace(opts.Spec.Name, machines, nil, arrivals)
-	sc, events, err := tr.Materialize(opts.Base)
+	sc, _, err := tr.Materialize(opts.Base)
 	if err != nil {
 		return SaturationPoint{}, err
 	}
-	eng, err := dynamic.NewEngine(sc, opts.Config)
-	if err != nil {
-		return SaturationPoint{}, err
-	}
-
-	// Replay exactly as dynamic.Simulate does — withhold future items,
-	// release per distinct instant — but time each admission epoch and
-	// attribute its duration to every request decided in it.
+	// Replay the way dynamic.Simulate does — the engine's scenario grows to
+	// each arrival as its instant comes (Compile sorts arrivals by instant,
+	// so every epoch's scenario is a prefix of sc) — but time each
+	// admission epoch and attribute its duration to every request decided
+	// in it.
 	firstItem := len(opts.Base.Items)
-	for _, ev := range events {
-		eng.Withhold(ev.Item)
+	work := *sc
+	work.Items = sc.Items[:firstItem]
+	eng, err := dynamic.NewEngine(&work, opts.Config)
+	if err != nil {
+		return SaturationPoint{}, err
 	}
 	latencies := make([]time.Duration, 0, NumRequests(arrivals))
 	epochs := 0
-	epoch := func(at simtime.Instant, items []model.ItemID) error {
+	// Epoch 0 decides the base items plus any arrival at the epoch itself;
+	// each later epoch the arrivals at its instant.
+	for at, next := simtime.Instant(0), 0; ; at = arrivals[next].At {
+		first := next
+		for next < len(arrivals) && arrivals[next].At <= at {
+			next++
+		}
+		work.Items = sc.Items[:firstItem+next]
 		begin := now()
 		if _, err := eng.ReplanAt(at); err != nil {
-			return err
+			return SaturationPoint{}, err
 		}
 		d := now().Sub(begin)
 		epochs++
-		for _, id := range items {
-			for range sc.Items[id].Requests {
+		for _, a := range arrivals[first:next] {
+			for range a.Requests {
 				latencies = append(latencies, d)
 			}
 		}
-		return nil
-	}
-
-	// Epoch 0 decides the base items plus any arrival at the epoch itself.
-	var batch []model.ItemID
-	for i := range tr.Arrivals {
-		if tr.Arrivals[i].At == 0 {
-			batch = append(batch, model.ItemID(firstItem+i))
-		}
-	}
-	if err := epoch(0, batch); err != nil {
-		return SaturationPoint{}, err
-	}
-	for i := 0; i < len(events); {
-		at := events[i].At
-		batch = batch[:0]
-		for ; i < len(events) && events[i].At == at; i++ {
-			eng.Release(events[i].Item)
-			batch = append(batch, events[i].Item)
-		}
-		if err := epoch(at, batch); err != nil {
-			return SaturationPoint{}, err
+		if next == len(arrivals) {
+			break
 		}
 	}
 
