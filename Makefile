@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-json bench-regress bench-smoke e2e-bench serve-smoke soak-smoke saturation-smoke audit-smoke shard-smoke trace-check cover cover-check fuzz study examples clean
+.PHONY: all build vet test test-short race bench bench-json bench-regress bench-smoke e2e-bench serve-smoke soak-smoke saturation-smoke audit-smoke shard-smoke trace-check deadcode cover cover-check fuzz study examples clean
 
 all: build vet test
 
@@ -109,6 +109,12 @@ trace-check:
 	$(GO) run ./cmd/stagerun -seed 11 -chrome-trace-out .trace-check.json >/dev/null
 	$(GO) run ./scripts/tracecheck .trace-check.json
 	rm -f .trace-check.json
+
+# Fail when a function declared outside tests is linked into no production
+# binary (cmd/*, examples/*, scripts/*, benchmark) and is not listed with a
+# reason in scripts/deadcode/allow.txt, or when an entry there went stale.
+deadcode:
+	$(GO) run ./scripts/deadcode
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

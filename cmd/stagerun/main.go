@@ -11,7 +11,7 @@
 //	          random_dijkstra|single_dij_random]
 //	         [-transfers] [-timeline] [-utilization] [-explain N]
 //	         [-metrics-out FILE] [-trace-out FILE] [-trace-ring N]
-//	         [-chrome-trace-out FILE] [-introspect-addr ADDR] [-pprof-addr ADDR]
+//	         [-chrome-trace-out FILE] [-introspect-addr ADDR]
 package main
 
 import (
@@ -64,7 +64,6 @@ func run(args []string, out io.Writer) error {
 	ringSize := fs.Int("trace-ring", 0, "tracer recent-event ring capacity (0 = default)")
 	chromeOut := fs.String("chrome-trace-out", "", "write the run as a Chrome trace-event JSON file (open in Perfetto)")
 	introspectAddr := fs.String("introspect-addr", "", "serve /metrics, /events, /runinfo, /debug/pprof on this address")
-	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -94,8 +93,6 @@ func run(args []string, out io.Writer) error {
 		o = obs.New()
 	}
 
-	// Both debug addresses serve the same introspection mux, so either one
-	// exposes /metrics, /events, /runinfo, and /debug/pprof.
 	intro := introspect.NewServer(o)
 	if *introspectAddr != "" {
 		ln, err := intro.Start(*introspectAddr)
@@ -104,14 +101,6 @@ func run(args []string, out io.Writer) error {
 		}
 		defer ln.Close()
 		fmt.Fprintf(out, "introspect: http://%s/\n", ln.Addr())
-	}
-	if *pprofAddr != "" {
-		ln, err := intro.Start(*pprofAddr)
-		if err != nil {
-			return fmt.Errorf("-pprof-addr: %w", err)
-		}
-		defer ln.Close()
-		fmt.Fprintf(out, "pprof: http://%s/debug/pprof/\n", ln.Addr())
 	}
 
 	sc, err := loadScenario(*inPath, *seed)

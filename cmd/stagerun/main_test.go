@@ -18,6 +18,7 @@ import (
 	"datastaging/internal/eval"
 	"datastaging/internal/gen"
 	"datastaging/internal/model"
+	"datastaging/internal/testnet"
 )
 
 func TestBuildConfig(t *testing.T) {
@@ -161,7 +162,7 @@ func TestRunFromFile(t *testing.T) {
 	p := gen.Default()
 	p.Machines = gen.IntRange{Min: 5, Max: 5}
 	p.RequestsPerMachine = gen.IntRange{Min: 4, Max: 4}
-	sc := gen.MustGenerate(p, 9)
+	sc := testnet.Generate(p, 9)
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +231,7 @@ func TestRunMetricsSnapshotMatchesResult(t *testing.T) {
 
 	// Re-run the same configuration (defaults: full_one/C4 at log10=2,
 	// weights 1,10,100) and recompute the objective independently.
-	sc := gen.MustGenerate(gen.Default(), 11)
+	sc := testnet.Generate(gen.Default(), 11)
 	w := model.Weights1x10x100
 	cfg := core.Config{Heuristic: core.FullPathOneDest, Criterion: core.C4,
 		EU: core.EUFromLog10(2), Weights: w}
@@ -282,17 +283,17 @@ func TestRunMetricsSnapshotMatchesResult(t *testing.T) {
 
 func TestRunPprofEndpointServes(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-seed", "3", "-pprof-addr", "127.0.0.1:0"}, &buf); err != nil {
+	if err := run([]string{"-seed", "3", "-introspect-addr", "127.0.0.1:0"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "pprof: http://127.0.0.1:") {
-		t.Fatalf("pprof address not announced:\n%s", out)
+	if !strings.Contains(out, "introspect: http://127.0.0.1:") {
+		t.Fatalf("introspection address not announced:\n%s", out)
 	}
 	// The listener is closed when run returns; this test pins flag parsing
 	// and binding, TestMain-level serving is covered by the line above.
-	if err := run([]string{"-seed", "3", "-pprof-addr", "not-an-address"}, &buf); err == nil {
-		t.Error("bogus pprof address accepted")
+	if err := run([]string{"-seed", "3", "-introspect-addr", "not-an-address"}, &buf); err == nil {
+		t.Error("bogus introspection address accepted")
 	}
 }
 

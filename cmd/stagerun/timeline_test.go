@@ -90,7 +90,7 @@ func TestTimelineOnGeneratedScenario(t *testing.T) {
 	p := gen.Default()
 	p.Machines = gen.IntRange{Min: 6, Max: 6}
 	p.RequestsPerMachine = gen.IntRange{Min: 8, Max: 8}
-	sc := gen.MustGenerate(p, 3)
+	sc := testnet.Generate(p, 3)
 	cfg := core.Config{Heuristic: core.FullPathOneDest, Criterion: core.C4,
 		EU: core.EUFromLog10(2), Weights: model.Weights1x10x100}
 	res, err := core.Schedule(sc, cfg)

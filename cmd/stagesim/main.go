@@ -11,7 +11,7 @@
 //	         [-csv DIR] [-height 16] [-quiet]
 //	         [-parallel N]
 //	         [-metrics-out FILE] [-trace-out FILE] [-trace-ring N]
-//	         [-chrome-trace-out FILE] [-introspect-addr ADDR] [-pprof-addr ADDR]
+//	         [-chrome-trace-out FILE] [-introspect-addr ADDR]
 package main
 
 import (
@@ -75,7 +75,6 @@ type options struct {
 	traceRing      int
 	chromeOut      string
 	introspectAddr string
-	pprofAddr      string
 	// obs aggregates metrics (and optionally events) over every run of the
 	// invocation; nil when no observability flag was given.
 	obs *obs.Obs
@@ -119,7 +118,6 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&o.traceRing, "trace-ring", 0, "tracer recent-event ring capacity (0 = default)")
 	fs.StringVar(&o.chromeOut, "chrome-trace-out", "", "write one representative run (base-seed case, full_one/C4) as a Chrome trace-event JSON file (open in Perfetto)")
 	fs.StringVar(&o.introspectAddr, "introspect-addr", "", "serve /metrics, /events, /runinfo, /debug/pprof on this address while the study runs")
-	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -137,8 +135,6 @@ func run(args []string, out io.Writer) error {
 		o.obs = obs.New()
 	}
 
-	// Both debug addresses serve the same introspection mux, so either one
-	// exposes /metrics, /events, /runinfo, and /debug/pprof.
 	o.intro = introspect.NewServer(o.obs)
 	if o.introspectAddr != "" {
 		ln, err := o.intro.Start(o.introspectAddr)
@@ -147,14 +143,6 @@ func run(args []string, out io.Writer) error {
 		}
 		defer ln.Close()
 		fmt.Fprintf(out, "introspect: http://%s/\n", ln.Addr())
-	}
-	if o.pprofAddr != "" {
-		ln, err := o.intro.Start(o.pprofAddr)
-		if err != nil {
-			return fmt.Errorf("-pprof-addr: %w", err)
-		}
-		defer ln.Close()
-		fmt.Fprintf(out, "pprof: http://%s/debug/pprof/\n", ln.Addr())
 	}
 
 	schemes, err := weightSchemes(o.weights)

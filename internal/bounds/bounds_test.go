@@ -56,7 +56,7 @@ func TestBoundOrdering(t *testing.T) {
 	p.RequestsPerMachine = gen.IntRange{Min: 10, Max: 10}
 	w := model.Weights1x10x100
 	for seed := int64(1); seed <= 3; seed++ {
-		sc := gen.MustGenerate(p, seed)
+		sc := testnet.Generate(p, seed)
 		upper := Upper(sc, w)
 		possible, _ := PossibleSatisfy(sc, w)
 		if possible > upper {

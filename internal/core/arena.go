@@ -70,7 +70,3 @@ func (a *arena[T]) Reset() {
 	a.cur = 0
 	a.off = 0
 }
-
-// Slabs returns how many backing slabs the arena holds (an observability
-// aid: steady state means this stops growing).
-func (a *arena[T]) Slabs() int { return len(a.slabs) }

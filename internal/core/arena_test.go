@@ -33,8 +33,8 @@ func TestArenaAllocLargerThanSlab(t *testing.T) {
 	if len(big) != 3*minSlab {
 		t.Fatalf("len = %d", len(big))
 	}
-	if a.Slabs() != 1 {
-		t.Fatalf("slabs = %d, want 1", a.Slabs())
+	if len(a.slabs) != 1 {
+		t.Fatalf("slabs = %d, want 1", len(a.slabs))
 	}
 }
 
@@ -44,7 +44,7 @@ func TestArenaResetRecyclesSlabs(t *testing.T) {
 	for i := 0; i < minSlab/n; i++ {
 		a.Alloc(n)
 	}
-	slabs := a.Slabs()
+	slabs := len(a.slabs)
 	allocs := testing.AllocsPerRun(rounds, func() {
 		a.Reset()
 		for i := 0; i < minSlab/n; i++ {
@@ -54,8 +54,8 @@ func TestArenaResetRecyclesSlabs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state Alloc allocated %.1f times per epoch, want 0", allocs)
 	}
-	if a.Slabs() != slabs {
-		t.Errorf("slabs grew from %d to %d across Resets", slabs, a.Slabs())
+	if len(a.slabs) != slabs {
+		t.Errorf("slabs grew from %d to %d across Resets", slabs, len(a.slabs))
 	}
 }
 
@@ -79,7 +79,7 @@ func TestArenaSlabGrowthDoubles(t *testing.T) {
 		total += minSlab
 	}
 	// Doubling slabs: 20 slab-sized carvings must fit in far fewer slabs.
-	if a.Slabs() > 6 {
-		t.Errorf("%d bytes used %d slabs, doubling broken", total, a.Slabs())
+	if len(a.slabs) > 6 {
+		t.Errorf("%d bytes used %d slabs, doubling broken", total, len(a.slabs))
 	}
 }

@@ -85,7 +85,7 @@ func TestHeuristicBeatsLowerBoundsOnGenerated(t *testing.T) {
 	w := model.Weights1x10x100
 	var heurTotal, randTotal, singleTotal float64
 	for seed := int64(1); seed <= 4; seed++ {
-		sc := gen.MustGenerate(*p, seed)
+		sc := testnet.Generate(*p, seed)
 		cfg := Config{Heuristic: FullPathOneDest, Criterion: C4, EU: EUFromLog10(2), Weights: w}
 		heur, err := Schedule(sc, cfg)
 		if err != nil {

@@ -9,12 +9,13 @@ import (
 	"datastaging/internal/obs"
 	"datastaging/internal/report/utilization"
 	"datastaging/internal/state"
+	"datastaging/internal/testnet"
 )
 
 // BenchmarkScheduleWithPlanCache measures the production scheduler: cached
 // shortest-path forests invalidated only on resource conflicts.
 func BenchmarkScheduleWithPlanCache(b *testing.B) {
-	sc := gen.MustGenerate(gen.Default(), 42)
+	sc := testnet.Generate(gen.Default(), 42)
 	cfg := Config{Heuristic: FullPathOneDest, Criterion: C4, EU: EUFromLog10(2), Weights: model.Weights1x10x100}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -28,7 +29,7 @@ func BenchmarkScheduleWithPlanCache(b *testing.B) {
 // configuration with allocation reporting: the headline trajectory number
 // the interval-kernel work regresses against.
 func BenchmarkSchedule(b *testing.B) {
-	sc := gen.MustGenerate(gen.Default(), 42)
+	sc := testnet.Generate(gen.Default(), 42)
 	cfg := Config{Heuristic: FullPathOneDest, Criterion: C4, EU: EUFromLog10(2), Weights: model.Weights1x10x100}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -44,7 +45,7 @@ func BenchmarkSchedule(b *testing.B) {
 // link, send-port, and receive-port availability. This is the workload the
 // fused intersect-fit kernel targets.
 func BenchmarkScheduleSerial(b *testing.B) {
-	sc := gen.MustGenerate(gen.Default(), 42)
+	sc := testnet.Generate(gen.Default(), 42)
 	sc.SerialTransfers = true
 	cfg := Config{Heuristic: FullPathOneDest, Criterion: C4, EU: EUFromLog10(2), Weights: model.Weights1x10x100}
 	b.ReportAllocs()
@@ -61,7 +62,7 @@ func BenchmarkScheduleSerial(b *testing.B) {
 // Results are identical (see TestPlanCacheMatchesParanoidRerun); this
 // benchmark quantifies what the exact plan cache buys.
 func BenchmarkScheduleParanoidRerun(b *testing.B) {
-	sc := gen.MustGenerate(gen.Default(), 42)
+	sc := testnet.Generate(gen.Default(), 42)
 	cfg := Config{Heuristic: FullPathOneDest, Criterion: C4, EU: EUFromLog10(2), Weights: model.Weights1x10x100}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -78,7 +79,7 @@ func BenchmarkScheduleParanoidRerun(b *testing.B) {
 // disabled run must stay within noise of its pre-obs baseline (the
 // acceptance bound BENCH_core.json tracks).
 func BenchmarkScheduleObserved(b *testing.B) {
-	sc := gen.MustGenerate(gen.Default(), 42)
+	sc := testnet.Generate(gen.Default(), 42)
 	o := obs.NewTraced(obs.Discard)
 	cfg := Config{Heuristic: FullPathOneDest, Criterion: C4, EU: EUFromLog10(2),
 		Weights: model.Weights1x10x100, Obs: o}
@@ -96,7 +97,7 @@ func BenchmarkScheduleObserved(b *testing.B) {
 // marginal price of the forensics report. Compare against
 // BenchmarkScheduleWithPlanCache (the same run without the profile).
 func BenchmarkScheduleWithUtilization(b *testing.B) {
-	sc := gen.MustGenerate(gen.Default(), 42)
+	sc := testnet.Generate(gen.Default(), 42)
 	cfg := Config{Heuristic: FullPathOneDest, Criterion: C4, EU: EUFromLog10(2), Weights: model.Weights1x10x100}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -114,7 +115,7 @@ func BenchmarkScheduleWithUtilization(b *testing.B) {
 // BenchmarkDijkstraCompute measures one shortest-path forest computation on
 // a paper-scale network, without scratch reuse (the cold path).
 func BenchmarkDijkstraCompute(b *testing.B) {
-	sc := gen.MustGenerate(gen.Default(), 42)
+	sc := testnet.Generate(gen.Default(), 42)
 	st := state.New(sc)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -126,7 +127,7 @@ func BenchmarkDijkstraCompute(b *testing.B) {
 // planner actually runs: a held Scratch and a recycled Plan, which together
 // eliminate every per-computation allocation.
 func BenchmarkDijkstraComputeScratch(b *testing.B) {
-	sc := gen.MustGenerate(gen.Default(), 42)
+	sc := testnet.Generate(gen.Default(), 42)
 	st := state.New(sc)
 	s := dijkstra.NewScratch()
 	var pl *dijkstra.Plan
@@ -139,7 +140,7 @@ func BenchmarkDijkstraComputeScratch(b *testing.B) {
 // BenchmarkCandidates measures one candidate-generation pass over a fresh
 // planner (all forests computed, first-hop extraction, Drq grouping).
 func BenchmarkCandidates(b *testing.B) {
-	sc := gen.MustGenerate(gen.Default(), 42)
+	sc := testnet.Generate(gen.Default(), 42)
 	cfg := Config{Heuristic: PartialPath, Criterion: C4, EU: EUFromLog10(2), Weights: model.Weights1x10x100}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -155,7 +156,7 @@ func BenchmarkCandidates(b *testing.B) {
 // BenchmarkHeuristics measures a full schedule per heuristic at C4 — the
 // execution-time comparison the technical report tabulates.
 func BenchmarkHeuristics(b *testing.B) {
-	sc := gen.MustGenerate(gen.Default(), 42)
+	sc := testnet.Generate(gen.Default(), 42)
 	for _, h := range []Heuristic{PartialPath, FullPathOneDest, FullPathAllDests} {
 		b.Run(h.String(), func(b *testing.B) {
 			cfg := Config{Heuristic: h, Criterion: C4, EU: EUFromLog10(2), Weights: model.Weights1x10x100}
@@ -170,7 +171,7 @@ func BenchmarkHeuristics(b *testing.B) {
 
 // BenchmarkCriteria measures cost-criterion overhead at a fixed heuristic.
 func BenchmarkCriteria(b *testing.B) {
-	sc := gen.MustGenerate(gen.Default(), 42)
+	sc := testnet.Generate(gen.Default(), 42)
 	for _, c := range []Criterion{C1, C2, C3, C4} {
 		b.Run(c.String(), func(b *testing.B) {
 			cfg := Config{Heuristic: PartialPath, Criterion: c, EU: EUFromLog10(2), Weights: model.Weights1x10x100}

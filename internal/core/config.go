@@ -108,9 +108,6 @@ func EUFromLog10(l float64) EUWeights {
 	return EUWeights{WE: math.Pow(10, l), WU: 1}
 }
 
-// IsExtreme reports whether the weights are one of the two sweep extremes.
-func (eu EUWeights) IsExtreme() bool { return eu.WU == 0 || eu.WE == 0 }
-
 // Label renders the weights as the paper's sweep axis value: the log10 of
 // the E-U ratio, rounded to shed floating-point noise from Pow/Log10 round
 // trips.

@@ -33,12 +33,6 @@ func TestEUWeights(t *testing.T) {
 	if eu.WE != 100 || eu.WU != 1 {
 		t.Errorf("EUFromLog10(2): got %+v", eu)
 	}
-	if eu.IsExtreme() {
-		t.Error("interior point reported extreme")
-	}
-	if !EUPriorityOnly.IsExtreme() || !EUUrgencyOnly.IsExtreme() {
-		t.Error("extremes not reported extreme")
-	}
 	for _, tc := range []struct {
 		eu   EUWeights
 		want string

@@ -44,9 +44,6 @@ func NewPlannerOn(st *state.State, cfg Config) (*Planner, error) {
 	return &Planner{p: plannerOn(st, cfg)}, nil
 }
 
-// State returns the live state the planner schedules against.
-func (pp *Planner) State() *state.State { return pp.p.st }
-
 // ItemRetired reports whether the planner has permanently retired the item:
 // every open request is either satisfied or proven unsatisfiable at all
 // future floors (resources only shrink, so dead items never revive). A

@@ -7,6 +7,7 @@ import (
 	"datastaging/internal/gen"
 	"datastaging/internal/model"
 	"datastaging/internal/obs"
+	"datastaging/internal/testnet"
 )
 
 func smallParams() gen.Params {
@@ -51,7 +52,7 @@ func TestQuickTraceStatsEquivalence(t *testing.T) {
 	sweep := []EUWeights{EUUrgencyOnly, EUFromLog10(0), EUFromLog10(2), EUPriorityOnly}
 
 	property := func(seed int64, pairIdx, euIdx uint8, paranoid bool) bool {
-		sc := gen.MustGenerate(params, seed%4096)
+		sc := testnet.Generate(params, seed%4096)
 		pair := pairs[int(pairIdx)%len(pairs)]
 		mem := &obs.MemorySink{}
 		cfg := Config{
@@ -87,7 +88,13 @@ func TestQuickTraceStatsEquivalence(t *testing.T) {
 			return false
 		}
 		// Satisfaction events must match the result's satisfied set.
-		if n := mem.Count(obs.EvRequestSatisfied); n != len(res.Satisfied) {
+		n := 0
+		for _, e := range mem.Events() {
+			if e.Kind == obs.EvRequestSatisfied {
+				n++
+			}
+		}
+		if n != len(res.Satisfied) {
 			t.Errorf("seed %d %v: %d request_satisfied events, %d satisfied requests",
 				seed, pair, n, len(res.Satisfied))
 			return false
@@ -106,7 +113,7 @@ func TestQuickTraceStatsEquivalence(t *testing.T) {
 // TestObsDisabledIsInert pins the zero-config contract: a nil Obs changes
 // nothing about the schedule or the stats.
 func TestObsDisabledIsInert(t *testing.T) {
-	sc := gen.MustGenerate(smallParams(), 3)
+	sc := testnet.Generate(smallParams(), 3)
 	cfg := Config{Heuristic: FullPathOneDest, Criterion: C4, EU: EUFromLog10(2), Weights: model.Weights1x10x100}
 	plain, err := Schedule(sc, cfg)
 	if err != nil {
@@ -141,7 +148,7 @@ func TestObsDisabledIsInert(t *testing.T) {
 // of them must take the fused intersect-fit fast path (no intersection
 // sets are ever materialized).
 func TestObsSlotQueryCounters(t *testing.T) {
-	sc := gen.MustGenerate(smallParams(), 9)
+	sc := testnet.Generate(smallParams(), 9)
 	cfg := Config{Heuristic: FullPathOneDest, Criterion: C4, EU: EUFromLog10(2), Weights: model.Weights1x10x100}
 
 	o := obs.New()
@@ -180,7 +187,7 @@ func TestObsSlotQueryCounters(t *testing.T) {
 // TestObsSatisfactionSlack checks the slack histogram sees exactly the
 // satisfied requests, with plausible values.
 func TestObsSatisfactionSlack(t *testing.T) {
-	sc := gen.MustGenerate(smallParams(), 11)
+	sc := testnet.Generate(smallParams(), 11)
 	o := obs.New()
 	cfg := Config{Heuristic: FullPathAllDests, Criterion: C4, EU: EUFromLog10(2),
 		Weights: model.Weights1x10x100, Obs: o}

@@ -43,7 +43,7 @@ func TestPlanCacheMatchesParanoidRerun(t *testing.T) {
 	p.Machines = gen.IntRange{Min: 5, Max: 7}
 	p.RequestsPerMachine = gen.IntRange{Min: 5, Max: 10}
 	for seed := int64(1); seed <= 3; seed++ {
-		sc := gen.MustGenerate(p, seed)
+		sc := testnet.Generate(p, seed)
 		for _, pair := range Pairs() {
 			assertCacheMatchesParanoid(t, seed, sc, Config{
 				Heuristic: pair.Heuristic,
@@ -61,7 +61,7 @@ func TestPlanCacheMatchesParanoidRerun(t *testing.T) {
 		{1140, PartialPath, 2},
 		{5018, FullPathOneDest, 0},
 	} {
-		assertCacheMatchesParanoid(t, tc.seed, gen.MustGenerate(gen.Default(), tc.seed), Config{
+		assertCacheMatchesParanoid(t, tc.seed, testnet.Generate(gen.Default(), tc.seed), Config{
 			Heuristic: tc.h,
 			Criterion: C4,
 			EU:        EUFromLog10(tc.eu),
@@ -167,7 +167,7 @@ func TestPlannerMarksDeadItems(t *testing.T) {
 	p := gen.Default()
 	p.Machines = gen.IntRange{Min: 5, Max: 5}
 	p.RequestsPerMachine = gen.IntRange{Min: 8, Max: 8}
-	sc := gen.MustGenerate(p, 17)
+	sc := testnet.Generate(p, 17)
 	cfg := Config{Heuristic: PartialPath, Criterion: C4, EU: EUFromLog10(0), Weights: model.Weights1x10x100}
 	pl := newPlanner(sc, cfg)
 	// Drain the scheduler fully.

@@ -6,6 +6,7 @@ import (
 
 	"datastaging/internal/gen"
 	"datastaging/internal/model"
+	"datastaging/internal/testnet"
 )
 
 func assertSameSchedule(t *testing.T, what string, seed int64, pair Pair, got, want *Result) {
@@ -35,7 +36,7 @@ func assertSameSchedule(t *testing.T, what string, seed int64, pair Pair, got, w
 // TestScheduleIndependentOfGOMAXPROCS pins the single-goroutine planner: the
 // core count must change neither the schedule nor the work done to reach it.
 func TestScheduleIndependentOfGOMAXPROCS(t *testing.T) {
-	sc := gen.MustGenerate(gen.Default(), 7)
+	sc := testnet.Generate(gen.Default(), 7)
 	cfg := Config{Heuristic: FullPathOneDest, Criterion: C4, EU: EUFromLog10(2),
 		Weights: model.Weights1x10x100}
 	run := func(procs int) *Result {

@@ -180,7 +180,7 @@ func TestScheduleOversubscribedGenerated(t *testing.T) {
 	p := gen.Default()
 	p.Machines = gen.IntRange{Min: 6, Max: 6}
 	p.RequestsPerMachine = gen.IntRange{Min: 8, Max: 8}
-	sc := gen.MustGenerate(p, 11)
+	sc := testnet.Generate(p, 11)
 	upper := sc.TotalWeight(model.Weights1x10x100)
 
 	for _, cfg := range allHeuristicConfigs(model.Weights1x10x100) {
@@ -242,7 +242,7 @@ func TestC5CompetitiveWithC3AndC4(t *testing.T) {
 	w := model.Weights1x10x100
 	var c3Sum, c4Sum, c5Sum float64
 	for seed := int64(1); seed <= 4; seed++ {
-		sc := gen.MustGenerate(p, seed)
+		sc := testnet.Generate(p, seed)
 		run := func(c Criterion, eu EUWeights) float64 {
 			res, err := Schedule(sc, Config{Heuristic: FullPathOneDest, Criterion: c, EU: eu, Weights: w})
 			if err != nil {
@@ -263,7 +263,7 @@ func TestC5CompetitiveWithC3AndC4(t *testing.T) {
 }
 
 func TestScheduleDeterministic(t *testing.T) {
-	sc := gen.MustGenerate(func() gen.Params {
+	sc := testnet.Generate(func() gen.Params {
 		p := gen.Default()
 		p.Machines = gen.IntRange{Min: 5, Max: 5}
 		p.RequestsPerMachine = gen.IntRange{Min: 6, Max: 6}

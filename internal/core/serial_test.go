@@ -5,6 +5,7 @@ import (
 
 	"datastaging/internal/gen"
 	"datastaging/internal/model"
+	"datastaging/internal/testnet"
 )
 
 // TestSerialTransfersEndToEnd runs every pair with the §3 future-work port
@@ -17,8 +18,8 @@ func TestSerialTransfersEndToEnd(t *testing.T) {
 	p.RequestsPerMachine = gen.IntRange{Min: 8, Max: 8}
 	w := model.Weights1x10x100
 	for seed := int64(1); seed <= 2; seed++ {
-		parallel := gen.MustGenerate(p, seed)
-		serial := gen.MustGenerate(p, seed)
+		parallel := testnet.Generate(p, seed)
+		serial := testnet.Generate(p, seed)
 		serial.SerialTransfers = true
 		for _, pair := range Pairs() {
 			cfg := Config{Heuristic: pair.Heuristic, Criterion: pair.Criterion,
@@ -60,7 +61,7 @@ func TestSerialScheduleHasExclusivePorts(t *testing.T) {
 	p := gen.Default()
 	p.Machines = gen.IntRange{Min: 6, Max: 6}
 	p.RequestsPerMachine = gen.IntRange{Min: 10, Max: 10}
-	sc := gen.MustGenerate(p, 5)
+	sc := testnet.Generate(p, 5)
 	sc.SerialTransfers = true
 	cfg := Config{Heuristic: FullPathOneDest, Criterion: C4, EU: EUFromLog10(2), Weights: model.Weights1x10x100}
 	res, err := Schedule(sc, cfg)

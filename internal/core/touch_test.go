@@ -185,10 +185,10 @@ func TestTouchIndexMatchesSweep(t *testing.T) {
 	}
 	var cases []tc
 	for seed := int64(1); seed <= 3; seed++ {
-		cases = append(cases, tc{fmt.Sprint("small-", seed), gen.MustGenerate(small, seed)})
+		cases = append(cases, tc{fmt.Sprint("small-", seed), testnet.Generate(small, seed)})
 	}
 	for _, seed := range []int64{1140, 5018, 6000} {
-		cases = append(cases, tc{fmt.Sprint("paper-", seed), gen.MustGenerate(gen.Default(), seed)})
+		cases = append(cases, tc{fmt.Sprint("paper-", seed), testnet.Generate(gen.Default(), seed)})
 	}
 	var commits, dropped int
 	for _, c := range cases {
@@ -275,7 +275,7 @@ func checkCapFailedRelay(t *testing.T, serial bool) {
 // checking every commit, and requires the same result as Planner.Epoch on
 // the same sequence.
 func checkEpochs(t *testing.T, h Heuristic, serial bool) (commits, dropped int) {
-	full := gen.MustGenerate(gen.Default(), 7)
+	full := testnet.Generate(gen.Default(), 7)
 	full.SerialTransfers = serial
 	cfg := Config{Heuristic: h, Criterion: C4, EU: EUFromLog10(2), Weights: model.Weights1x10x100}
 	name := "epochs/" + h.String()
@@ -298,7 +298,7 @@ func checkEpochs(t *testing.T, h Heuristic, serial bool) (commits, dropped int) 
 	for e, k := range waves {
 		at := simtime.At(time.Duration(e) * 15 * time.Minute)
 		p.st.AdoptScenario(prefix(k))
-		pp.State().AdoptScenario(prefix(k))
+		pp.p.st.AdoptScenario(prefix(k))
 		// Planner.Epoch's preamble, then its loop one commit at a time.
 		p.st.GrowItems()
 		p.grow()

@@ -7,13 +7,14 @@ import (
 	"datastaging/internal/gen"
 	"datastaging/internal/model"
 	"datastaging/internal/state"
+	"datastaging/internal/testnet"
 )
 
 // benchSetup returns a paper-scale state and a (plan, destination) pair
 // with a multi-hop path, so FirstHopTo has a chain to walk.
 func benchSetup(tb testing.TB) (*state.State, *dijkstra.Plan, []model.MachineID) {
 	tb.Helper()
-	sc := gen.MustGenerate(gen.Default(), 42)
+	sc := testnet.Generate(gen.Default(), 42)
 	st := state.New(sc)
 	for item := range sc.Items {
 		p := dijkstra.Compute(st, model.ItemID(item))
@@ -37,7 +38,7 @@ func benchSetup(tb testing.TB) (*state.State, *dijkstra.Plan, []model.MachineID)
 // intersect-fit slot query (link ∧ send port ∧ receive port), the direct
 // consumer of simtime.EarliestFitN.
 func BenchmarkDijkstraComputeSerial(b *testing.B) {
-	sc := gen.MustGenerate(gen.Default(), 42)
+	sc := testnet.Generate(gen.Default(), 42)
 	sc.SerialTransfers = true
 	st := state.New(sc)
 	s := dijkstra.NewScratch()

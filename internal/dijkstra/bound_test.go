@@ -10,6 +10,7 @@ import (
 	"datastaging/internal/model"
 	"datastaging/internal/simtime"
 	"datastaging/internal/state"
+	"datastaging/internal/testnet"
 )
 
 // commitRandomPaths books n whole planned paths of randomly chosen items
@@ -53,7 +54,7 @@ func TestQuickBoundIsLowerBound(t *testing.T) {
 	var s Scratch
 
 	property := func(seed int64) bool {
-		sc := gen.MustGenerate(params, seed%100000)
+		sc := testnet.Generate(params, seed%100000)
 		rng := rand.New(rand.NewSource(seed))
 		st := state.New(sc)
 		n := len(sc.Items)

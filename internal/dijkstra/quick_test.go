@@ -8,6 +8,7 @@ import (
 	"datastaging/internal/model"
 	"datastaging/internal/simtime"
 	"datastaging/internal/state"
+	"datastaging/internal/testnet"
 )
 
 func quickParams() gen.Params {
@@ -22,7 +23,7 @@ func quickParams() gen.Params {
 // violating any constraint, and the committed arrival must equal the label.
 func TestQuickPlansAreFeasible(t *testing.T) {
 	property := func(seed int64) bool {
-		sc := gen.MustGenerate(quickParams(), seed%100000)
+		sc := testnet.Generate(quickParams(), seed%100000)
 		// One item at a time against a pristine state, like
 		// possible_satisfy: reach every machine the plan claims.
 		for i := range sc.Items {
@@ -68,7 +69,7 @@ func TestQuickPlansAreFeasible(t *testing.T) {
 // starts are at or after the sender's label and arrivals strictly increase.
 func TestQuickLabelsMonotoneAlongPaths(t *testing.T) {
 	property := func(seed int64) bool {
-		sc := gen.MustGenerate(quickParams(), seed%100000)
+		sc := testnet.Generate(quickParams(), seed%100000)
 		st := state.New(sc)
 		for i := range sc.Items {
 			item := model.ItemID(i)
@@ -110,7 +111,7 @@ func TestQuickLabelsMonotoneAlongPaths(t *testing.T) {
 // cross-check of the relaxation.
 func TestQuickLabelsLowerBoundSingleLink(t *testing.T) {
 	property := func(seed int64) bool {
-		sc := gen.MustGenerate(quickParams(), seed%100000)
+		sc := testnet.Generate(quickParams(), seed%100000)
 		st := state.New(sc)
 		for i := range sc.Items {
 			item := model.ItemID(i)

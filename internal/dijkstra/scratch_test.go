@@ -7,6 +7,7 @@ import (
 	"datastaging/internal/gen"
 	"datastaging/internal/model"
 	"datastaging/internal/state"
+	"datastaging/internal/testnet"
 )
 
 // TestScratchComputeMatchesFresh proves the allocation-lean path is exact:
@@ -14,7 +15,7 @@ import (
 // yields forests identical to independent fresh computations, in any order.
 func TestScratchComputeMatchesFresh(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		sc := gen.MustGenerate(gen.Default(), seed)
+		sc := testnet.Generate(gen.Default(), seed)
 		st := state.New(sc)
 		s := dijkstra.NewScratch()
 		var recycled *dijkstra.Plan
@@ -62,7 +63,7 @@ func assertPlansEqual(t *testing.T, seed int64, item model.ItemID, got, want *di
 // fresh scratch grows, subsequent same-size computes are reuse hits, and
 // the heap high-water mark is positive whenever any label was pushed.
 func TestScratchStats(t *testing.T) {
-	sc := gen.MustGenerate(gen.Default(), 7)
+	sc := testnet.Generate(gen.Default(), 7)
 	st := state.New(sc)
 	s := dijkstra.NewScratch()
 	var pl *dijkstra.Plan
@@ -98,7 +99,7 @@ func TestScratchStats(t *testing.T) {
 // TestFirstHopToMatchesPathTo pins the pred-chain walk against the full
 // path materialization across a paper-scale scenario.
 func TestFirstHopToMatchesPathTo(t *testing.T) {
-	sc := gen.MustGenerate(gen.Default(), 11)
+	sc := testnet.Generate(gen.Default(), 11)
 	st := state.New(sc)
 	for item := range sc.Items {
 		p := dijkstra.Compute(st, model.ItemID(item))

@@ -11,6 +11,7 @@ import (
 	"datastaging/internal/model"
 	"datastaging/internal/simtime"
 	"datastaging/internal/state"
+	"datastaging/internal/testnet"
 )
 
 // tightParams is quickParams with storage tight enough that capacity checks
@@ -100,7 +101,7 @@ func TestQuickTrimmedForestMatchesFull(t *testing.T) {
 	var forests, capBlocked, cleared, mustFails int
 
 	property := func(seed int64) bool {
-		sc := gen.MustGenerate(params, seed%100000)
+		sc := testnet.Generate(params, seed%100000)
 		rng := rand.New(rand.NewSource(seed))
 		st := state.New(sc)
 		commitRandomPaths(t, st, rng, len(sc.Items)/2, map[model.ItemID]bool{})
@@ -211,7 +212,7 @@ func TestQuickTrimmedForestMatchesFull(t *testing.T) {
 // TestComputeTrimmedZeroAllocs: once a recycled plan has seen the largest
 // forest, CapFailed included, recomputing every item allocates nothing.
 func TestComputeTrimmedZeroAllocs(t *testing.T) {
-	sc := gen.MustGenerate(tightParams(), 5)
+	sc := testnet.Generate(tightParams(), 5)
 	st := state.New(sc)
 	commitRandomPaths(t, st, rand.New(rand.NewSource(5)), len(sc.Items)/2, map[model.ItemID]bool{})
 	var s Scratch

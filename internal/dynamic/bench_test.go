@@ -6,6 +6,7 @@ import (
 
 	"datastaging/internal/gen"
 	"datastaging/internal/simtime"
+	"datastaging/internal/testnet"
 )
 
 // BenchmarkEngineIncremental measures one steady-state admission epoch over
@@ -15,7 +16,7 @@ import (
 // fullreplay sub-benchmark pins the old rebuild-from-history cost as the
 // frozen baseline the incremental engine is judged against.
 func BenchmarkEngineIncremental(b *testing.B) {
-	sc := gen.MustGenerate(func() gen.Params {
+	sc := testnet.Generate(func() gen.Params {
 		p := gen.Default()
 		p.Machines = gen.IntRange{Min: 8, Max: 8}
 		p.RequestsPerMachine = gen.IntRange{Min: 8, Max: 8}

@@ -9,6 +9,7 @@ import (
 	"datastaging/internal/obs"
 	"datastaging/internal/scenario"
 	"datastaging/internal/simtime"
+	"datastaging/internal/testnet"
 )
 
 // determinismEvents builds a mixed event script — staggered releases plus
@@ -47,7 +48,7 @@ func TestSimulateDeterministicAcrossParallelism(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		sc := gen.MustGenerate(params, seed)
+		sc := testnet.Generate(params, seed)
 		events := determinismEvents(sc)
 
 		cfg := cfgC4()
@@ -78,7 +79,7 @@ func TestSimulateObsCountsEpochs(t *testing.T) {
 	params := gen.Default()
 	params.Machines = gen.IntRange{Min: 6, Max: 8}
 	params.RequestsPerMachine = gen.IntRange{Min: 4, Max: 6}
-	sc := gen.MustGenerate(params, 7)
+	sc := testnet.Generate(params, 7)
 
 	mem := &obs.MemorySink{}
 	cfg := cfgC4()

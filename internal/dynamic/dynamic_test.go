@@ -26,7 +26,7 @@ func cfgC4() core.Config {
 }
 
 func TestSimulateNoEventsMatchesStatic(t *testing.T) {
-	sc := gen.MustGenerate(func() gen.Params {
+	sc := testnet.Generate(func() gen.Params {
 		p := gen.Default()
 		p.Machines = gen.IntRange{Min: 6, Max: 6}
 		p.RequestsPerMachine = gen.IntRange{Min: 8, Max: 8}
@@ -207,7 +207,7 @@ func TestCascadingAbort(t *testing.T) {
 // never uses must reproduce the static schedule exactly, transfer for
 // transfer, across the replay-and-replan cycle.
 func TestHarmlessFailureLeavesScheduleIntact(t *testing.T) {
-	sc := gen.MustGenerate(func() gen.Params {
+	sc := testnet.Generate(func() gen.Params {
 		p := gen.Default()
 		p.Machines = gen.IntRange{Min: 5, Max: 5}
 		p.RequestsPerMachine = gen.IntRange{Min: 6, Max: 6}
@@ -276,7 +276,7 @@ func TestSimultaneousEventsOneEpoch(t *testing.T) {
 // latest deadline leaves it unsatisfiable, so a satisfied request of a or b
 // shows that the earlier release won.
 func TestSimulateReportsCallerIDs(t *testing.T) {
-	sc := gen.MustGenerate(func() gen.Params {
+	sc := testnet.Generate(func() gen.Params {
 		p := gen.Default()
 		p.Machines = gen.IntRange{Min: 6, Max: 6}
 		p.RequestsPerMachine = gen.IntRange{Min: 6, Max: 6}

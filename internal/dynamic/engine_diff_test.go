@@ -12,6 +12,7 @@ import (
 	"datastaging/internal/model"
 	"datastaging/internal/scenario"
 	"datastaging/internal/simtime"
+	"datastaging/internal/testnet"
 	"datastaging/internal/validator"
 )
 
@@ -227,7 +228,7 @@ func compareEngines(t *testing.T, label string, inc, oracle *Engine) {
 func runDifferential(t *testing.T, scSeed, traceSeed int64) (sawIncremental, sawUndo bool) {
 	t.Helper()
 	r := rand.New(rand.NewSource(traceSeed))
-	full := gen.MustGenerate(func() gen.Params {
+	full := testnet.Generate(func() gen.Params {
 		p := gen.Default()
 		p.Machines = gen.IntRange{Min: 6, Max: 8}
 		p.RequestsPerMachine = gen.IntRange{Min: 4, Max: 8}
@@ -303,7 +304,7 @@ func TestEngineIncrementalMatchesFullReplay(t *testing.T) {
 // after the first are incremental; link failure and Rollback each force
 // exactly the next epoch onto the full-replay path.
 func TestEngineIncrementalPathTaken(t *testing.T) {
-	sc := gen.MustGenerate(func() gen.Params {
+	sc := testnet.Generate(func() gen.Params {
 		p := gen.Default()
 		p.Machines = gen.IntRange{Min: 6, Max: 6}
 		p.RequestsPerMachine = gen.IntRange{Min: 6, Max: 6}

@@ -6,7 +6,6 @@
 package eval
 
 import (
-	"fmt"
 	"time"
 
 	"datastaging/internal/core"
@@ -115,10 +114,4 @@ func deliveryHops(sc *scenario.Scenario, transfers []state.Transfer) map[deliver
 		chase(k)
 	}
 	return hops
-}
-
-// String renders the metrics as a one-line summary.
-func (m Metrics) String() string {
-	return fmt.Sprintf("value=%.0f satisfied=%d/%d transfers=%d meanHops=%.2f dijkstras=%d elapsed=%v",
-		m.WeightedValue, m.SatisfiedCount, m.TotalRequests, m.Transfers, m.MeanHops, m.DijkstraRuns, m.Elapsed)
 }

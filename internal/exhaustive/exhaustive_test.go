@@ -28,7 +28,7 @@ func TestSearchTrivialLine(t *testing.T) {
 }
 
 func TestSearchRejectsLargeInstances(t *testing.T) {
-	sc := gen.MustGenerate(gen.Default(), 1)
+	sc := testnet.Generate(gen.Default(), 1)
 	if _, err := Search(sc, model.Weights1x10x100); err == nil {
 		t.Error("paper-scale instance should be rejected")
 	}
@@ -73,7 +73,7 @@ func TestHeuristicsNeverBeatExhaustive(t *testing.T) {
 	w := model.Weights1x10x100
 	var optSum, bestHeurSum float64
 	for seed := int64(1); seed <= 6; seed++ {
-		sc := gen.MustGenerate(p, seed)
+		sc := testnet.Generate(p, seed)
 		if sc.NumRequests() > MaxRequests {
 			continue
 		}

@@ -71,6 +71,7 @@ func SaturationSweep(opts Options, spec workload.Spec, loads []float64, pair cor
 	}
 
 	agg := &SaturationAggregate{Spec: spec.Name, Cases: opts.NumCases, KneeIndex: -1}
+	means := make([]float64, len(loads))
 	for li, load := range loads {
 		rates := make([]float64, opts.NumCases)
 		effs := make([]float64, opts.NumCases)
@@ -90,15 +91,10 @@ func SaturationSweep(opts Options, spec workload.Spec, loads []float64, pair cor
 			Efficiency:    StatOf(effs),
 			MeanP99:       p99 / time.Duration(opts.NumCases),
 		})
+		means[li] = agg.Points[li].AdmissionRate.Mean
 	}
-	if base := agg.Points[0].AdmissionRate.Mean; base > 0 {
-		for i := range agg.Points {
-			if agg.Points[i].AdmissionRate.Mean < 0.9*base {
-				agg.KneeIndex = i
-				agg.KneeLoad = agg.Points[i].Load
-				break
-			}
-		}
+	if k := workload.Knee(means); k >= 0 {
+		agg.KneeIndex, agg.KneeLoad = k, loads[k]
 	}
 	return agg, nil
 }

@@ -189,15 +189,6 @@ func NetworkOnly(p Params, seed int64) (*scenario.Scenario, error) {
 	return s, nil
 }
 
-// MustGenerate is Generate for tests and benchmarks with known-good params.
-func MustGenerate(p Params, seed int64) *scenario.Scenario {
-	s, err := Generate(p, seed)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 func checkParams(p Params) error {
 	switch {
 	case p.Machines.Min < 2:

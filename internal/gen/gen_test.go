@@ -6,8 +6,18 @@ import (
 	"time"
 
 	"datastaging/internal/model"
+	"datastaging/internal/scenario"
 	"datastaging/internal/simtime"
 )
+
+func mustGenerate(t *testing.T, p Params, seed int64) *scenario.Scenario {
+	t.Helper()
+	s, err := Generate(p, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 func TestGenerateDefaultIsValidAndInRanges(t *testing.T) {
 	p := Default()
@@ -72,7 +82,7 @@ func checkDegreesAndLinks(t *testing.T, net *model.Network, seed int64) {
 }
 
 func TestGeneratedItemProperties(t *testing.T) {
-	s := MustGenerate(Default(), 42)
+	s := mustGenerate(t, Default(), 42)
 	for _, it := range s.Items {
 		if len(it.Sources) < 1 || len(it.Sources) > 5 {
 			t.Errorf("item %d: %d sources", it.ID, len(it.Sources))
@@ -83,7 +93,10 @@ func TestGeneratedItemProperties(t *testing.T) {
 		if it.SizeBytes < 10<<10 || it.SizeBytes > 100<<20 {
 			t.Errorf("item %d: size %d out of range", it.ID, it.SizeBytes)
 		}
-		earliest := it.EarliestAvailable()
+		earliest := simtime.Never
+		for _, s := range it.Sources {
+			earliest = min(earliest, s.Available)
+		}
 		if earliest > simtime.At(time.Hour) {
 			t.Errorf("item %d: earliest availability %v past 60m", it.ID, earliest)
 		}
@@ -100,7 +113,7 @@ func TestGeneratedItemProperties(t *testing.T) {
 }
 
 func TestVirtualLinksOfOnePhysicalLinkDisjoint(t *testing.T) {
-	s := MustGenerate(Default(), 7)
+	s := mustGenerate(t, Default(), 7)
 	byPhys := make(map[int][]simtime.Interval)
 	for _, l := range s.Network.Links {
 		byPhys[l.Physical] = append(byPhys[l.Physical], l.Window)
@@ -126,7 +139,7 @@ func TestGenerateWithLatencyAndSerial(t *testing.T) {
 	p := Default()
 	p.Latency = DurRange{Min: time.Millisecond, Max: 20 * time.Millisecond}
 	p.SerialTransfers = true
-	sc := MustGenerate(p, 13)
+	sc := mustGenerate(t, p, 13)
 	if !sc.SerialTransfers {
 		t.Error("SerialTransfers not propagated")
 	}
@@ -144,8 +157,8 @@ func TestGenerateWithLatencyAndSerial(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := MustGenerate(Default(), 99)
-	b := MustGenerate(Default(), 99)
+	a := mustGenerate(t, Default(), 99)
+	b := mustGenerate(t, Default(), 99)
 	if a.Network.NumMachines() != b.Network.NumMachines() ||
 		len(a.Network.Links) != len(b.Network.Links) ||
 		len(a.Items) != len(b.Items) {
@@ -156,7 +169,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("link %d differs between same-seed runs", i)
 		}
 	}
-	c := MustGenerate(Default(), 100)
+	c := mustGenerate(t, Default(), 100)
 	if len(a.Items) == len(c.Items) && a.Network.NumMachines() == c.Network.NumMachines() &&
 		len(a.Network.Links) == len(c.Network.Links) {
 		// Extremely unlikely for all three to coincide; treat as suspicious.

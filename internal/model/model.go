@@ -165,18 +165,6 @@ func (it *Item) LatestDeadline() simtime.Instant {
 	return latest
 }
 
-// EarliestAvailable returns the earliest instant at which any source holds
-// the item.
-func (it *Item) EarliestAvailable() simtime.Instant {
-	earliest := simtime.Never
-	for _, s := range it.Sources {
-		if s.Available.Before(earliest) {
-			earliest = s.Available
-		}
-	}
-	return earliest
-}
-
 // RequestID names one request globally: the k-th request of item Rq[j].
 type RequestID struct {
 	Item  ItemID `json:"item"`

@@ -82,15 +82,9 @@ func TestItemDeadlinesAndAvailability(t *testing.T) {
 	if got := it.LatestDeadline(); got != simtime.At(45*time.Minute) {
 		t.Errorf("LatestDeadline: got %v, want 45m", got)
 	}
-	if got := it.EarliestAvailable(); got != simtime.At(5*time.Minute) {
-		t.Errorf("EarliestAvailable: got %v, want 5m", got)
-	}
 	empty := Item{}
 	if got := empty.LatestDeadline(); got != simtime.Instant(0) {
 		t.Errorf("empty LatestDeadline: got %v, want 0", got)
-	}
-	if got := empty.EarliestAvailable(); got != simtime.Never {
-		t.Errorf("empty EarliestAvailable: got %v, want Never", got)
 	}
 }
 

@@ -300,16 +300,6 @@ func (r *Recorder) SetDeterministic(on bool) {
 	r.mu.Unlock()
 }
 
-// Deterministic reports whether wall-clock fields are omitted.
-func (r *Recorder) Deterministic() bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.opts.Deterministic
-}
-
 // Append stamps the record (schema, sequence number; wall fields cleared
 // in deterministic mode), stores it, streams it to the sink, and folds
 // every decided request into its priority class's latency histogram,

@@ -224,7 +224,6 @@ func TestDisabledRecorderZeroAlloc(t *testing.T) {
 		_ = r.ForTicket("r-0")
 		_ = r.Records()
 		_ = r.Len()
-		_ = r.Deterministic()
 		_ = r.SinkErr()
 	})
 	if allocs != 0 {

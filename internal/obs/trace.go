@@ -164,32 +164,6 @@ func (m *MemorySink) Events() []Event {
 	return append([]Event(nil), m.events...)
 }
 
-// Count returns how many events of the kind were emitted.
-func (m *MemorySink) Count(k EventKind) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for i := range m.events {
-		if m.events[i].Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
-// SumN returns the sum of the N field over events of the kind.
-func (m *MemorySink) SumN(k EventKind) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for i := range m.events {
-		if m.events[i].Kind == k {
-			n += m.events[i].N
-		}
-	}
-	return n
-}
-
 // JSONLSink writes one JSON object per event. Writes are buffered; call
 // Close (or Flush) when done. The first write error is sticky and
 // reported by Close.

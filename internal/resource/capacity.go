@@ -254,11 +254,6 @@ func (m *minTable) min(i, j int) int64 {
 	return a
 }
 
-// AvailableAt returns the available bytes at instant t.
-func (c *Capacity) AvailableAt(t simtime.Instant) int64 {
-	return c.segs[c.segIndex(t)].avail
-}
-
 // CanReserve reports whether amount bytes are available over all of iv.
 func (c *Capacity) CanReserve(amount int64, iv simtime.Interval) bool {
 	if amount <= c.MinEver() {
@@ -304,16 +299,6 @@ func (c *Capacity) Reserve(amount int64, iv simtime.Interval) error {
 	}
 	c.adjust(-amount, iv)
 	return nil
-}
-
-// Release returns amount bytes to the profile over iv. It is the inverse of
-// Reserve and is used by what-if rollbacks in tests; the scheduler itself
-// encodes garbage collection in reservation end instants instead.
-func (c *Capacity) Release(amount int64, iv simtime.Interval) {
-	if iv.IsEmpty() || amount <= 0 {
-		return
-	}
-	c.adjust(amount, iv)
 }
 
 // adjust adds delta to the available amount over iv, splitting segments at
@@ -368,22 +353,6 @@ func (c *Capacity) segIndex(t simtime.Instant) int {
 	}
 	return lo - 1
 }
-
-// Clone returns a deep copy of the profile. The segment-min index is not
-// copied; the clone rebuilds its own on first use.
-func (c *Capacity) Clone() *Capacity {
-	segs := make([]capSegment, len(c.segs))
-	copy(segs, c.segs)
-	out := &Capacity{segs: segs}
-	out.dirty.Store(true)
-	out.minEverDirty.Store(true)
-	return out
-}
-
-// Segments returns the number of internal segments (exported for tests and
-// diagnostics; a healthy profile stays small because reservations share
-// garbage-collection boundaries).
-func (c *Capacity) Segments() int { return len(c.segs) }
 
 // String renders the profile for diagnostics.
 func (c *Capacity) String() string {

@@ -54,12 +54,12 @@ func TestMinAvailableMatchesSlow(t *testing.T) {
 			got, want := c.MinAvailable(iv), c.MinAvailableLinear(iv)
 			if got != want {
 				t.Fatalf("step %d (%d segments): MinAvailable(%v) = %d, want %d",
-					step, c.Segments(), iv, got, want)
+					step, len(c.segs), iv, got, want)
 			}
 		}
 	}
-	if c.Segments() <= MinIndexCutoff {
-		t.Fatalf("profile never crossed the index cutoff (%d segments); the fast path went untested", c.Segments())
+	if len(c.segs) <= MinIndexCutoff {
+		t.Fatalf("profile never crossed the index cutoff (%d segments); the fast path went untested", len(c.segs))
 	}
 }
 
@@ -194,7 +194,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 			}
 			q := simtime.Interval{Start: start.Add(-30 * time.Second), End: start.Add(time.Duration(data[i+2]%90) * time.Second)}
 			if got, want := c.MinAvailable(q), c.MinAvailableLinear(q); got != want {
-				t.Fatalf("op %d (%d segments): MinAvailable(%v) = %d, want %d", i/3, c.Segments(), q, got, want)
+				t.Fatalf("op %d (%d segments): MinAvailable(%v) = %d, want %d", i/3, len(c.segs), q, got, want)
 			}
 		}
 	})

@@ -50,9 +50,6 @@ func NewLinkTimelines(windows []simtime.Interval) []*LinkTimeline {
 	return out
 }
 
-// Window returns the link's availability window.
-func (l *LinkTimeline) Window() simtime.Interval { return l.window }
-
 // Free exposes the link's free-time set for read-only composition (e.g.
 // intersecting link, send-port, and receive-port availability). Callers
 // must not mutate it.
@@ -110,18 +107,6 @@ func (l *LinkTimeline) Block(iv simtime.Interval) {
 // BusyTime returns the total committed transmission time on the link.
 func (l *LinkTimeline) BusyTime() time.Duration {
 	return l.window.Length() - l.free.Total()
-}
-
-// FreeWithin reports whether any free instant remains at or after ready.
-func (l *LinkTimeline) FreeWithin(ready simtime.Instant) bool {
-	_, ok := l.free.EarliestFit(ready, 0)
-	return ok
-}
-
-// Clone returns a deep copy of the timeline. The cursor hint resets; the
-// clone re-establishes its own.
-func (l *LinkTimeline) Clone() *LinkTimeline {
-	return &LinkTimeline{window: l.window, free: l.free.Clone()}
 }
 
 // String renders the timeline for diagnostics.

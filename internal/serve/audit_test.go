@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -14,6 +15,13 @@ import (
 	"datastaging/internal/obs/lifecycle"
 	"datastaging/internal/simtime"
 )
+
+// getTrace fetches one submission's audit trail from /v1/requests/{id}/trace.
+func getTrace(ctx context.Context, c *Client, id string) (TraceView, error) {
+	var v TraceView
+	err := c.do(ctx, http.MethodGet, "/v1/requests/"+id+"/trace", nil, &v)
+	return v, err
+}
 
 // auditedEngine builds a virtual-clock engine over the narrow network with
 // auditing on, streaming to sink.
@@ -72,7 +80,7 @@ func TestAuditTraceVerdicts(t *testing.T) {
 	ctx := context.Background()
 
 	// Admitted: completion instant committed, full lifecycle timeline.
-	tr, err := c.Trace(ctx, "r-0")
+	tr, err := getTrace(ctx, c, "r-0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +111,7 @@ func TestAuditTraceVerdicts(t *testing.T) {
 	}
 
 	// Rejected: the explain blame survives into the audit record.
-	tr, err = c.Trace(ctx, "r-1")
+	tr, err = getTrace(ctx, c, "r-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +149,7 @@ func TestAuditTraceVerdicts(t *testing.T) {
 		t.Error("deterministic audit stream leaks wall-clock fields")
 	}
 	// Unknown tickets 404.
-	if _, err := c.Trace(ctx, "nope"); err == nil {
+	if _, err := getTrace(ctx, c, "nope"); err == nil {
 		t.Error("trace of unknown ticket did not fail")
 	}
 
@@ -175,7 +183,7 @@ func TestAuditTraceVerdicts(t *testing.T) {
 	if late == "" {
 		t.Fatal("stream late-admitted no rejected ticket")
 	}
-	tr, err = c.Trace(ctx, late)
+	tr, err = getTrace(ctx, c, late)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +228,7 @@ func TestAuditDisabled404(t *testing.T) {
 	defer srv.Close()
 	c := &Client{BaseURL: srv.URL}
 	var st *ErrStatus
-	if _, err := c.Trace(context.Background(), "r-0"); !errors.As(err, &st) || st.Code != 404 {
+	if _, err := getTrace(context.Background(), c, "r-0"); !errors.As(err, &st) || st.Code != 404 {
 		t.Errorf("trace on unaudited engine: got %v, want 404", err)
 	}
 	if _, err := c.Audit(context.Background()); !errors.As(err, &st) || st.Code != 404 {
@@ -278,7 +286,7 @@ func TestAuditMetricsAgreement(t *testing.T) {
 	defer cancel()
 	const n = 4
 	for i := 0; i < n; i++ {
-		if _, err := eng.SubmitWait(ctx, lineSubmission(20*time.Hour, int(model.High))); err != nil {
+		if _, err := submitWait(ctx, eng, lineSubmission(20*time.Hour, int(model.High))); err != nil {
 			t.Fatal(err)
 		}
 	}

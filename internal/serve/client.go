@@ -105,14 +105,6 @@ func (c *Client) Ticket(ctx context.Context, id string) (TicketView, error) {
 	return v, err
 }
 
-// Trace fetches one submission's full audit trail. Fails with a 404
-// ErrStatus when the service runs without auditing.
-func (c *Client) Trace(ctx context.Context, id string) (TraceView, error) {
-	var v TraceView
-	err := c.do(ctx, http.MethodGet, "/v1/requests/"+id+"/trace", nil, &v)
-	return v, err
-}
-
 // Audit fetches and validates the service's whole audit log (the /v1/audit
 // JSONL stream).
 func (c *Client) Audit(ctx context.Context) ([]lifecycle.Record, error) {

@@ -177,13 +177,13 @@ func TestGroupCommitConservation(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				tk, err := eng.SubmitWait(ctx, hammerSubmission(g, i))
+				tk, err := submitWait(ctx, eng, hammerSubmission(g, i))
 				if err != nil {
 					t.Errorf("g%d submit %d: %v", g, i, err)
 					return
 				}
 				if v := tk.View(); v.Status == StatusQueued {
-					t.Errorf("ticket %s still queued after SubmitWait", tk.ID())
+					t.Errorf("ticket %s still queued after its verdict wait", tk.ID())
 				}
 			}
 		}(g)

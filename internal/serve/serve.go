@@ -395,23 +395,6 @@ func (e *Engine) newTicketLocked(sub Submission, at simtime.Instant) *Ticket {
 	return t
 }
 
-// SubmitWait is Submit plus a blocking wait for the first verdict. In
-// virtual-clock mode the verdict only arrives once someone advances the
-// clock or the batch reaches MaxBatch, so pair SubmitWait with a driver
-// goroutine.
-func (e *Engine) SubmitWait(ctx context.Context, sub Submission) (*Ticket, error) {
-	t, err := e.Submit(sub)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case <-t.Done():
-		return t, nil
-	case <-ctx.Done():
-		return t, ctx.Err()
-	}
-}
-
 // Advance moves the virtual clock to instant to (which must not precede the
 // current instant), flushing any pending submissions first at the instant
 // they arrived. Calling Advance with to equal to the current instant is a

@@ -172,9 +172,6 @@ func New(base *scenario.Scenario, plan *Plan, opts serve.Options) (*Service, err
 	return s, nil
 }
 
-// Plan returns the service's partition.
-func (s *Service) Plan() *Plan { return s.plan }
-
 // allocGID registers the submission's true item in the global scenario and
 // returns its id, reusing a freed slot when one exists.
 func (s *Service) allocGID(sub serve.Submission) int {

@@ -226,7 +226,7 @@ func TestCrossShardAdmit(t *testing.T) {
 	}
 
 	sv := svc.Schedule()
-	cutID := svc.Plan().CutLinks(sc.Network)[0]
+	cutID := svc.plan.CutLinks(sc.Network)[0]
 	foundCut := false
 	for _, tr := range sv.Transfers {
 		if tr.Link == cutID {

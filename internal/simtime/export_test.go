@@ -2,6 +2,14 @@ package simtime
 
 import "time"
 
+// Clone returns a deep copy of the set: the starting point of each
+// reference result the differential kernel tests compute.
+func (s *Set) Clone() Set {
+	out := Set{ivs: make([]Interval, len(s.ivs))}
+	copy(out.ivs, s.ivs)
+	return out
+}
+
 // EarliestFitSlow is the pre-index reference implementation of EarliestFit:
 // a linear scan from the front of the set. It is the oracle for the
 // differential kernel tests and FuzzKernelEquivalence.

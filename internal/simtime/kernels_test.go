@@ -222,14 +222,14 @@ func TestIntersectSetPreallocates(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		out = a.IntersectSet(&b)
 	})
-	if out.IsEmpty() {
+	if len(out.ivs) == 0 {
 		t.Fatal("intersection unexpectedly empty")
 	}
 	if allocs > 1 {
 		t.Errorf("IntersectSet allocated %.1f times per call, want at most 1 (the preallocated output)", allocs)
 	}
 	a2, b2 := Set{}, denseBenchSet(3, 0)
-	if isect := a2.IntersectSet(&b2); !isect.IsEmpty() {
+	if isect := a2.IntersectSet(&b2); len(isect.ivs) != 0 {
 		t.Error("empty ∩ s must be empty")
 	}
 }

@@ -189,19 +189,8 @@ func NewSets(windows []Interval) []Set {
 	return out
 }
 
-// Intervals returns a copy of the set's canonical intervals in ascending
-// order.
-func (s *Set) Intervals() []Interval {
-	out := make([]Interval, len(s.ivs))
-	copy(out, s.ivs)
-	return out
-}
-
 // Len returns the number of disjoint intervals in the set.
 func (s *Set) Len() int { return len(s.ivs) }
-
-// IsEmpty reports whether the set contains no instants.
-func (s *Set) IsEmpty() bool { return len(s.ivs) == 0 }
 
 // Total returns the summed length of all intervals in the set.
 func (s *Set) Total() time.Duration {
@@ -411,26 +400,6 @@ func (s *Set) EarliestFitHint(hint int, ready Instant, d time.Duration) (t Insta
 	}
 	t, next, ok = s.earliestFitFrom(s.search(ready), ready, d)
 	return t, next, ok, false
-}
-
-// Clone returns a deep copy of the set.
-func (s *Set) Clone() Set {
-	out := Set{ivs: make([]Interval, len(s.ivs))}
-	copy(out.ivs, s.ivs)
-	return out
-}
-
-// Equal reports whether two sets contain exactly the same instants.
-func (s *Set) Equal(other *Set) bool {
-	if len(s.ivs) != len(other.ivs) {
-		return false
-	}
-	for i := range s.ivs {
-		if s.ivs[i] != other.ivs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String formats the set as a list of intervals.

@@ -9,6 +9,7 @@ import (
 	"datastaging/internal/gen"
 	"datastaging/internal/model"
 	"datastaging/internal/simtime"
+	"datastaging/internal/testnet"
 )
 
 // TestQuickCommitNeverViolatesInvariants hammers a state with random
@@ -21,7 +22,7 @@ func TestQuickCommitNeverViolatesInvariants(t *testing.T) {
 	p.Machines = gen.IntRange{Min: 4, Max: 6}
 	p.RequestsPerMachine = gen.IntRange{Min: 3, Max: 6}
 	property := func(seed int64) bool {
-		sc := gen.MustGenerate(p, seed%10000)
+		sc := testnet.Generate(p, seed%10000)
 		st := New(sc)
 		rng := rand.New(rand.NewSource(seed))
 		accepted := 0

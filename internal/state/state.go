@@ -75,9 +75,6 @@ type State struct {
 	// simulator advances it to "now" so re-planning cannot rewrite the
 	// past. Zero (the epoch) for static scheduling.
 	floor simtime.Instant
-	// outages records virtual links forced down from an instant onward
-	// (dynamic link failures).
-	outages map[model.LinkID]simtime.Instant
 
 	// physOut[u] groups machine u's outgoing virtual links by physical
 	// link, each group sorted by window start; the shortest-path relaxation
@@ -442,19 +439,7 @@ func (st *State) Floor() simtime.Instant { return st.floor }
 // in flight at t will fail to commit. Idempotent; an earlier failure time
 // wins.
 func (st *State) FailLink(id model.LinkID, t simtime.Instant) {
-	if st.outages == nil {
-		st.outages = make(map[model.LinkID]simtime.Instant)
-	}
-	if prev, ok := st.outages[id]; !ok || t < prev {
-		st.outages[id] = t
-	}
 	st.links[id].Block(simtime.Interval{Start: t, End: simtime.Forever})
-}
-
-// Outage returns the instant the link was forced down, if it was.
-func (st *State) Outage(id model.LinkID) (simtime.Instant, bool) {
-	t, ok := st.outages[id]
-	return t, ok
 }
 
 // Transfers returns the committed schedule in commit order. The slice is

@@ -84,10 +84,10 @@ func TestCommitHappyPath(t *testing.T) {
 		t.Errorf("intermediate copy end: got %v, want 36m", h.End)
 	}
 	// Capacity at machine 1 reserved during the hold.
-	if got := st.Capacity(1).AvailableAt(simtime.At(10 * time.Minute)); got != 1<<20-1024 {
+	if got := st.Capacity(1).MinAvailable(simtime.Span(simtime.At(10*time.Minute), 1)); got != 1<<20-1024 {
 		t.Errorf("capacity during hold: got %d", got)
 	}
-	if got := st.Capacity(1).AvailableAt(simtime.At(40 * time.Minute)); got != 1<<20 {
+	if got := st.Capacity(1).MinAvailable(simtime.Span(simtime.At(40*time.Minute), 1)); got != 1<<20 {
 		t.Errorf("capacity after gc: got %d", got)
 	}
 
@@ -252,18 +252,9 @@ func TestFloorBlocksPastTransfers(t *testing.T) {
 
 func TestFailLink(t *testing.T) {
 	st, item := chainScenario()
-	if _, ok := st.Outage(0); ok {
-		t.Error("fresh link reports an outage")
-	}
 	st.FailLink(0, simtime.At(5*time.Minute))
-	if at, ok := st.Outage(0); !ok || at != simtime.At(5*time.Minute) {
-		t.Errorf("Outage: got (%v, %v)", at, ok)
-	}
-	// A later failure time does not overwrite an earlier one.
+	// A later failure time does not undo an earlier one.
 	st.FailLink(0, simtime.At(10*time.Minute))
-	if at, _ := st.Outage(0); at != simtime.At(5*time.Minute) {
-		t.Errorf("earlier outage overwritten: %v", at)
-	}
 	// Transfers overlapping the outage are rejected; earlier ones fit.
 	if _, err := st.Commit(item, 0, simtime.At(6*time.Minute)); err == nil {
 		t.Error("commit into failed link accepted")

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"time"
 
+	"datastaging/internal/gen"
 	"datastaging/internal/model"
 	"datastaging/internal/scenario"
 	"datastaging/internal/simtime"
@@ -163,4 +164,14 @@ func Diamond(sizeBytes int64, deadline time.Duration) *scenario.Scenario {
 		[]model.Source{Src(ms[0], 0)},
 		[]model.Request{Req(ms[3], deadline, model.High)})
 	return b.Build("diamond")
+}
+
+// Generate is gen.Generate for tests and benchmarks with known-good params:
+// it panics on error.
+func Generate(p gen.Params, seed int64) *scenario.Scenario {
+	s, err := gen.Generate(p, seed)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

@@ -10,6 +10,7 @@ import (
 	"datastaging/internal/model"
 	"datastaging/internal/simtime"
 	"datastaging/internal/state"
+	"datastaging/internal/testnet"
 )
 
 // TestQuickStateAndValidatorAgree is the two-implementations cross-check:
@@ -22,7 +23,7 @@ func TestQuickStateAndValidatorAgree(t *testing.T) {
 	p.Machines = gen.IntRange{Min: 4, Max: 6}
 	p.RequestsPerMachine = gen.IntRange{Min: 3, Max: 6}
 	property := func(seed int64, serial bool) bool {
-		sc := gen.MustGenerate(p, seed%10000)
+		sc := testnet.Generate(p, seed%10000)
 		sc.SerialTransfers = serial
 		st := state.New(sc)
 		rng := rand.New(rand.NewSource(seed))

@@ -225,7 +225,7 @@ func TestEverySchedulerProducesValidSchedules(t *testing.T) {
 	p.RequestsPerMachine = gen.IntRange{Min: 8, Max: 12}
 	w := model.Weights1x10x100
 	for seed := int64(1); seed <= 3; seed++ {
-		sc := gen.MustGenerate(p, seed)
+		sc := testnet.Generate(p, seed)
 		type run struct {
 			name string
 			res  *core.Result

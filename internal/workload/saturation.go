@@ -30,10 +30,6 @@ type SaturationOptions struct {
 	// Config is the heuristic/criterion pair each admission epoch runs;
 	// Config.Weights also defines the weighted objective.
 	Config core.Config
-	// KneeFraction locates the knee: the first load point whose admission
-	// rate falls below KneeFraction times the first point's rate (default
-	// 0.9).
-	KneeFraction float64
 	// Now is the clock used to measure decision latency (default
 	// time.Now). Tests inject a deterministic counter so the report is
 	// byte-stable.
@@ -106,9 +102,6 @@ func Saturate(opts SaturationOptions) (*SaturationResult, error) {
 	if len(opts.Config.Weights) == 0 {
 		return nil, fmt.Errorf("workload: saturation config has no priority weights")
 	}
-	if opts.KneeFraction <= 0 || opts.KneeFraction >= 1 {
-		opts.KneeFraction = 0.9
-	}
 	now := opts.Now
 	if now == nil {
 		now = time.Now
@@ -121,6 +114,7 @@ func Saturate(opts SaturationOptions) (*SaturationResult, error) {
 		Scenario:  opts.Base.Name,
 		KneeIndex: -1,
 	}
+	var rates []float64
 	for _, load := range opts.Loads {
 		if load <= 0 {
 			return nil, fmt.Errorf("workload: non-positive load multiplier %v", load)
@@ -130,17 +124,23 @@ func Saturate(opts SaturationOptions) (*SaturationResult, error) {
 			return nil, fmt.Errorf("workload: load %v: %w", load, err)
 		}
 		res.Points = append(res.Points, pt)
+		rates = append(rates, pt.AdmissionRate)
 	}
-	if base := res.Points[0].AdmissionRate; base > 0 {
-		for i, pt := range res.Points {
-			if pt.AdmissionRate < opts.KneeFraction*base {
-				res.KneeIndex = i
-				res.KneeLoad = pt.Load
-				break
-			}
-		}
+	if k := Knee(rates); k >= 0 {
+		res.KneeIndex, res.KneeLoad = k, res.Points[k].Load
 	}
 	return res, nil
+}
+
+// Knee returns the index of the first admission rate below 0.9 times the
+// first one, or -1 when the rates never fall that far.
+func Knee(rates []float64) int {
+	for i, r := range rates {
+		if r < 0.9*rates[0] {
+			return i
+		}
+	}
+	return -1
 }
 
 func saturatePoint(opts SaturationOptions, load float64, machines int, now func() time.Time) (SaturationPoint, error) {

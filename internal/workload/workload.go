@@ -109,15 +109,6 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Duration is the total span of all phases.
-func (s *Spec) Duration() time.Duration {
-	var d time.Duration
-	for _, ph := range s.Phases {
-		d += ph.Duration
-	}
-	return d
-}
-
 // ScaleRate returns a copy of the spec with every phase's arrival rate
 // multiplied by f. The saturation analyzer sweeps offered load this way.
 func (s Spec) ScaleRate(f float64) Spec {
