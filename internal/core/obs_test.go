@@ -210,6 +210,11 @@ func TestObsSatisfactionSlack(t *testing.T) {
 	if snap.Counters["dijkstra.computes_total"] <= 0 {
 		t.Error("dijkstra.computes_total not flushed")
 	}
+	for _, name := range []string{"dijkstra.pops_total", "dijkstra.relaxations_total"} {
+		if snap.Counters[name] <= 0 {
+			t.Errorf("%s not flushed", name)
+		}
+	}
 	if snap.Gauges["dijkstra.heap_high_water"] <= 0 {
 		t.Error("dijkstra.heap_high_water not flushed")
 	}

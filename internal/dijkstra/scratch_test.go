@@ -87,11 +87,20 @@ func TestScratchStats(t *testing.T) {
 	if stats.HeapHighWater > sc.Network.NumMachines()*len(sc.Network.Links) {
 		t.Errorf("HeapHighWater = %d is implausibly large", stats.HeapHighWater)
 	}
+	// Every walk settles at least the item's holders and settles each
+	// machine at most once; each settled machine examines its out-links.
+	if stats.Pops < rounds || stats.Pops > rounds*sc.Network.NumMachines() {
+		t.Errorf("Pops = %d, want in [%d, %d]", stats.Pops, rounds, rounds*sc.Network.NumMachines())
+	}
+	if stats.Relaxations <= 0 || stats.Relaxations > rounds*len(sc.Network.Links) {
+		t.Errorf("Relaxations = %d, want in (0, %d]", stats.Relaxations, rounds*len(sc.Network.Links))
+	}
 
 	var agg dijkstra.ScratchStats
 	agg.Add(stats)
-	agg.Add(dijkstra.ScratchStats{Computes: 2, Grows: 1, HeapHighWater: 1})
-	if agg.Computes != rounds+2 || agg.Grows != 2 || agg.HeapHighWater != stats.HeapHighWater {
+	agg.Add(dijkstra.ScratchStats{Computes: 2, Grows: 1, HeapHighWater: 1, Pops: 3, Relaxations: 4})
+	if agg.Computes != rounds+2 || agg.Grows != 2 || agg.HeapHighWater != stats.HeapHighWater ||
+		agg.Pops != stats.Pops+3 || agg.Relaxations != stats.Relaxations+4 {
 		t.Errorf("Add aggregated to %+v", agg)
 	}
 }
