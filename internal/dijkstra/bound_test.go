@@ -43,10 +43,14 @@ func commitRandomPaths(t *testing.T, st *state.State, rng *rand.Rand, n int, tou
 
 // TestQuickBoundIsLowerBound pins ComputeBound's claim on random committed
 // states with storage tight enough to reject: the bound arrival is at or
-// before the exact arrival at every machine the exact forest reaches by the
-// item's latest deadline, and an item's bound taken now still holds after
-// further commits of other items and a floor advance. The generator is
-// seeded so the storage-rejection count below cannot come out zero by luck.
+// before the exact arrival at every request machine and every machine the
+// bound forest keeps, wherever the exact forest arrives by the item's
+// latest deadline, and an item's bound taken now still holds after further
+// commits of other items and a floor advance. The uncut bound walk, whose
+// labels the forest keeps up to its last request machine (checkStopped),
+// is held to the same claim at every machine the exact forest reaches by
+// the latest deadline. The generator is seeded so the storage-rejection
+// count below cannot come out zero by luck.
 func TestQuickBoundIsLowerBound(t *testing.T) {
 	params := quickParams()
 	params.CapacityBytes = gen.Int64Range{Min: 1 << 20, Max: 64 << 20}
@@ -61,12 +65,19 @@ func TestQuickBoundIsLowerBound(t *testing.T) {
 		commitRandomPaths(t, st, rng, n/2, map[model.ItemID]bool{})
 
 		bounds := make([]*Plan, n)
+		uncut := make([]*uncutWalk, n)
 		for i := range bounds {
-			bounds[i] = s.ComputeBound(st, model.ItemID(i), nil)
+			item := model.ItemID(i)
+			bounds[i] = s.ComputeBound(st, item, nil)
 			if bounds[i].CapBlocked {
 				t.Logf("seed %d item %d: bound forest flagged CapBlocked", seed, i)
 				return false
 			}
+			if err := checkStopped(st, item, boundForest, bounds[i]); err != nil {
+				t.Logf("seed %d item %d: against the uncut walk: %v", seed, i, err)
+				return false
+			}
+			uncut[i] = walkUncut(st, item, boundForest)
 		}
 		// holds checks every item whose holders have not moved since its
 		// bound was taken.
@@ -80,9 +91,22 @@ func TestQuickBoundIsLowerBound(t *testing.T) {
 				if exact.CapBlocked {
 					capBlocked++
 				}
-				latest := sc.Item(item).LatestDeadline()
+				it := sc.Item(item)
+				latest := it.LatestDeadline()
+				request := make([]bool, len(exact.Arrival))
+				for _, rq := range it.Requests {
+					request[rq.Machine] = true
+				}
 				for m, at := range exact.Arrival {
 					if at.After(latest) {
+						continue
+					}
+					if u := uncut[i].Arrival[m]; u.After(at) {
+						t.Logf("seed %d %s item %d machine %d: uncut bound walk %v after exact %v (latest deadline %v)",
+							seed, stage, i, m, u, at, latest)
+						return false
+					}
+					if !request[m] && !b.Reachable(model.MachineID(m)) {
 						continue
 					}
 					compared++
@@ -90,8 +114,8 @@ func TestQuickBoundIsLowerBound(t *testing.T) {
 						tighter++
 					}
 					if b.Arrival[m].After(at) {
-						t.Logf("seed %d %s item %d machine %d: bound %v after exact %v (latest deadline %v)",
-							seed, stage, i, m, b.Arrival[m], at, latest)
+						t.Logf("seed %d %s item %d machine %d (request %v): bound %v after exact %v (latest deadline %v)",
+							seed, stage, i, m, request[m], b.Arrival[m], at, latest)
 						return false
 					}
 				}

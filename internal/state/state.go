@@ -93,6 +93,33 @@ type State struct {
 type PhysGroup struct {
 	To    model.MachineID
 	Links []model.LinkID
+	// MaxEnd[i] is the latest window end among Links[0..i], a prefix
+	// maximum, so it is non-decreasing even where windows overlap. A
+	// transfer ready at t fits no window that ends at or before t (the
+	// window is half-open, so not even a zero-length one), and FirstOpen
+	// uses MaxEnd to skip every such link at the front of the group.
+	MaxEnd []simtime.Instant
+}
+
+// FirstOpen returns the index of the first link in g.Links whose window,
+// or an earlier one's, ends after ready: every link before it has a window
+// that closed at or before ready and so fits no transfer ready then. It is
+// len(g.Links) when every window has closed. One comparison answers the
+// common case of a group whose first window is still open.
+func (g *PhysGroup) FirstOpen(ready simtime.Instant) int {
+	if g.MaxEnd[0] > ready {
+		return 0
+	}
+	lo, hi := 1, len(g.MaxEnd)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g.MaxEnd[mid] > ready {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // New builds the initial state for a scenario: idle links, full capacity,
@@ -175,6 +202,9 @@ func (st *State) GrowItems() int {
 func (st *State) buildPhysOut() {
 	net := st.sc.Network
 	st.physOut = make([][]PhysGroup, net.NumMachines())
+	// Every link is in exactly one group, so one backing array holds every
+	// group's MaxEnd.
+	ends := make([]simtime.Instant, 0, len(net.Links))
 	for u := 0; u < net.NumMachines(); u++ {
 		byPhys := make(map[int][]model.LinkID)
 		var order []int
@@ -192,7 +222,15 @@ func (st *State) buildPhysOut() {
 			sort.Slice(ids, func(a, b int) bool {
 				return net.Link(ids[a]).Window.Start < net.Link(ids[b]).Window.Start
 			})
-			groups = append(groups, PhysGroup{To: net.Link(ids[0]).To, Links: ids})
+			base := len(ends)
+			for i, id := range ids {
+				end := net.Link(id).Window.End
+				if i > 0 {
+					end = simtime.MaxInstant(end, ends[len(ends)-1])
+				}
+				ends = append(ends, end)
+			}
+			groups = append(groups, PhysGroup{To: net.Link(ids[0]).To, Links: ids, MaxEnd: ends[base:len(ends):len(ends)]})
 		}
 		st.physOut[u] = groups
 	}

@@ -295,3 +295,61 @@ func TestPhysGroups(t *testing.T) {
 		t.Errorf("PhysGroups(1): got %d groups", len(got))
 	}
 }
+
+// TestPhysGroupFirstOpen pins the closed-window skip of the relax loop:
+// MaxEnd is the prefix maximum of the group's window ends, FirstOpen
+// returns the first link whose window, or an earlier one's, ends after
+// ready, and no link it skips fits a transfer ready then, not even one of
+// zero length. fits says whether the first link not skipped fits one.
+func TestPhysGroupFirstOpen(t *testing.T) {
+	h := func(n int) simtime.Instant { return simtime.At(time.Duration(n) * time.Hour) }
+	iv := func(a, b int) simtime.Interval { return simtime.Interval{Start: h(a), End: h(b)} }
+	cases := []struct {
+		name    string
+		windows []simtime.Interval // sorted by start
+		ready   simtime.Instant
+		d       time.Duration
+		want    int
+		fits    bool
+	}{
+		{"first window still open", []simtime.Interval{iv(1, 2), iv(3, 4)}, h(0), time.Minute, 0, true},
+		{"ready exactly at a window end", []simtime.Interval{iv(1, 2), iv(3, 4)}, h(2), time.Minute, 1, true},
+		{"d == 0 exactly at a window end", []simtime.Interval{iv(1, 2), iv(3, 4)}, h(2), 0, 1, true},
+		{"d == 0 just before a window end", []simtime.Interval{iv(1, 2), iv(3, 4)}, h(2) - 1, 0, 0, true},
+		{"overlap: a long first window keeps the prefix open", []simtime.Interval{iv(0, 5), iv(1, 2), iv(3, 4)}, h(3), time.Minute, 0, true},
+		{"overlap: the prefix maximum, not the link's own end", []simtime.Interval{iv(0, 2), iv(1, 4), iv(2, 3)}, h(3), 0, 1, true},
+		{"every window closed", []simtime.Interval{iv(0, 1), iv(1, 3), iv(2, 3)}, h(3), 0, 3, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := testnet.NewBuilder()
+			ms := b.Machines(2, 1<<20)
+			b.LinkWindows(ms[0], ms[1], 8000, tc.windows...)
+			b.Item(1024, []model.Source{testnet.Src(ms[0], 0)},
+				[]model.Request{testnet.Req(ms[1], 5*time.Hour, model.High)})
+			st := New(b.Build("first-open"))
+			g := &st.PhysGroups(0)[0]
+			end := simtime.Instant(0)
+			for i, id := range g.Links {
+				end = simtime.MaxInstant(end, st.Scenario().Network.Link(id).Window.End)
+				if g.MaxEnd[i] != end {
+					t.Fatalf("MaxEnd[%d] = %v, want the prefix maximum %v", i, g.MaxEnd[i], end)
+				}
+			}
+			got := g.FirstOpen(tc.ready)
+			if got != tc.want {
+				t.Fatalf("FirstOpen(%v) = %d, want %d", tc.ready, got, tc.want)
+			}
+			for _, id := range g.Links[:got] {
+				if slot, ok := st.EarliestTransferSlot(id, tc.ready, tc.d); ok {
+					t.Errorf("skipped link %d fits a %v transfer ready at %v at %v", id, tc.d, tc.ready, slot)
+				}
+			}
+			if got < len(g.Links) {
+				if _, ok := st.EarliestTransferSlot(g.Links[got], tc.ready, tc.d); ok != tc.fits {
+					t.Errorf("first link not skipped fits: %v, want %v", ok, tc.fits)
+				}
+			}
+		})
+	}
+}
