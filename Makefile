@@ -132,6 +132,7 @@ fuzz:
 	$(GO) test ./internal/validator/ -run='^$$' -fuzz=FuzzValidateRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/simtime/ -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/resource/ -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/dijkstra/ -run='^$$' -fuzz=FuzzStoppedForestMatchesFull -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run='^$$' -fuzz=FuzzPlanCacheMatchesParanoid -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dynamic/ -run='^$$' -fuzz=FuzzEngineIncrementalEquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/workload/ -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=$(FUZZTIME)

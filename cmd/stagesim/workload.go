@@ -258,6 +258,9 @@ func runSaturationSweep(out io.Writer, o options, w model.Weights, spec workload
 	}
 	opts := experiment.Options{Params: gen.Default(), NumCases: o.satCases, BaseSeed: o.seed,
 		Weights: w, Obs: o.obs}
+	if o.satFakeClock {
+		opts.Now = fakeClock()
+	}
 	pair := core.Pair{Heuristic: core.FullPathOneDest, Criterion: core.C4}
 	agg, err := experiment.SaturationSweep(opts, spec, loads, pair, core.EUFromLog10(2))
 	if err != nil {

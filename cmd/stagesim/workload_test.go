@@ -152,6 +152,26 @@ func TestSaturationCLI(t *testing.T) {
 	if len(res.Points) != 2 {
 		t.Fatalf("artifact has %d points, want 2", len(res.Points))
 	}
+
+	// The multi-network sweep times its decisions with the same fake clock:
+	// its artifact, latency columns included, is byte-stable too.
+	sweep := func(outPath string) []byte {
+		var out bytes.Buffer
+		if err := run([]string{
+			"-saturation", "-sat-spec", "burst", "-sat-loads", "0.5,1", "-sat-cases", "2",
+			"-sat-fake-clock", "-sat-out", outPath, "-quiet",
+		}, &out); err != nil {
+			t.Fatalf("saturation sweep: %v\n%s", err, out.String())
+		}
+		b, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if a, b := sweep(filepath.Join(dir, "sweep-a.json")), sweep(filepath.Join(dir, "sweep-b.json")); !bytes.Equal(a, b) {
+		t.Fatalf("-sat-cases 2 artifact not byte-stable under -sat-fake-clock:\n%s\n---\n%s", a, b)
+	}
 }
 
 func TestParseLoads(t *testing.T) {

@@ -67,6 +67,10 @@ type Options struct {
 	// order (the tracer is mutex-protected); set Parallelism to 1 when a
 	// readable per-run trace matters more than throughput.
 	Obs *obs.Obs
+	// Now is the clock SaturationSweep times admission decisions with
+	// (default time.Now); a deterministic one makes its latency columns
+	// byte-stable.
+	Now func() time.Time
 }
 
 func (o *Options) fillDefaults() error {

@@ -59,7 +59,7 @@ func SaturationSweep(opts Options, spec workload.Spec, loads []float64, pair cor
 		caseSpec := spec
 		caseSpec.Seed += int64(ci)
 		res, err := workload.Saturate(workload.SaturationOptions{
-			Spec: caseSpec, Loads: loads, Base: base, Config: cfg,
+			Spec: caseSpec, Loads: loads, Base: base, Config: cfg, Now: opts.Now,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiment: saturation case %d: %w", ci, err)
