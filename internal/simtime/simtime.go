@@ -216,11 +216,10 @@ func (s *Set) ContainsInterval(iv Interval) bool {
 	return i < len(s.ivs) && s.ivs[i].ContainsInterval(iv)
 }
 
-// search returns the index of the last interval whose Start <= t, or len if
-// t precedes every interval... it returns the index of the interval that
-// could contain t: the greatest i with ivs[i].Start <= t, and len(ivs) when
-// there is none is impossible (it returns 0 then, and the caller's Contains
-// check fails).
+// search returns the index of the one interval that could contain t: the
+// greatest i with ivs[i].Start <= t. When t precedes every interval it
+// returns 0 (len(ivs), also 0, for an empty set), an index whose interval
+// does not contain t, so callers still check containment.
 func (s *Set) search(t Instant) int {
 	lo, hi := 0, len(s.ivs)
 	for lo < hi {
