@@ -15,8 +15,8 @@ import (
 // heuristic loop must not touch the heap beyond the one Result the API
 // returns. Everything else — candidate groups, open-request sets, plan
 // slabs, the prefetch queue — lives in recycled scratch, and a regression
-// here is exactly the kind of slow leak BENCH_core.json only catches after
-// the fact.
+// here is exactly the kind of slow leak a wall-time benchmark only shows
+// after the fact.
 func TestSteadyEpochAllocs(t *testing.T) {
 	sc := testnet.Line(6, 1<<20, testnet.KBPS(1000), time.Hour)
 	st := state.New(sc)

@@ -76,8 +76,7 @@ func BenchmarkScheduleParanoidRerun(b *testing.B) {
 // metrics registry plus tracer with a discard sink — against
 // BenchmarkScheduleWithPlanCache (the same run with observability
 // disabled). The gap is the total price of enabled observability; the
-// disabled run must stay within noise of its pre-obs baseline (the
-// acceptance bound BENCH_core.json tracks).
+// disabled run must stay within noise of the pre-obs code.
 func BenchmarkScheduleObserved(b *testing.B) {
 	sc := testnet.Generate(gen.Default(), 42)
 	o := obs.NewTraced(obs.Discard)

@@ -8,8 +8,8 @@ import (
 )
 
 // TestSlotQueryAllocs gates the admission fast path's slot queries at zero
-// allocations: a regression here used to drift silently in BENCH_core.json
-// until a trajectory run noticed; now it fails the suite.
+// allocations: a wall-time benchmark only shows such a regression when
+// someone runs it; this fails the suite.
 func TestSlotQueryAllocs(t *testing.T) {
 	lt := NewLinkTimeline(simtime.Interval{Start: 0, End: simtime.Forever})
 	at := simtime.At(0)

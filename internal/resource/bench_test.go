@@ -46,8 +46,7 @@ func capacityBenchQueries(n int) []simtime.Interval {
 // BenchmarkCapacityMinAvailable measures the interval-minimum query on a
 // dense ~1k-segment profile: the segment-min indexed kernel, O(1) per query
 // after the lazily rebuilt index. BenchmarkCapacityMinAvailableLinear is the
-// same workload on the linear walk — the before/after pair in
-// BENCH_core.json.
+// same workload on the linear walk — the before/after pair.
 func BenchmarkCapacityMinAvailable(b *testing.B) {
 	const n = 1000
 	c := benchCapacity(n)
@@ -63,7 +62,7 @@ func BenchmarkCapacityMinAvailable(b *testing.B) {
 
 // BenchmarkCapacityMinAvailableLinear runs the identical workload through the
 // linear walk (the small-profile path and differential-test oracle), so the
-// cost the index removes stays measured in BENCH_core.json.
+// cost the index removes stays measurable.
 func BenchmarkCapacityMinAvailableLinear(b *testing.B) {
 	const n = 1000
 	c := benchCapacity(n)

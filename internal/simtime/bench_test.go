@@ -35,8 +35,7 @@ func benchReady(count, n int) []Instant {
 
 // BenchmarkEarliestFit measures the single-set earliest-fit primitive on a
 // dense 1k-interval set with ready instants spread across the whole
-// timeline. Baseline in BENCH_core.json is the linear from-zero scan;
-// current is the indexed (binary-searched) kernel.
+// timeline: the binary search to the first candidate.
 func BenchmarkEarliestFit(b *testing.B) {
 	s := denseBenchSet(1000, 0)
 	ready := benchReady(1024, 1000)
@@ -52,9 +51,8 @@ func BenchmarkEarliestFit(b *testing.B) {
 
 // BenchmarkEarliestFitN measures the serialized-transfer slot query: the
 // earliest instant free on the link, the send port, and the receive port
-// simultaneously. Baseline in BENCH_core.json materializes two
-// intermediate intersection sets (the pre-kernel implementation); current
-// is the fused cursor walk.
+// simultaneously: the fused cursor walk, which materializes no
+// intersection set.
 func BenchmarkEarliestFitN(b *testing.B) {
 	link := denseBenchSet(1000, 0)
 	send := denseBenchSet(1000, 250*time.Millisecond)
