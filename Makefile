@@ -32,16 +32,19 @@ bench:
 
 # One iteration of each interval-kernel benchmark, of the planner's
 # whole-schedule benchmarks (parallel and serialized transfers, all three
-# heuristics) and of the offline replay of the soak trace: a CI smoke check
+# heuristics), of the offline replay of the soak trace and of the admission
+# path's hand-coded submission decode and verdict encode: a CI smoke check
 # that the benchmark code itself keeps compiling and running. Nothing here is
 # gated on time; the exact work those paths do is pinned by TestWorkCounters
-# (work_test.go, testdata/work.golden) in the ordinary test run.
+# (work_test.go, testdata/work.golden), and the wire path's allocations by
+# TestWireAllocs (internal/serve), in the ordinary test run.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='EarliestFit|CapacityMinAvailable' -benchtime=1x \
 		./internal/simtime/ ./internal/resource/
 	$(GO) test -run='^$$' -bench='^Benchmark(Schedule|ScheduleSerial|Heuristics)$$' -benchtime=1x \
 		./internal/core/
 	$(GO) test -run='^$$' -bench='^BenchmarkReplaySoak$$' -benchtime=1x ./internal/workload/
+	$(GO) test -run='^$$' -bench='^BenchmarkWire$$' -benchtime=1x ./internal/serve/
 
 # A short pass of the end-to-end benchmark (BENCHMARK.json, benchmark/):
 # five seconds of each workload, one at a time. A run exits non-zero only
@@ -122,6 +125,8 @@ fuzz:
 	$(GO) test ./internal/core/ -run='^$$' -fuzz=FuzzPlanCacheMatchesParanoid -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dynamic/ -run='^$$' -fuzz=FuzzEngineIncrementalEquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/workload/ -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/serve/ -run='^$$' -fuzz=FuzzSubmissionDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/serve/ -run='^$$' -fuzz=FuzzTicketViewEncode -fuzztime=$(FUZZTIME)
 
 # Reproduce the paper's full simulation study (40 cases, both weightings,
 # all extension sweeps). Takes a few minutes on one core.

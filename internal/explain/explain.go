@@ -12,6 +12,7 @@ import (
 
 	"datastaging/internal/dijkstra"
 	"datastaging/internal/model"
+	"datastaging/internal/obs"
 	"datastaging/internal/scenario"
 	"datastaging/internal/simtime"
 	"datastaging/internal/state"
@@ -92,6 +93,22 @@ type Diagnoser struct {
 	idle    *state.State
 	scratch dijkstra.Scratch
 	ideal   *dijkstra.Plan
+
+	mDiagnoses, mPops, mRelaxations, mScanned *obs.Counter
+}
+
+// SetObs counts the Diagnoser's work in o from now on, under names of its
+// own so the planner's dijkstra.* counters keep counting the planner alone:
+// explain.diagnoses_total (Diagnose calls that found their request),
+// explain.pops_total and explain.relaxations_total (its idle-network
+// walks), and explain.transfers_scanned_total (committed-transfer records
+// read by the delivery check and the blockers scan). A nil o counts
+// nothing.
+func (d *Diagnoser) SetObs(o *obs.Obs) {
+	d.mDiagnoses = o.Counter("explain.diagnoses_total")
+	d.mPops = o.Counter("explain.pops_total")
+	d.mRelaxations = o.Counter("explain.relaxations_total")
+	d.mScanned = o.Counter("explain.transfers_scanned_total")
 }
 
 // Diagnose explains one request's outcome under a committed schedule.
@@ -112,16 +129,23 @@ func (d *Diagnoser) Diagnose(sc *scenario.Scenario, transfers []state.Transfer, 
 	} else {
 		d.idle.GrowItems()
 	}
+	d.mDiagnoses.Inc()
+	before := d.scratch.Stats()
 	d.ideal = d.scratch.Compute(d.idle, id.Item, d.ideal)
+	after := d.scratch.Stats()
+	d.mPops.Add(int64(after.Pops - before.Pops))
+	d.mRelaxations.Add(int64(after.Relaxations - before.Relaxations))
 	rep.IdealArrival = d.ideal.Arrival[rq.Machine]
 	if hops, ok := d.ideal.PathTo(rq.Machine); ok {
 		rep.IdealPath = hops
 	}
 
 	// Actual delivery, reconstructed from the schedule.
-	for _, tr := range transfers {
+	scanned := len(transfers)
+	for i, tr := range transfers {
 		if tr.Item == id.Item && tr.To == rq.Machine {
 			rep.Arrival = tr.Arrival
+			scanned = i + 1
 			break
 		}
 	}
@@ -136,7 +160,9 @@ func (d *Diagnoser) Diagnose(sc *scenario.Scenario, transfers []state.Transfer, 
 	default:
 		rep.Verdict = Starved
 		rep.Blockers = blockers(rep.IdealPath, transfers, id.Item)
+		scanned += len(rep.IdealPath) * len(transfers)
 	}
+	d.mScanned.Add(int64(scanned))
 	return rep, nil
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"datastaging/internal/core"
 	"datastaging/internal/model"
+	"datastaging/internal/obs"
 	"datastaging/internal/scenario"
 	"datastaging/internal/simtime"
 	"datastaging/internal/state"
@@ -213,5 +214,54 @@ func TestDiagnoserFollowsGrowingScenario(t *testing.T) {
 	}
 	if want, _ := Diagnose(other, nil, id); !reflect.DeepEqual(got, want) {
 		t.Errorf("after switching scenarios:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestDiagnoserCounts: SetObs counts each diagnosis, the Diagnoser's own
+// walks (the same pops and relaxations its Scratch saw) and every
+// committed-transfer record the delivery check and the blockers scan read;
+// a request that does not exist counts nothing.
+func TestDiagnoserCounts(t *testing.T) {
+	sc, low, high := contendedPair()
+	res, err := core.Schedule(sc, core.Config{Heuristic: core.PartialPath, Criterion: core.C4,
+		EU: core.EUPriorityOnly, Weights: model.Weights1x10x100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	var d Diagnoser
+	d.SetObs(o)
+	hi, err := d.Diagnose(sc, res.Transfers, model.RequestID{Item: high})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, err := d.Diagnose(sc, res.Transfers, model.RequestID{Item: low})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Diagnose(sc, res.Transfers, model.RequestID{Item: 9}); err == nil {
+		t.Fatal("unknown item accepted")
+	}
+	if hi.Verdict != Satisfied || lo.Verdict != Starved {
+		t.Fatalf("verdicts %v, %v: fixture changed", hi.Verdict, lo.Verdict)
+	}
+	delivered := 0
+	for i, tr := range res.Transfers {
+		if tr.Item == high {
+			delivered = i + 1
+			break
+		}
+	}
+	n := len(res.Transfers)
+	c := o.Snapshot().Counters
+	for name, want := range map[string]int64{
+		"explain.diagnoses_total":         2,
+		"explain.pops_total":              int64(d.scratch.Stats().Pops),
+		"explain.relaxations_total":       int64(d.scratch.Stats().Relaxations),
+		"explain.transfers_scanned_total": int64(delivered + n + len(lo.IdealPath)*n),
+	} {
+		if c[name] != want || want == 0 {
+			t.Errorf("%s = %d, want %d (nonzero)", name, c[name], want)
+		}
 	}
 }

@@ -48,8 +48,10 @@ type Server struct {
 	mu    sync.Mutex
 	info  RunInfo
 	phase string
-	stats map[string]string
-	live  map[string]func() string
+	// phaseFn, when set, formats the phase at /runinfo render time.
+	phaseFn func() string
+	stats   map[string]string
+	live    map[string]func() string
 }
 
 // NewServer returns a server exposing the given observability handles
@@ -75,7 +77,20 @@ func (s *Server) SetPhase(phase string) {
 		return
 	}
 	s.mu.Lock()
-	s.phase = phase
+	s.phase, s.phaseFn = phase, nil
+	s.mu.Unlock()
+}
+
+// SetPhaseFunc is SetPhase for a phase that changes far more often than it
+// is read: fn is called only when /runinfo is rendered, so a caller on a
+// hot path pays for a closure, not for formatting. fn must be safe to call
+// from the serving goroutine.
+func (s *Server) SetPhaseFunc(fn func() string) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.phase, s.phaseFn = "", fn
 	s.mu.Unlock()
 }
 
@@ -213,6 +228,7 @@ type runinfoResponse struct {
 func (s *Server) runinfo(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	resp := runinfoResponse{RunInfo: s.info, Phase: s.phase}
+	phaseFn := s.phaseFn
 	if len(s.stats)+len(s.live) > 0 {
 		resp.Stats = make(map[string]string, len(s.stats)+len(s.live))
 		for k, v := range s.stats {
@@ -224,8 +240,12 @@ func (s *Server) runinfo(w http.ResponseWriter, _ *http.Request) {
 		live[k] = fn
 	}
 	s.mu.Unlock()
-	// Live stats are evaluated outside the lock: the functions read their
-	// own snapshots and must not be able to deadlock against SetStat.
+	// Live stats and the phase are evaluated outside the lock: the
+	// functions read their own snapshots and must not be able to deadlock
+	// against SetStat.
+	if phaseFn != nil {
+		resp.Phase = phaseFn()
+	}
 	for k, fn := range live {
 		resp.Stats[k] = fn()
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"datastaging/internal/obs"
@@ -120,9 +121,36 @@ func TestRunInfoAndPhase(t *testing.T) {
 		t.Errorf("machines = %v", resp["machines"])
 	}
 
+	// A phase function is called only when /runinfo is read, and SetPhase
+	// replaces it.
+	phase := func() any {
+		_, body := get(t, s.Handler(), "/runinfo")
+		var r map[string]any
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatalf("runinfo not JSON: %v\n%s", err, body)
+		}
+		return r["phase"]
+	}
+	var calls atomic.Int64
+	s.SetPhaseFunc(func() string { return "epoch " + strconv.FormatInt(calls.Add(1), 10) })
+	s.SetPhaseFunc(func() string { return "epoch " + strconv.FormatInt(10+calls.Add(1), 10) })
+	if n := calls.Load(); n != 0 {
+		t.Errorf("phase formatted %d times before any read", n)
+	}
+	for _, want := range []string{"epoch 11", "epoch 12"} {
+		if got := phase(); got != want {
+			t.Errorf("phase = %v, want %q", got, want)
+		}
+	}
+	s.SetPhase("idle")
+	if got, n := phase(), calls.Load(); got != "idle" || n != 2 {
+		t.Errorf("after SetPhase: phase %v, %d calls", got, n)
+	}
+
 	// A nil server swallows updates without panicking.
 	var nilS *Server
 	nilS.SetPhase("x")
+	nilS.SetPhaseFunc(func() string { return "x" })
 	nilS.SetRunInfo(RunInfo{})
 }
 

@@ -2,12 +2,17 @@ package serve
 
 import (
 	"fmt"
+	"io"
+	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"datastaging/internal/model"
 	"datastaging/internal/simtime"
+	"datastaging/internal/state"
 	"datastaging/internal/testnet"
 )
 
@@ -204,6 +209,64 @@ func BenchmarkServeAdmission(b *testing.B) {
 			if err := eng.Flush(); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+}
+
+// discardWriter is a ResponseWriter that keeps nothing but its header map.
+type discardWriter struct{ h http.Header }
+
+func (d discardWriter) Header() http.Header         { return d.h }
+func (d discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d discardWriter) WriteHeader(int)             {}
+
+// wireView is a typical admitted verdict: two requests, three hops.
+func wireView() TicketView {
+	return TicketView{
+		ID: "r-1234", Status: StatusAdmitted, Item: 1234,
+		Epoch: Instant(5 * time.Hour), Arrived: Instant(5 * time.Hour),
+		Requests: []RequestVerdict{
+			{Request: model.RequestID{Item: 1234}, Machine: 17, Status: StatusAdmitted,
+				Deadline: Instant(7 * time.Hour), Completion: Instant(5*time.Hour + 90*time.Second)},
+			{Request: model.RequestID{Item: 1234, Index: 1}, Machine: 23, Status: StatusRejected,
+				Deadline: Instant(6 * time.Hour), Reason: "starved-by-contention", BlamedLink: 41},
+		},
+		Route: []state.Transfer{
+			{Item: 1234, Link: 3, From: 2, To: 9, Start: simtime.Instant(5 * time.Hour), Duration: 30 * time.Second, Arrival: simtime.Instant(5*time.Hour + 30*time.Second)},
+			{Item: 1234, Link: 40, From: 9, To: 17, Start: simtime.Instant(5*time.Hour + 30*time.Second), Duration: time.Minute, Arrival: simtime.Instant(5*time.Hour + 90*time.Second)},
+			{Item: 1234, Link: 41, From: 17, To: 18, Start: simtime.Instant(5*time.Hour + 90*time.Second), Duration: time.Minute, Arrival: simtime.Instant(5*time.Hour + 150*time.Second)},
+		},
+	}
+}
+
+// wireBody is the benchmark's body for a two-destination submission.
+const wireBody = `{"name":"w-001234","sizeBytes":48318382,"sources":[{"machine":2}],"requests":[{"machine":17,"deadline":25200000000000,"priority":2},{"machine":23,"deadline":21600000000000,"priority":0}]}`
+
+// BenchmarkWire times the hand-coded per-request documents of POST
+// /v1/requests: decode reads and parses wireBody through decodeBody, encode
+// writes wireView through writeTicket. Both run against a discarding
+// ResponseWriter, so only the coding is timed.
+func BenchmarkWire(b *testing.B) {
+	w := discardWriter{h: http.Header{}}
+	b.Run("decode", func(b *testing.B) {
+		body := strings.NewReader(wireBody)
+		r := postBody(nil)
+		r.Body = io.NopCloser(body)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			body.Reset(wireBody)
+			var sub Submission
+			if !decodeBody(w, r, &sub) {
+				b.Fatal("canonical body refused")
+			}
+			benchSink.Add(sub.SizeBytes)
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		v := wireView()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			writeTicket(w, http.StatusAccepted, &v)
 		}
 	})
 }

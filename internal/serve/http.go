@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -105,16 +104,6 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
-	}
-	return true
-}
-
 // fail answers a failed Submit or Advance: shed load is 429 with the same
 // backoff hint the backpressure audit record quotes, closed intake 503, and
 // anything else the client's fault (400) unless the service itself is
@@ -152,7 +141,8 @@ func (h handler[T]) submit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Location", "/v1/requests/"+t.ID())
-	WriteJSON(w, http.StatusAccepted, t.View())
+	v := t.View()
+	writeTicket(w, http.StatusAccepted, &v)
 }
 
 func (h handler[T]) ticket(w http.ResponseWriter, r *http.Request) {
@@ -161,7 +151,7 @@ func (h handler[T]) ticket(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, fmt.Errorf("no such request %q", r.PathValue("id")))
 		return
 	}
-	WriteJSON(w, http.StatusOK, v)
+	writeTicket(w, http.StatusOK, &v)
 }
 
 var errAuditOff = errors.New("auditing is disabled on this engine")

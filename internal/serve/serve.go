@@ -303,6 +303,7 @@ func New(base *scenario.Scenario, opts Options) (*Engine, error) {
 	e.hBatch = e.o.Histogram("serve.batch_size", []float64{1, 2, 4, 8, 16, 32, 64, 128})
 	e.hQueueWait = e.o.Histogram("serve.layer_queue_wait_seconds", queueWaitBuckets)
 	e.epochTimer = e.o.Phase("serve.epoch")
+	e.diag.SetObs(e.o)
 	e.intro.SetPhase("idle")
 	e.totalReqs = (&e.sc).NumRequests()
 	e.publishLocked() // epoch-zero world for readers that poll before the first flush
@@ -530,7 +531,10 @@ func (e *Engine) planLocked(at simtime.Instant, batch ...*Ticket) (epoch, bool) 
 		prevTotalReqs: e.totalReqs,
 	}
 	if e.intro != nil {
-		e.intro.SetPhase(fmt.Sprintf("epoch %d @ %v (%d submissions)", e.epochs+1, at, len(batch)))
+		n, subs := e.epochs+1, len(batch)
+		e.intro.SetPhaseFunc(func() string {
+			return fmt.Sprintf("epoch %d @ %v (%d submissions)", n, at, subs)
+		})
 	}
 	for _, t := range batch {
 		id := model.ItemID(len(e.sc.Items))
