@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-smoke e2e-bench serve-smoke soak-smoke saturation-smoke audit-smoke shard-smoke trace-check deadcode cover cover-check fuzz study examples clean
+.PHONY: all build vet test test-short race bench bench-smoke e2e-bench serve-smoke deadcode cover cover-check fuzz study examples clean
 
 all: build vet test
 
@@ -61,43 +61,6 @@ e2e-bench:
 # one admit plus a clean SIGTERM drain.
 serve-smoke:
 	sh scripts/serve_smoke.sh
-
-# An admission-latency soak: replay the soak builtin trace (about 6,000
-# arrivals) through a virtual-clock daemon with a gate on the trace-order
-# latency slope — per-epoch admission cost must stay flat as the committed
-# schedule grows. Leaves .soak-smoke.trace.json and .soak-smoke.txt for CI
-# to upload.
-soak-smoke:
-	sh scripts/soak_smoke.sh
-
-# A tiny three-point saturation sweep with the deterministic fake clock:
-# asserts the admission rate is monotone non-increasing across loads and
-# leaves the JSON artifact for CI to upload.
-saturation-smoke:
-	sh scripts/saturation_smoke.sh
-
-# Replay a small canonical trace through stagesvc with -audit-out, validate
-# every audit JSONL line against the wide-event schema (auditcheck), and
-# require a second replay to reproduce the stream byte for byte; then the
-# same again at -shards 2, whose stream carries cross-shard offer legs.
-# Leaves .audit-smoke.jsonl and .audit-smoke-shards2.jsonl for CI to upload.
-audit-smoke:
-	sh scripts/audit_smoke.sh
-
-# Replay the bursty builtin trace through stagesvc single-world and at
-# -shards 4, require a validator-clean final schedule from both, the
-# merged JSON artifact, and a sharded weighted objective within the
-# documented tolerance of the single world's.
-shard-smoke:
-	sh scripts/shard_smoke.sh
-
-# Export a Perfetto trace from a paper-scale run and validate its
-# structure: well-formed JSON, non-empty, monotone timestamps per track,
-# and non-overlapping transfer spans per link.
-trace-check:
-	$(GO) run ./cmd/stagerun -seed 11 -chrome-trace-out .trace-check.json >/dev/null
-	$(GO) run ./scripts/tracecheck .trace-check.json
-	rm -f .trace-check.json
 
 # Fail when a function declared outside tests is linked into no production
 # binary (cmd/*, examples/*, scripts/*, benchmark) and is not listed with a

@@ -7,8 +7,7 @@
 // Usage:
 //
 //	stageload -url http://127.0.0.1:8080 -trace FILE
-//	          [-timeout DUR] [-min-admitted N] [-windows K] [-max-slope X]
-//	          [-class-summary]
+//	          [-timeout DUR] [-min-admitted N] [-class-summary]
 //
 // The replay follows the target's clock (GET /v1/info):
 //
@@ -25,13 +24,6 @@
 // -min-admitted makes the run a check: the exit status is non-zero unless
 // at least that many submissions were admitted — the smoke test's
 // assertion.
-//
-// Soak mode: -windows K splits the decided-submission latencies into K
-// trace-order windows and reports each window's mean; -max-slope X fails
-// the run when the last window's mean exceeds the first's by more than the
-// ratio X. A growing slope means per-epoch admission cost scales with the
-// committed history — the regression the incremental engine exists to
-// prevent.
 //
 // -class-summary appends a per-priority-class table (requests, verdict
 // mix, admission rate, p50/p99 decision latency) derived from the
@@ -72,10 +64,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	tracePath := fs.String("trace", "", "canonical .trace.json to replay (required)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "overall run budget")
 	minAdmitted := fs.Int("min-admitted", 0, "fail unless at least this many submissions were admitted")
-	windows := fs.Int("windows", 0,
-		"split latencies into this many trace-order windows and report their means (soak mode)")
-	maxSlope := fs.Float64("max-slope", 0,
-		"fail when last-window mean latency exceeds first-window mean by this ratio (requires -windows)")
 	classSummary := fs.Bool("class-summary", false,
 		"print a per-priority-class verdict/latency table from the service's audit stream (target needs -audit)")
 	if err := fs.Parse(args); err != nil {
@@ -102,19 +90,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "trace      %s (%d arrivals, %d requests)\n",
 		tr.Name, len(tr.Arrivals), workload.NumRequests(tr.Arrivals))
 	rep.Write(out)
-	if *windows > 1 {
-		means := rep.WindowMeans(*windows)
-		fmt.Fprintf(out, "windows   ")
-		for _, m := range means {
-			fmt.Fprintf(out, " %v", m.Round(time.Microsecond))
-		}
-		fmt.Fprintln(out)
-		slope := rep.Slope(*windows)
-		fmt.Fprintf(out, "slope      %.2f (last/first window mean latency)\n", slope)
-		if *maxSlope > 0 && slope > *maxSlope {
-			return fmt.Errorf("latency slope %.2f exceeds -max-slope %.2f: per-epoch cost is growing with history", slope, *maxSlope)
-		}
-	}
 	if *classSummary {
 		if err := printClassSummary(ctx, c, out); err != nil {
 			return err

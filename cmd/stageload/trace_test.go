@@ -3,11 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
-	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,35 +101,5 @@ func TestTraceModeErrors(t *testing.T) {
 	}, &out)
 	if err == nil {
 		t.Error("missing trace file accepted")
-	}
-}
-
-// TestTraceModeSlopeGate: -windows and -max-slope gate a trace replay. A
-// target whose every advance is slower than the last (a per-epoch cost that
-// grows with history) reads a rising slope, which fails a tight -max-slope
-// and passes a loose one.
-func TestTraceModeSlopeGate(t *testing.T) {
-	path, n := writeTestTrace(t, 4)
-	srv := virtualService(t, n+1)
-	var advances atomic.Int64
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/advance" {
-			time.Sleep(time.Duration(advances.Add(1)) * 2 * time.Millisecond)
-		}
-		srv.Config.Handler.ServeHTTP(w, r)
-	}))
-	defer slow.Close()
-
-	var out bytes.Buffer
-	err := run(context.Background(), []string{
-		"-url", slow.URL, "-trace", path, "-windows", "4", "-max-slope", "2",
-	}, &out)
-	if err == nil || !strings.Contains(err.Error(), "exceeds -max-slope") {
-		t.Fatalf("rising slope passed -max-slope 2: %v\n%s", err, out.String())
-	}
-	for _, want := range []string{"windows", "slope"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("soak report missing %q:\n%s", want, out.String())
-		}
 	}
 }

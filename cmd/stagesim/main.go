@@ -56,7 +56,6 @@ type options struct {
 	satLoads       string
 	satCases       int
 	satOut         string
-	satGate        bool
 	satFakeClock   bool
 	extras         bool
 	baseline       bool
@@ -107,7 +106,6 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&o.satLoads, "sat-loads", "0.5,1,2,4,8", "comma-separated offered-load multipliers for the saturation sweep")
 	fs.IntVar(&o.satCases, "sat-cases", 0, "aggregate the saturation sweep over this many generated networks (0 = single base network)")
 	fs.StringVar(&o.satOut, "sat-out", "", "write the saturation JSON artifact to this file")
-	fs.BoolVar(&o.satGate, "sat-gate", false, "fail unless the admission rate is monotone non-increasing across loads (±0.05)")
 	fs.BoolVar(&o.satFakeClock, "sat-fake-clock", false, "measure decision latency with a deterministic virtual clock so the report and artifact are byte-stable")
 	fs.StringVar(&o.csvDir, "csv", "", "directory to write CSV files into")
 	fs.IntVar(&o.height, "height", 16, "chart height in rows")

@@ -243,12 +243,6 @@ func runSaturation(out io.Writer, o options, w model.Weights) error {
 		}
 		fmt.Fprintf(out, "(saturation json: %s)\n", o.satOut)
 	}
-	if o.satGate {
-		if err := res.CheckMonotone(0.05); err != nil {
-			return fmt.Errorf("-sat-gate: %w", err)
-		}
-		fmt.Fprintln(out, "gate: admission rate monotone non-increasing (±0.05)")
-	}
 	return nil
 }
 
@@ -285,16 +279,6 @@ func runSaturationSweep(out io.Writer, o options, w model.Weights, spec workload
 			return err
 		}
 		fmt.Fprintf(out, "(saturation json: %s)\n", o.satOut)
-	}
-	if o.satGate {
-		for i := 1; i < len(agg.Points); i++ {
-			if agg.Points[i].AdmissionRate.Mean > agg.Points[i-1].AdmissionRate.Mean+0.05 {
-				return fmt.Errorf("-sat-gate: mean admission rate rose with load: %.3f at %v -> %.3f at %v",
-					agg.Points[i-1].AdmissionRate.Mean, agg.Points[i-1].Load,
-					agg.Points[i].AdmissionRate.Mean, agg.Points[i].Load)
-			}
-		}
-		fmt.Fprintln(out, "gate: mean admission rate monotone non-increasing (±0.05)")
 	}
 	return nil
 }

@@ -10,26 +10,7 @@ import (
 	"testing"
 
 	"datastaging/internal/obs/lifecycle"
-	"datastaging/internal/workload"
 )
-
-func writeSteadyTrace(t *testing.T) string {
-	t.Helper()
-	spec, err := workload.Builtin("steady")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec = spec.ScaleRate(0.25)
-	arrivals, err := spec.Compile(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "steady.trace.json")
-	if err := workload.WriteTraceFile(path, workload.NewTrace(spec.Name, 10, &spec, arrivals)); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
 
 func replayWithAudit(t *testing.T, trPath, auditPath string, extra ...string) string {
 	t.Helper()
@@ -48,75 +29,96 @@ func replayWithAudit(t *testing.T, trPath, auditPath string, extra ...string) st
 	return out.String()
 }
 
-// TestAuditByteStability is the forensics contract end to end: replaying
-// the same canonical trace twice through the daemon produces byte-identical
-// audit JSONL, and every line validates against the wide-event schema.
+// TestAuditByteStability is the forensics contract end to end, single-world
+// and at -shards 2 (whose stream carries the records of committed
+// cross-shard legs): replaying the same canonical trace twice through the daemon
+// produces byte-identical audit JSONL, every line validates against the
+// wide-event schema, seq numbers the lines with no gap or reordering, and
+// the record and decision counts are pinned exactly.
 func TestAuditByteStability(t *testing.T) {
-	trPath := writeSteadyTrace(t)
-	dir := t.TempDir()
-	pathA := filepath.Join(dir, "a.audit.jsonl")
-	pathB := filepath.Join(dir, "b.audit.jsonl")
-	chromePath := filepath.Join(dir, "run.trace.json")
+	trPath := writeBuiltinTrace(t, "steady", 0.25, 10)
+	for _, tc := range []struct {
+		name               string
+		extra              []string
+		records, decisions int
+		chrome             bool // -chrome-trace-out is single-engine only
+	}{
+		{name: "single", records: 19, decisions: 19, chrome: true},
+		// 19 arrivals, 15 records: one per committed engine leg. Five of
+		// the eight cross-shard submissions are admitted over a cut link
+		// alone, commit no leg, and so leave no record.
+		{name: "shards 2", extra: []string{"-shards", "2"}, records: 15, decisions: 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			pathA := filepath.Join(dir, "a.audit.jsonl")
+			pathB := filepath.Join(dir, "b.audit.jsonl")
+			chromePath := filepath.Join(dir, "run.trace.json")
 
-	outA := replayWithAudit(t, trPath, pathA, "-chrome-trace-out", chromePath)
-	replayWithAudit(t, trPath, pathB)
+			extraA := tc.extra
+			if tc.chrome {
+				extraA = append(extraA, "-chrome-trace-out", chromePath)
+			}
+			outA := replayWithAudit(t, trPath, pathA, extraA...)
+			replayWithAudit(t, trPath, pathB, tc.extra...)
 
-	a, err := os.ReadFile(pathA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(pathB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) == 0 {
-		t.Fatal("first replay wrote an empty audit file")
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("audit JSONL differs across identical replays (%d vs %d bytes)", len(a), len(b))
-	}
+			a, err := os.ReadFile(pathA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(pathB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("audit JSONL differs across identical replays (%d vs %d bytes)", len(a), len(b))
+			}
 
-	// Every line must parse and validate; the stream must cover at least
-	// one admission decision per trace arrival.
-	recs, err := lifecycle.ReadJSONL(bytes.NewReader(a))
-	if err != nil {
-		t.Fatalf("audit stream rejected by its own schema: %v", err)
-	}
-	if len(recs) == 0 {
-		t.Fatal("no audit records decoded")
-	}
-	decisions := 0
-	for _, r := range recs {
-		if r.Kind == lifecycle.KindDecision {
-			decisions++
-		}
-	}
-	if decisions == 0 {
-		t.Error("audit stream has no decision records")
-	}
-	if !strings.Contains(outA, "audit records to "+pathA) {
-		t.Errorf("output does not report the audit artifact:\n%s", outA)
-	}
+			// Every line must parse and validate, and line i must carry seq i.
+			recs, err := lifecycle.ReadJSONL(bytes.NewReader(a))
+			if err != nil {
+				t.Fatalf("audit stream rejected by its own schema: %v", err)
+			}
+			decisions := 0
+			for i, r := range recs {
+				if r.Seq != i {
+					t.Fatalf("line %d: seq %d, want %d (audit log has gaps or reordering)", i+1, r.Seq, i)
+				}
+				if r.Kind == lifecycle.KindDecision {
+					decisions++
+				}
+			}
+			if len(recs) != tc.records || decisions != tc.decisions {
+				t.Errorf("%d records, %d decisions; want %d and %d", len(recs), decisions, tc.records, tc.decisions)
+			}
+			if !strings.Contains(outA, "audit records to "+pathA) {
+				t.Errorf("output does not report the audit artifact:\n%s", outA)
+			}
+			if !tc.chrome {
+				return
+			}
 
-	// The chrome trace must be valid JSON with per-request lifecycle events.
-	cb, err := os.ReadFile(chromePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ct struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(cb, &ct); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v", err)
-	}
-	if len(ct.TraceEvents) == 0 {
-		t.Error("chrome trace has no events")
-	}
-	if !strings.Contains(string(cb), "decision: admitted") {
-		t.Error("chrome trace missing per-request decision instants")
-	}
-	if !strings.Contains(outA, "wrote chrome trace to "+chromePath) {
-		t.Errorf("output does not report the chrome trace:\n%s", outA)
+			// The chrome trace must be valid JSON with per-request lifecycle events.
+			cb, err := os.ReadFile(chromePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ct struct {
+				TraceEvents []map[string]any `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(cb, &ct); err != nil {
+				t.Fatalf("chrome trace is not valid JSON: %v", err)
+			}
+			if len(ct.TraceEvents) == 0 {
+				t.Error("chrome trace has no events")
+			}
+			if !strings.Contains(string(cb), "decision: admitted") {
+				t.Error("chrome trace missing per-request decision instants")
+			}
+			if !strings.Contains(outA, "wrote chrome trace to "+chromePath) {
+				t.Errorf("output does not report the chrome trace:\n%s", outA)
+			}
+		})
 	}
 }
 

@@ -31,13 +31,19 @@ func (t stubTicket) View() TicketView {
 // error Submit and Advance return, whether the service is wedged, whether
 // tickets ever decide, and whether auditing is on.
 type stubAPI struct {
-	opErr   error // returned by Submit and Advance
-	wedged  error // returned by Err
-	decided bool
-	rec     *lifecycle.Recorder
+	opErr    error // returned by Submit and Advance
+	wedged   error // returned by Err
+	decided  bool
+	rec      *lifecycle.Recorder
+	machines int // > 0: Submit validates against this many machines first
 }
 
-func (s stubAPI) Submit(Submission) (stubTicket, error) {
+func (s stubAPI) Submit(sub Submission) (stubTicket, error) {
+	if s.machines > 0 {
+		if err := sub.validate(s.machines); err != nil {
+			return stubTicket{}, err
+		}
+	}
 	return stubTicket{decided: s.decided}, s.opErr
 }
 func (s stubAPI) TicketView(id string) (TicketView, bool) {
@@ -92,6 +98,24 @@ func TestHTTPEnvelope(t *testing.T) {
 			code: 400, ctype: jsonType, want: `{"error":"bad request body: json: unknown field \"bogus\""}` + "\n"},
 		{name: "submit invalid", svc: stubAPI{opErr: invalid}, method: "POST", path: "/v1/requests", body: `{}`,
 			code: 400, ctype: jsonType, want: `{"error":"serve: submission has no sources"}` + "\n"},
+		{name: "submit duplicate source", svc: stubAPI{machines: 4}, method: "POST", path: "/v1/requests",
+			body: `{"sizeBytes": 1, "sources": [{"machine": 0}, {"machine": 2}, {"machine": 0}], "requests": [{"machine": 1, "deadline": "1h"}]}`,
+			code: 400, ctype: jsonType, want: `{"error":"serve: duplicate source machine 0"}` + "\n"},
+		{name: "submit duplicate request", svc: stubAPI{machines: 4}, method: "POST", path: "/v1/requests",
+			body: `{"sizeBytes": 1, "sources": [{"machine": 0}], "requests": [{"machine": 1, "deadline": "1h"}, {"machine": 3, "deadline": "1h"}, {"machine": 1, "deadline": "2h"}]}`,
+			code: 400, ctype: jsonType, want: `{"error":"serve: duplicate request machine 1"}` + "\n"},
+		{name: "submit request is source", svc: stubAPI{machines: 4}, method: "POST", path: "/v1/requests",
+			body: `{"sizeBytes": 1, "sources": [{"machine": 0}, {"machine": 2}], "requests": [{"machine": 1, "deadline": "1h"}, {"machine": 2, "deadline": "1h"}]}`,
+			code: 400, ctype: jsonType, want: `{"error":"serve: request machine 2 is also a source"}` + "\n"},
+		{name: "submit source out of range", svc: stubAPI{machines: 4}, method: "POST", path: "/v1/requests",
+			body: `{"sizeBytes": 1, "sources": [{"machine": 0}, {"machine": 4}], "requests": [{"machine": 1, "deadline": "1h"}]}`,
+			code: 400, ctype: jsonType, want: `{"error":"serve: source machine 4 out of range [0,4)"}` + "\n"},
+		{name: "submit request out of range", svc: stubAPI{machines: 4}, method: "POST", path: "/v1/requests",
+			body: `{"sizeBytes": 1, "sources": [{"machine": 0}], "requests": [{"machine": 1, "deadline": "1h"}, {"machine": -1, "deadline": "1h"}]}`,
+			code: 400, ctype: jsonType, want: `{"error":"serve: request machine -1 out of range [0,4)"}` + "\n"},
+		{name: "submit negative priority", svc: stubAPI{machines: 4}, method: "POST", path: "/v1/requests",
+			body: `{"sizeBytes": 1, "sources": [{"machine": 0}], "requests": [{"machine": 1, "deadline": "1h", "priority": -2}]}`,
+			code: 400, ctype: jsonType, want: `{"error":"serve: negative priority -2"}` + "\n"},
 		{name: "submit wait abandoned", method: "POST", path: "/v1/requests?wait=1", body: validSub, gaveUp: true,
 			code: 408, ctype: jsonType, want: `{"error":"context canceled"}` + "\n"},
 		{name: "submit overloaded", svc: stubAPI{opErr: ErrOverloaded}, method: "POST", path: "/v1/requests", body: validSub,

@@ -24,46 +24,8 @@ type LoadReport struct {
 	// instant to its verdict on the wall clock, or the wall duration of the
 	// Advance that flushed its epoch on the virtual clock.
 	Latencies []time.Duration
-	// Ordered holds the same latencies in trace order. Windowed means over
-	// it are the soak check: per-epoch admission cost that grows with the
-	// committed history shows up as a rising tail of windows, while the
-	// incremental engine should hold them flat.
+	// Ordered holds the same latencies in trace order.
 	Ordered []time.Duration
-}
-
-// WindowMeans splits the trace-ordered latencies into k contiguous
-// windows and returns each window's mean. Fewer than k samples yield one
-// window per sample.
-func (r *LoadReport) WindowMeans(k int) []time.Duration {
-	n := len(r.Ordered)
-	if k <= 0 || n == 0 {
-		return nil
-	}
-	if k > n {
-		k = n
-	}
-	out := make([]time.Duration, 0, k)
-	for w := 0; w < k; w++ {
-		lo, hi := w*n/k, (w+1)*n/k
-		var sum time.Duration
-		for _, d := range r.Ordered[lo:hi] {
-			sum += d
-		}
-		out = append(out, sum/time.Duration(hi-lo))
-	}
-	return out
-}
-
-// Slope is the ratio of the last window's mean latency to the first's over
-// k trace-order windows: ~1 when per-epoch admission cost is flat,
-// rising when it scales with the committed schedule. It is the quantity
-// the soak smoke test gates on.
-func (r *LoadReport) Slope(k int) float64 {
-	means := r.WindowMeans(k)
-	if len(means) < 2 || means[0] <= 0 {
-		return 1
-	}
-	return float64(means[len(means)-1]) / float64(means[0])
 }
 
 // Percentile returns the p-th (0–100) latency percentile.

@@ -382,7 +382,7 @@ func (e *Engine) Submit(sub Submission) (*Ticket, error) {
 func (e *Engine) newTicketLocked(sub Submission, at simtime.Instant) *Ticket {
 	t := &Ticket{
 		eng:     e,
-		id:      fmt.Sprintf("%sr-%d", e.opts.TicketPrefix, e.nextID),
+		id:      e.opts.TicketPrefix + "r-" + strconv.Itoa(e.nextID),
 		sub:     sub,
 		done:    make(chan struct{}),
 		arrived: at,

@@ -119,28 +119,33 @@ func (s Submission) validate(numMachines int) error {
 	if len(s.Requests) == 0 {
 		return fmt.Errorf("serve: submission has no requests")
 	}
-	srcs := make(map[int]bool, len(s.Sources))
-	for _, src := range s.Sources {
+	// Linear duplicate scans instead of a set per submission: a submission
+	// names a few machines, and since each must be in range and distinct,
+	// no scan runs past numMachines entries before it fails.
+	for i, src := range s.Sources {
 		if src.Machine < 0 || src.Machine >= numMachines {
 			return fmt.Errorf("serve: source machine %d out of range [0,%d)", src.Machine, numMachines)
 		}
-		if srcs[src.Machine] {
-			return fmt.Errorf("serve: duplicate source machine %d", src.Machine)
+		for _, prev := range s.Sources[:i] {
+			if prev.Machine == src.Machine {
+				return fmt.Errorf("serve: duplicate source machine %d", src.Machine)
+			}
 		}
-		srcs[src.Machine] = true
 	}
-	dests := make(map[int]bool, len(s.Requests))
-	for _, rq := range s.Requests {
+	for i, rq := range s.Requests {
 		if rq.Machine < 0 || rq.Machine >= numMachines {
 			return fmt.Errorf("serve: request machine %d out of range [0,%d)", rq.Machine, numMachines)
 		}
-		if srcs[rq.Machine] {
-			return fmt.Errorf("serve: request machine %d is also a source", rq.Machine)
+		for _, src := range s.Sources {
+			if src.Machine == rq.Machine {
+				return fmt.Errorf("serve: request machine %d is also a source", rq.Machine)
+			}
 		}
-		if dests[rq.Machine] {
-			return fmt.Errorf("serve: duplicate request machine %d", rq.Machine)
+		for _, prev := range s.Requests[:i] {
+			if prev.Machine == rq.Machine {
+				return fmt.Errorf("serve: duplicate request machine %d", rq.Machine)
+			}
 		}
-		dests[rq.Machine] = true
 		if rq.Priority < 0 {
 			return fmt.Errorf("serve: negative priority %d", rq.Priority)
 		}

@@ -225,18 +225,3 @@ func saturatePoint(opts SaturationOptions, load float64, machines int, now func(
 	pt.P99 = time.Duration(snap.Quantile(0.99) * float64(time.Second))
 	return pt, nil
 }
-
-// CheckMonotone verifies the admission rate never rises by more than
-// tolerance as load grows — the sanity gate the CI saturation smoke
-// asserts. Returns a descriptive error naming the violating pair.
-func (r *SaturationResult) CheckMonotone(tolerance float64) error {
-	for i := 1; i < len(r.Points); i++ {
-		prev, cur := r.Points[i-1], r.Points[i]
-		if cur.AdmissionRate > prev.AdmissionRate+tolerance {
-			return fmt.Errorf(
-				"workload: admission rate rose with load: %.3f at load %v -> %.3f at load %v (tolerance %.3f)",
-				prev.AdmissionRate, prev.Load, cur.AdmissionRate, cur.Load, tolerance)
-		}
-	}
-	return nil
-}

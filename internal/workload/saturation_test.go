@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -157,6 +158,21 @@ func TestSaturateRejectsBadOptions(t *testing.T) {
 			}
 		})
 	}
+}
+
+// CheckMonotone verifies the admission rate never rises by more than
+// tolerance as load grows, the sanity property TestSaturateFindsKnee
+// asserts. Returns a descriptive error naming the violating pair.
+func (r *SaturationResult) CheckMonotone(tolerance float64) error {
+	for i := 1; i < len(r.Points); i++ {
+		prev, cur := r.Points[i-1], r.Points[i]
+		if cur.AdmissionRate > prev.AdmissionRate+tolerance {
+			return fmt.Errorf(
+				"workload: admission rate rose with load: %.3f at load %v -> %.3f at load %v (tolerance %.3f)",
+				prev.AdmissionRate, prev.Load, cur.AdmissionRate, cur.Load, tolerance)
+		}
+	}
+	return nil
 }
 
 func TestCheckMonotone(t *testing.T) {

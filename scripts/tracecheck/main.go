@@ -6,7 +6,8 @@
 // timestamp order (the encoder's contract), and transfer spans on one
 // track never overlap — a virtual link is a serial resource, so two
 // transfers occupying it at once means the exporter (or the schedule)
-// is broken. It is stdlib-only and invoked by `make trace-check`.
+// is broken. It is stdlib-only; its own test exports a paper-scale run the
+// way `stagerun -chrome-trace-out` does and holds it to every check.
 //
 // Usage: tracecheck trace.json [more.json ...]
 package main

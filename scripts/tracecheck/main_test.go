@@ -1,8 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"datastaging/internal/cliconf"
+	"datastaging/internal/core"
+	"datastaging/internal/model"
+	"datastaging/internal/obs"
+	"datastaging/internal/obs/chrometrace"
 )
 
 func ev(parts string) string { return "{" + parts + "}" }
@@ -67,5 +74,34 @@ func TestValidateAllowsDifferentTracksToOverlap(t *testing.T) {
 	))
 	if err != nil {
 		t.Errorf("cross-track overlap rejected: %v", err)
+	}
+}
+
+// TestValidateAcceptsExportedRun exports seed 11 the way
+// `stagerun -seed 11 -chrome-trace-out FILE` does — the default
+// full_one/C4 planner at log10(E-U) = 2, a memory sink on a traced
+// observer, chrometrace.WriteFile — and holds the file to every
+// structural check.
+func TestValidateAcceptsExportedRun(t *testing.T) {
+	sc, err := cliconf.LoadScenario("", 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := cliconf.BuildConfig("full_one", "C4", "2", model.Weights1x10x100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &obs.MemorySink{}
+	cfg.Obs = obs.NewTraced(sink)
+	res, err := core.Schedule(sc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := chrometrace.WriteFile(&buf, sc, res, sink.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := validate(buf.Bytes()); err != nil {
+		t.Fatalf("exported seed-11 trace rejected: %v", err)
 	}
 }
