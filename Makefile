@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-smoke e2e-bench serve-smoke deadcode cover cover-check fuzz study examples clean
+.PHONY: all build vet test test-short race bench bench-smoke e2e-bench deadcode cover cover-check fuzz study examples clean
 
 all: build vet test
 
@@ -55,12 +55,6 @@ e2e-bench:
 	@for w in offline_paper paper_oversub fed_single fed_sharded; do \
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 || exit 1; \
 	done
-
-# Boot the admission daemon on a loopback port with a wall clock, replay
-# the steady builtin trace open-loop through stageload, and require at least
-# one admit plus a clean SIGTERM drain.
-serve-smoke:
-	sh scripts/serve_smoke.sh
 
 # Fail when a function declared outside tests is linked into no production
 # binary (cmd/*, examples/*, scripts/*, benchmark) and is not listed with a

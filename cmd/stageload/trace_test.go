@@ -18,7 +18,7 @@ import (
 
 // virtualService boots an in-process virtual-clock service over a small
 // line network, the target trace replay needs.
-func virtualService(t *testing.T, maxBatch int) *httptest.Server {
+func virtualService(t *testing.T, queueCap int) *httptest.Server {
 	t.Helper()
 	b := testnet.NewBuilder()
 	ms := b.Machines(4, 1<<30)
@@ -34,8 +34,7 @@ func virtualService(t *testing.T, maxBatch int) *httptest.Server {
 			Weights:   model.Weights1x10x100,
 		},
 		VirtualClock: true,
-		MaxBatch:     maxBatch,
-		QueueCap:     maxBatch,
+		QueueCap:     queueCap,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +69,7 @@ func writeTestTrace(t *testing.T, machines int) (string, int) {
 // summary and the -min-admitted gate against it.
 func TestTraceMode(t *testing.T) {
 	path, n := writeTestTrace(t, 4)
-	srv := virtualService(t, n+1)
+	srv := virtualService(t, n)
 	var out bytes.Buffer
 	err := run(context.Background(), []string{
 		"-url", srv.URL, "-trace", path, "-min-admitted", "1",

@@ -10,7 +10,7 @@
 //	         [-weights 1,10,100|1,5,10] [-scheduler heuristic|priority_first|
 //	          random_dijkstra|single_dij_random]
 //	         [-transfers] [-timeline] [-utilization] [-explain N]
-//	         [-metrics-out FILE] [-trace-out FILE] [-trace-ring N]
+//	         [-metrics-out FILE] [-trace-out FILE]
 //	         [-chrome-trace-out FILE] [-introspect-addr ADDR]
 package main
 
@@ -61,7 +61,6 @@ func run(args []string, out io.Writer) error {
 	csvOut := fs.String("csvout", "", "write the transfer schedule as CSV to this file")
 	metricsOut := fs.String("metrics-out", "", "write a JSON metrics snapshot to this file after the run")
 	traceOut := fs.String("trace-out", "", "stream scheduling events to this file as JSON lines")
-	ringSize := fs.Int("trace-ring", 0, "tracer recent-event ring capacity (0 = default)")
 	chromeOut := fs.String("chrome-trace-out", "", "write the run as a Chrome trace-event JSON file (open in Perfetto)")
 	introspectAddr := fs.String("introspect-addr", "", "serve /metrics, /events, /runinfo, /debug/pprof on this address")
 	if err := fs.Parse(args); err != nil {
@@ -88,7 +87,7 @@ func run(args []string, out io.Writer) error {
 			chromeSink = &obs.MemorySink{}
 			sinks = append(sinks, chromeSink)
 		}
-		o = obs.NewTraced(obs.Tee(sinks...), obs.WithRingSize(*ringSize))
+		o = obs.NewTraced(obs.Tee(sinks...))
 	} else if *metricsOut != "" || *introspectAddr != "" {
 		o = obs.New()
 	}

@@ -10,7 +10,7 @@
 //	         [-figures 2,3,4,5] [-extras] [-baseline] [-congestion]
 //	         [-csv DIR] [-height 16] [-quiet]
 //	         [-parallel N]
-//	         [-metrics-out FILE] [-trace-out FILE] [-trace-ring N]
+//	         [-metrics-out FILE] [-trace-out FILE]
 //	         [-chrome-trace-out FILE] [-introspect-addr ADDR]
 package main
 
@@ -71,7 +71,6 @@ type options struct {
 	parallel       int
 	metricsOut     string
 	traceOut       string
-	traceRing      int
 	chromeOut      string
 	introspectAddr string
 	// obs aggregates metrics (and optionally events) over every run of the
@@ -113,7 +112,6 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&o.parallel, "parallel", 0, "concurrent scheduler runs (0 = GOMAXPROCS)")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write a JSON metrics snapshot aggregated over the whole study to this file")
 	fs.StringVar(&o.traceOut, "trace-out", "", "stream scheduling events to this file as JSON lines (interleaved across concurrent runs; use -parallel 1 for a readable trace)")
-	fs.IntVar(&o.traceRing, "trace-ring", 0, "tracer recent-event ring capacity (0 = default)")
 	fs.StringVar(&o.chromeOut, "chrome-trace-out", "", "write one representative run (base-seed case, full_one/C4) as a Chrome trace-event JSON file (open in Perfetto)")
 	fs.StringVar(&o.introspectAddr, "introspect-addr", "", "serve /metrics, /events, /runinfo, /debug/pprof on this address while the study runs")
 	if err := fs.Parse(args); err != nil {
@@ -128,7 +126,7 @@ func run(args []string, out io.Writer) error {
 		}
 		defer f.Close()
 		traceSink = obs.NewJSONLSink(f)
-		o.obs = obs.NewTraced(traceSink, obs.WithRingSize(o.traceRing))
+		o.obs = obs.NewTraced(traceSink)
 	} else if o.metricsOut != "" || o.introspectAddr != "" {
 		o.obs = obs.New()
 	}
@@ -320,7 +318,7 @@ func writeChromeTrace(out io.Writer, o options, w model.Weights) error {
 		Criterion: core.C4,
 		EU:        core.EUFromLog10(2),
 		Weights:   w,
-		Obs:       obs.NewTraced(mem, obs.WithRingSize(o.traceRing)),
+		Obs:       obs.NewTraced(mem),
 	})
 	if err != nil {
 		return err

@@ -83,7 +83,6 @@ func TestTraceReplayCrossPath(t *testing.T) {
 	eng, err := serve.New(&empty, serve.Options{
 		Config:       cfg,
 		VirtualClock: true,
-		MaxBatch:     len(tr.Arrivals) + 1,
 		QueueCap:     len(tr.Arrivals) + 1,
 	})
 	if err != nil {

@@ -13,11 +13,11 @@
 //	stagesvc [-addr :8080] [-in FILE | -seed N] [-with-items]
 //	         [-heuristic partial|full_one|full_all] [-criterion C1..C5]
 //	         [-eu LOG10|inf|-inf] [-weights 1,10,100]
-//	         [-max-batch N] [-queue-cap N]
+//	         [-queue-cap N]
 //	         [-virtual-clock] [-time-scale X]
 //	         [-drain-timeout DUR]
 //	         [-replay-trace FILE] [-audit] [-audit-out FILE]
-//	         [-decision-slo DUR] [-chrome-trace-out FILE]
+//	         [-chrome-trace-out FILE]
 //	         [-shards N] [-shard-map FILE] [-schedule-out FILE]
 //
 // Sharded mode: -shards N partitions the network into N regions (greedy
@@ -35,8 +35,8 @@
 //
 // Replay mode: -replay-trace FILE (requires -virtual-clock) starts the
 // service, replays the canonical trace against its own HTTP endpoint —
-// batching knobs are auto-raised so no arrival batch splits across
-// admission epochs — prints the load report and final schedule, and exits.
+// -queue-cap is auto-raised so no arrival of one instant is shed —
+// prints the load report and final schedule, and exits.
 //
 // API (all JSON):
 //
@@ -51,13 +51,12 @@
 //	                        scheduler metrics)
 //	GET  /runinfo           live epoch phase; /events, /debug/pprof/ too
 //
-// Auditing: -audit (implied by -audit-out, -decision-slo, or
-// -chrome-trace-out) records one schema-versioned lifecycle event per
-// admission decision. Records stream to -audit-out as JSONL, are served
-// live via GET /v1/audit and GET /v1/requests/{id}/trace, feed the
-// per-priority-class decision-latency histograms on /metrics, and — with
-// -chrome-trace-out — render as per-request tracks in a Perfetto trace
-// written on exit.
+// Auditing: -audit (implied by -audit-out or -chrome-trace-out) records
+// one schema-versioned lifecycle event per admission decision. Records
+// stream to -audit-out as JSONL, are served live via GET /v1/audit and
+// GET /v1/requests/{id}/trace, feed the per-priority-class
+// decision-latency histograms on /metrics, and — with -chrome-trace-out —
+// render as per-request tracks in a Perfetto trace written on exit.
 //
 // SIGTERM or SIGINT drains gracefully: intake closes (503), the in-flight
 // epoch completes, the final schedule is reported, and the process exits 0.
@@ -121,8 +120,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	criterionName := fs.String("criterion", "C4", "C1..C4, or the C5 extension")
 	euName := fs.String("eu", "2", "log10(W_E/W_U), or inf / -inf")
 	weightsName := fs.String("weights", "1,10,100", `"1,10,100" or "1,5,10"`)
-	maxBatch := fs.Int("max-batch", 16,
-		"with -virtual-clock, flush an admission epoch at this many pending submissions")
 	queueCap := fs.Int("queue-cap", 256, "intake queue bound; beyond it submissions get 429")
 	virtual := fs.Bool("virtual-clock", false,
 		"freeze time; it only moves via POST /v1/advance (deterministic replay mode)")
@@ -134,8 +131,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"record one lifecycle audit event per admission decision (enables GET /v1/audit and /v1/requests/{id}/trace)")
 	auditOut := fs.String("audit-out", "",
 		"stream audit records to this JSONL file (implies -audit)")
-	decisionSLO := fs.Duration("decision-slo", 0,
-		"per-request decision-latency budget; violations count in slo_decision_latency_violations_total (implies -audit)")
 	chromeOut := fs.String("chrome-trace-out", "",
 		"write a Perfetto trace of the final schedule and per-request lifecycles on exit (implies -audit)")
 	shards := fs.Int("shards", 1,
@@ -147,7 +142,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *auditOut != "" || *decisionSLO > 0 || *chromeOut != "" {
+	if *auditOut != "" || *chromeOut != "" {
 		*audit = true
 	}
 	sharded := *shards > 1 || *shardMap != ""
@@ -169,11 +164,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if tr, err = workload.ReadTraceFile(*replayTrace); err != nil {
 			return err
 		}
-		// One admission epoch per distinct arrival instant: the batch must
-		// never flush on size, only on /v1/advance.
-		if n := len(tr.Arrivals) + 1; *maxBatch < n {
-			*maxBatch = n
-		}
+		// The queue must hold every arrival of one instant, or some would
+		// be shed instead of planned.
 		if *queueCap < len(tr.Arrivals) {
 			*queueCap = len(tr.Arrivals)
 		}
@@ -205,8 +197,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Items:     len(sc.Items),
 		Scheduler: fmt.Sprintf("%v/%v at E-U %s", cfg.Heuristic, cfg.Criterion, cfg.EU.Label()),
 		Config: map[string]string{
-			"max-batch": fmt.Sprint(*maxBatch), "queue-cap": fmt.Sprint(*queueCap),
-			"virtual-clock": fmt.Sprint(*virtual), "weights": *weightsName,
+			"queue-cap": fmt.Sprint(*queueCap), "virtual-clock": fmt.Sprint(*virtual),
+			"weights": *weightsName,
 		},
 	})
 
@@ -221,12 +213,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			defer f.Close()
 			sink = f
 		}
-		recorder = lifecycle.New(lifecycle.Options{Obs: o, Sink: sink, SLO: *decisionSLO})
+		recorder = lifecycle.New(lifecycle.Options{Obs: o, Sink: sink})
 	}
 
 	opts := serve.Options{
 		Config:       cfg,
-		MaxBatch:     *maxBatch,
 		QueueCap:     *queueCap,
 		VirtualClock: *virtual,
 		TimeScale:    *timeScale,

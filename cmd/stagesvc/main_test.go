@@ -119,8 +119,10 @@ func TestBadFlags(t *testing.T) {
 		{"-shards", "2", "-with-items"},
 		{"-shards", "2", "-chrome-trace-out", "x"},
 		{"-shard-map", "/does/not/exist"},
-		{"-max-wait", "1ms"}, // the coalescing window is gone, and its flag with it
-		{"-preempt"},         // an admit is final; the preemption policy is gone
+		{"-max-wait", "1ms"},    // the coalescing window is gone, and its flag with it
+		{"-preempt"},            // an admit is final; the preemption policy is gone
+		{"-max-batch", "16"},    // the virtual clock flushes only when told
+		{"-decision-slo", "1s"}, // latency is measured client-side
 	} {
 		var out bytes.Buffer
 		if err := run(context.Background(), args, &out); err == nil {

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"datastaging/internal/model"
 	"datastaging/internal/obs"
@@ -132,10 +131,6 @@ type Config struct {
 	EU EUWeights
 	// Weights maps priorities to W[p]; required.
 	Weights model.Weights
-	// C5Tau is the urgency scale of the C5 extension: a request with zero
-	// slack contributes its full weight, one with τ of slack half of it.
-	// Zero selects the default of ten minutes. Ignored by C1–C4.
-	C5Tau time.Duration
 	// Paranoid drops every cached forest on every commit, reproducing the
 	// paper's re-run-Dijkstra-each-iteration implementation. The schedule
 	// produced is identical to the conflict-tracking cache (the
@@ -174,9 +169,6 @@ func (c Config) Validate() error {
 		if c.EU.WE == 0 && c.EU.WU == 0 {
 			return errors.New("core: both E-U weights zero")
 		}
-	}
-	if c.C5Tau < 0 {
-		return errors.New("core: negative C5 tau")
 	}
 	return nil
 }

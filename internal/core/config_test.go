@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-	"time"
 
 	"datastaging/internal/model"
 )
@@ -144,28 +143,16 @@ func TestC5BoundedUrgency(t *testing.T) {
 	}
 	// The urgency factor is bounded in (0, 1].
 	for _, slack := range []float64{-5, 0, 1, 600, 1e9} {
-		f := urgencyFactor(slack, defaultC5Tau)
+		f := urgencyFactor(slack)
 		if f <= 0 || f > 1 {
 			t.Errorf("urgencyFactor(%v) = %v outside (0,1]", slack, f)
 		}
 	}
-	if urgencyFactor(0, defaultC5Tau) != 1 {
+	if urgencyFactor(0) != 1 {
 		t.Errorf("zero slack should give factor 1")
 	}
-	if got := urgencyFactor(defaultC5Tau, defaultC5Tau); got != 0.5 {
+	if got := urgencyFactor(c5Tau); got != 0.5 {
 		t.Errorf("slack=τ should give 0.5, got %v", got)
-	}
-	// C5Tau is configurable; zero selects the default, negatives are
-	// rejected by Validate.
-	if (Config{}).c5TauSeconds() != defaultC5Tau {
-		t.Error("zero C5Tau should select the default")
-	}
-	if (Config{C5Tau: 2 * time.Minute}).c5TauSeconds() != 120 {
-		t.Error("explicit C5Tau ignored")
-	}
-	bad := Config{Heuristic: PartialPath, Criterion: C5, Weights: model.Weights1x5x10, C5Tau: -time.Second}
-	if err := bad.Validate(); err == nil {
-		t.Error("negative C5Tau accepted")
 	}
 }
 

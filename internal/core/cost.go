@@ -68,7 +68,7 @@ func (c *candidate) cost(cfg Config) (float64, int) {
 			}
 			v = d.weight / urg
 		case C5:
-			v = -d.weight * urgencyFactor(d.slackSec, cfg.c5TauSeconds())
+			v = -d.weight * urgencyFactor(d.slackSec)
 		default:
 			v = d.cost1(cfg.EU)
 		}
@@ -119,10 +119,9 @@ func (c *candidate) cost(cfg Config) (float64, int) {
 		// association with the urgency influence bounded, so one
 		// near-zero slack scales its own weight by at most 1 instead of
 		// dominating the whole sum. E-U independent, like C3.
-		tau := cfg.c5TauSeconds()
 		var sum float64
 		for _, d := range c.dests {
-			sum += d.weight * urgencyFactor(d.slackSec, tau)
+			sum += d.weight * urgencyFactor(d.slackSec)
 		}
 		return -sum, best
 	default:
@@ -130,23 +129,16 @@ func (c *candidate) cost(cfg Config) (float64, int) {
 	}
 }
 
-// defaultC5Tau is the default slack scale of the C5 urgency factor: a
-// request with ten minutes of slack contributes half its weight, a
-// zero-slack request its full weight.
-const defaultC5Tau = 600.0 // seconds
+// c5Tau is the slack scale of the C5 urgency factor: a request with ten
+// minutes of slack contributes half its weight, a zero-slack request its
+// full weight.
+const c5Tau = 600.0 // seconds
 
-func (c Config) c5TauSeconds() float64 {
-	if c.C5Tau > 0 {
-		return c.C5Tau.Seconds()
-	}
-	return defaultC5Tau
-}
-
-func urgencyFactor(slackSec, tau float64) float64 {
+func urgencyFactor(slackSec float64) float64 {
 	if slackSec < 0 {
 		slackSec = 0
 	}
-	return tau / (tau + slackSec)
+	return c5Tau / (c5Tau + slackSec)
 }
 
 // before reports whether c comes before o in selection order: the lower

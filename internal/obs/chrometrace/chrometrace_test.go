@@ -191,8 +191,10 @@ func TestAddLifecycle(t *testing.T) {
 			}},
 		},
 		{
+			// A late admission: r-1, rejected at its decision, admitted by
+			// a later epoch.
 			Schema: lifecycle.SchemaVersion, Kind: lifecycle.KindRevision,
-			Ticket: "r-0", Item: 0,
+			Ticket: "r-1", Item: 1,
 			Timeline: []lifecycle.Hop{
 				{Stage: lifecycle.StageReceived, V: sec(10)},
 				{Stage: lifecycle.StageEnqueued, V: sec(10)},
@@ -202,10 +204,10 @@ func TestAddLifecycle(t *testing.T) {
 				{Stage: lifecycle.StageSettled, V: sec(45)},
 			},
 			Epoch: 2, EpochAt: sec(45), EpochPath: "full", BatchSize: 1,
-			Status: "preempted",
+			Status: "admitted",
 			Requests: []lifecycle.RequestOutcome{{
-				Item: 0, Index: 0, Machine: 1, Priority: 2,
-				Status: "preempted", Deadline: sec(90), BlamedLink: -1,
+				Item: 1, Index: 0, Machine: 1, Priority: 1,
+				Status: "admitted", Deadline: sec(120), Completion: sec(100), BlamedLink: -1,
 			}},
 		},
 		{
@@ -237,7 +239,8 @@ func TestAddLifecycle(t *testing.T) {
 		"queued":              false, // span 10s→30s on the ticket track
 		"decision: admitted":  false,
 		"deliver r0.0":        false, // span 30s→61s
-		"revised: preempted":  false,
+		"revised: admitted":   false,
+		"deliver r1.0":        false, // span 45s→100s
 		"shed (backpressure)": false,
 	}
 	for _, e := range tf.TraceEvents {
@@ -259,9 +262,13 @@ func TestAddLifecycle(t *testing.T) {
 			if e.Ts != 30e6 || e.Dur != 31e6 {
 				t.Errorf("deliver span = ts %v dur %v", e.Ts, e.Dur)
 			}
-		case "revised: preempted":
-			if e.Args["epoch"] != 2.0 {
-				t.Errorf("revision args = %v", e.Args)
+		case "revised: admitted":
+			if e.Args["epoch"] != 2.0 || e.Tid != 2 {
+				t.Errorf("revision on tid %d, args %v", e.Tid, e.Args)
+			}
+		case "deliver r1.0":
+			if e.Ts != 45e6 || e.Dur != 55e6 || e.Tid != 2 {
+				t.Errorf("late deliver span = ts %v dur %v tid %d", e.Ts, e.Dur, e.Tid)
 			}
 		case "shed (backpressure)":
 			if e.Tid != 0 {

@@ -66,7 +66,7 @@ func TestMetricsEndpointBitExact(t *testing.T) {
 }
 
 func TestEventsEndpoint(t *testing.T) {
-	o := obs.NewTraced(obs.Discard, obs.WithRingSize(2))
+	o := &obs.Obs{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer(2, obs.Discard)}
 	for i := 0; i < 5; i++ {
 		o.Tracer.Emit(obs.Event{Kind: obs.EvIteration, N: i})
 	}

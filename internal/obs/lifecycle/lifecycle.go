@@ -16,11 +16,9 @@
 // the replay golden test pins.
 //
 // The recorder also aggregates: every decided request feeds a
-// per-priority-class decision-latency histogram plus live p50/p99 gauges
-// (via obs.HistogramSnapshot.Quantile), and an optional SLO budget counts
-// violations in serve.slo_decision_latency_violations_total. A nil
-// *Recorder is the disabled state: every method no-ops, so the admission
-// hot path stays allocation-free when auditing is off.
+// per-priority-class decision-latency histogram. A nil *Recorder is the
+// disabled state: every method no-ops, so the admission hot path stays
+// allocation-free when auditing is off.
 package lifecycle
 
 import (
@@ -46,9 +44,8 @@ const (
 	// KindDecision: the submission's first verdict, assigned by its
 	// admission epoch.
 	KindDecision Kind = "decision"
-	// KindRevision: a later epoch changed an earlier verdict (late
-	// admission; a preemption in audit files from services that still
-	// had one).
+	// KindRevision: a later epoch changed an earlier verdict (a late
+	// admission).
 	KindRevision Kind = "revision"
 	// KindBackpressure: the submission was shed at the door with a full
 	// intake queue (HTTP 429); it never received a ticket.
@@ -87,7 +84,7 @@ type RequestOutcome struct {
 	Deadline int64  `json:"deadline"`
 	// Completion is the committed delivery instant (admitted only).
 	Completion int64 `json:"completion,omitempty"`
-	// Reason classifies a rejection (or, in older files, a preemption).
+	// Reason classifies a rejection.
 	Reason string `json:"reason,omitempty"`
 	// BlamedLink is the explain blame of a starved rejection (-1 none).
 	BlamedLink int `json:"blamedLink"`
@@ -120,15 +117,10 @@ type Record struct {
 	BatchSize         int    `json:"batchSize,omitempty"`
 	ReplayedTransfers int    `json:"replayedTransfers,omitempty"`
 	DeltaItems        int    `json:"deltaItems,omitempty"`
-	// Status aggregates the per-request verdicts (admitted / rejected; a
-	// "preempted" status decodes from older files), or "backpressure" for
-	// a shed submission.
+	// Status aggregates the per-request verdicts (admitted / rejected),
+	// or "backpressure" for a shed submission.
 	Status   string           `json:"status"`
 	Requests []RequestOutcome `json:"requests,omitempty"`
-	// ObjectiveDelta is the weighted-objective gain of a kept preemption
-	// displacement. Nothing writes it any more (an admit is final); it
-	// still decodes from audit files of services that had preemption.
-	ObjectiveDelta float64 `json:"objectiveDelta,omitempty"`
 	// RetryAfterS echoes the backpressure retry hint, seconds.
 	RetryAfterS float64 `json:"retryAfterS,omitempty"`
 	// Shard is the admission shard that decided the submission, present
@@ -163,8 +155,7 @@ func (r *Record) DecisionLatency() float64 {
 // knownStatuses mirrors serve's verdict vocabulary without importing it
 // (serve imports lifecycle).
 var knownStatuses = map[string]bool{
-	"queued": true, "admitted": true, "rejected": true,
-	"preempted": true, "backpressure": true,
+	"queued": true, "admitted": true, "rejected": true, "backpressure": true,
 }
 
 // Validate checks the record against the schema contract the audit smoke
@@ -227,28 +218,12 @@ func Encode(r *Record) ([]byte, error) {
 
 // Options configures a Recorder.
 type Options struct {
-	// Obs receives the per-class latency histograms, quantile gauges, SLO
-	// counters, and the audit.records_total counter. May be nil.
+	// Obs receives the per-class latency histograms and the
+	// audit.records_total counter. May be nil.
 	Obs *obs.Obs
 	// Sink, when non-nil, receives every record as a JSONL line at append
 	// time (stagesvc -audit-out). Write errors are sticky; see SinkErr.
 	Sink io.Writer
-	// Deterministic omits every wall-clock field so the stream is
-	// byte-stable across replays. serve.New forces it on for
-	// virtual-clock engines.
-	Deterministic bool
-	// SLO is the per-request decision-latency budget; a decided request
-	// whose latency exceeds it increments
-	// serve.slo_decision_latency_violations_total (and its class
-	// counter). Zero disables SLO accounting.
-	SLO time.Duration
-}
-
-// classInst is the per-priority-class instrument set.
-type classInst struct {
-	hist       *obs.Histogram
-	p50, p99   *obs.Gauge
-	violations *obs.Counter
 }
 
 // Recorder is the audit pipeline: appends records, streams them to the
@@ -258,6 +233,9 @@ type classInst struct {
 type Recorder struct {
 	mu   sync.Mutex
 	opts Options
+	// deterministic omits every wall-clock field so the stream is
+	// byte-stable across replays; see SetDeterministic.
+	deterministic bool
 
 	seq      int
 	all      []*Record
@@ -265,9 +243,8 @@ type Recorder struct {
 	sink     *bufio.Writer
 	sinkErr  error
 
-	classes     map[int]*classInst
-	mRecords    *obs.Counter
-	mViolations *obs.Counter
+	classes  map[int]*obs.Histogram
+	mRecords *obs.Counter
 }
 
 // New returns an enabled recorder.
@@ -275,10 +252,8 @@ func New(opts Options) *Recorder {
 	r := &Recorder{
 		opts:     opts,
 		byTicket: make(map[string][]*Record),
-		classes:  make(map[int]*classInst),
+		classes:  make(map[int]*obs.Histogram),
 		mRecords: opts.Obs.Counter("audit.records_total"),
-		mViolations: opts.Obs.Counter(
-			"serve.slo_decision_latency_violations_total"),
 	}
 	if opts.Sink != nil {
 		r.sink = bufio.NewWriter(opts.Sink)
@@ -296,15 +271,14 @@ func (r *Recorder) SetDeterministic(on bool) {
 		return
 	}
 	r.mu.Lock()
-	r.opts.Deterministic = on
+	r.deterministic = on
 	r.mu.Unlock()
 }
 
 // Append stamps the record (schema, sequence number; wall fields cleared
 // in deterministic mode), stores it, streams it to the sink, and folds
-// every decided request into its priority class's latency histogram,
-// quantile gauges, and SLO counters. The record must not be mutated by the
-// caller afterwards.
+// every decided request into its priority class's latency histogram. The
+// record must not be mutated by the caller afterwards.
 func (r *Recorder) Append(rec *Record) {
 	if r == nil {
 		return
@@ -314,7 +288,7 @@ func (r *Recorder) Append(rec *Record) {
 	rec.Schema = SchemaVersion
 	rec.Seq = r.seq
 	r.seq++
-	if r.opts.Deterministic {
+	if r.deterministic {
 		rec.DecisionLatencyS = 0
 		for i := range rec.Timeline {
 			rec.Timeline[i].WallS = 0
@@ -342,37 +316,15 @@ func (r *Recorder) Append(rec *Record) {
 	}
 	lat := rec.DecisionLatency()
 	for i := range rec.Requests {
-		r.observeLocked(rec.Requests[i].Priority, lat)
-	}
-}
-
-// observeLocked feeds one decided request's latency into its class
-// instruments. Call with r.mu held.
-func (r *Recorder) observeLocked(class int, lat float64) {
-	ci, ok := r.classes[class]
-	if !ok {
-		ci = &classInst{
-			hist: r.opts.Obs.Histogram(
+		class := rec.Requests[i].Priority
+		h, ok := r.classes[class]
+		if !ok {
+			h = r.opts.Obs.Histogram(
 				fmt.Sprintf("serve.decision_latency_class%d_seconds", class),
-				obs.DurationBuckets),
-			p50: r.opts.Obs.Gauge(
-				fmt.Sprintf("serve.decision_latency_class%d_p50_seconds", class)),
-			p99: r.opts.Obs.Gauge(
-				fmt.Sprintf("serve.decision_latency_class%d_p99_seconds", class)),
-			violations: r.opts.Obs.Counter(
-				fmt.Sprintf("serve.slo_decision_latency_class%d_violations_total", class)),
+				obs.DurationBuckets)
+			r.classes[class] = h
 		}
-		r.classes[class] = ci
-	}
-	ci.hist.Observe(lat)
-	if ci.hist != nil {
-		s := ci.hist.Snapshot()
-		ci.p50.Set(s.Quantile(0.50))
-		ci.p99.Set(s.Quantile(0.99))
-	}
-	if r.opts.SLO > 0 && lat > r.opts.SLO.Seconds() {
-		r.mViolations.Inc()
-		ci.violations.Inc()
+		h.Observe(lat)
 	}
 }
 
@@ -473,8 +425,8 @@ func ReadJSONL(rd io.Reader) ([]Record, error) {
 
 // ClassSummary aggregates the audit stream per priority class: how many
 // requests of that class were offered, how each fared after every
-// revision, and the decision-latency quantiles (interpolated from
-// DurationBuckets exactly like the /metrics gauges).
+// revision, and the decision-latency quantiles (interpolated over
+// DurationBuckets, the buckets of the /metrics class histograms).
 type ClassSummary struct {
 	Class         int
 	Requests      int

@@ -13,44 +13,20 @@ type Obs struct {
 	Tracer *Tracer
 }
 
-// Option configures an Obs at construction time.
-type Option func(*options)
-
-type options struct {
-	ringSize int
-}
-
-// WithRingSize sets the tracer's recent-event ring capacity (default
-// DefaultRingSize). Values ≤ 0 keep the default. Only meaningful with
-// NewTraced; New has no tracer.
-func WithRingSize(n int) Option {
-	return func(o *options) { o.ringSize = n }
-}
-
 // New returns an Obs with a fresh registry and no tracer.
-func New(opts ...Option) *Obs {
-	applyOptions(opts)
+func New() *Obs {
 	return &Obs{Metrics: NewRegistry()}
 }
 
 // NewTraced returns an Obs with a fresh registry and a tracer forwarding
-// to sink (Discard and MemorySink are common choices). Events that fall
-// out of the tracer's recent-event ring increment the registry's
-// trace.dropped_events_total counter, so a truncated ring is visible in
-// every snapshot rather than silent.
-func NewTraced(sink Sink, opts ...Option) *Obs {
-	cfg := applyOptions(opts)
-	o := &Obs{Metrics: NewRegistry(), Tracer: NewTracer(cfg.ringSize, sink)}
+// to sink (Discard and MemorySink are common choices) with a ring of
+// DefaultRingSize recent events. Events that fall out of the ring
+// increment the registry's trace.dropped_events_total counter, so a
+// truncated ring is visible in every snapshot rather than silent.
+func NewTraced(sink Sink) *Obs {
+	o := &Obs{Metrics: NewRegistry(), Tracer: NewTracer(DefaultRingSize, sink)}
 	o.Tracer.droppedCounter = o.Metrics.Counter("trace.dropped_events_total")
 	return o
-}
-
-func applyOptions(opts []Option) options {
-	var cfg options
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return cfg
 }
 
 // Counter returns the named counter (disabled when o is nil).

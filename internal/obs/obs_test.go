@@ -241,32 +241,30 @@ func TestSnapshotWriteJSON(t *testing.T) {
 	}
 }
 
-func TestWithRingSizeAndDroppedCounter(t *testing.T) {
-	o := NewTraced(Discard, WithRingSize(2))
-	if got := o.Tracer.RingSize(); got != 2 {
-		t.Fatalf("ring size = %d, want 2", got)
+func TestDroppedCounter(t *testing.T) {
+	o := NewTraced(Discard)
+	if got := o.Tracer.RingSize(); got != DefaultRingSize {
+		t.Fatalf("ring size = %d, want %d", got, DefaultRingSize)
 	}
-	for i := 0; i < 5; i++ {
+	const over = 3
+	for i := 0; i < DefaultRingSize+over; i++ {
 		o.Tracer.Emit(Event{Kind: EvIteration, N: i})
 	}
-	if got := o.Tracer.Dropped(); got != 3 {
-		t.Errorf("dropped = %d, want 3", got)
+	if got := o.Tracer.Dropped(); got != over {
+		t.Errorf("dropped = %d, want %d", got, over)
 	}
-	if got := o.Snapshot().Counters["trace.dropped_events_total"]; got != 3 {
-		t.Errorf("trace.dropped_events_total = %d, want 3", got)
+	if got := o.Snapshot().Counters["trace.dropped_events_total"]; got != over {
+		t.Errorf("trace.dropped_events_total = %d, want %d", got, over)
 	}
-	if got := o.Tracer.Total(); got != 5 {
-		t.Errorf("total = %d, want 5", got)
+	if got := o.Tracer.Total(); got != DefaultRingSize+over {
+		t.Errorf("total = %d, want %d", got, DefaultRingSize+over)
 	}
-	if got := len(o.Tracer.Recent()); got != 2 {
-		t.Errorf("recent = %d events, want 2", got)
+	if got := len(o.Tracer.Recent()); got != DefaultRingSize {
+		t.Errorf("recent = %d events, want %d", got, DefaultRingSize)
 	}
 
-	// Default size when the option is omitted or non-positive.
-	if got := NewTraced(Discard).Tracer.RingSize(); got != DefaultRingSize {
-		t.Errorf("default ring size = %d, want %d", got, DefaultRingSize)
-	}
-	if got := NewTraced(Discard, WithRingSize(-1)).Tracer.RingSize(); got != DefaultRingSize {
+	// A non-positive capacity falls back to the default.
+	if got := NewTracer(-1, Discard).RingSize(); got != DefaultRingSize {
 		t.Errorf("ring size with -1 = %d, want %d", got, DefaultRingSize)
 	}
 	var nilT *Tracer

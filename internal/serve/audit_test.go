@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -44,7 +45,7 @@ func auditedEngine(t *testing.T, o *obs.Obs, sink *bytes.Buffer, opts Options) *
 func TestAuditTraceVerdicts(t *testing.T) {
 	o := obs.New()
 	var sink bytes.Buffer
-	eng := auditedEngine(t, o, &sink, Options{MaxBatch: 100, QueueCap: 2})
+	eng := auditedEngine(t, o, &sink, Options{QueueCap: 2})
 
 	// Epoch 30s: r-0 books the link's only feasible slot before 61.5s.
 	if err := eng.Advance(simtime.At(30 * time.Second)); err != nil {
@@ -214,7 +215,7 @@ func TestAuditTraceVerdicts(t *testing.T) {
 // TestAuditDisabled404: without a recorder the trace and audit endpoints
 // answer 404 and the engine carries no recorder.
 func TestAuditDisabled404(t *testing.T) {
-	eng, err := New(narrowNet(), Options{Config: cfgC4(nil), VirtualClock: true, MaxBatch: 1})
+	eng, err := New(narrowNet(), Options{Config: cfgC4(nil), VirtualClock: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,6 +223,9 @@ func TestAuditDisabled404(t *testing.T) {
 		t.Fatal("engine without Options.Audit reports auditing enabled")
 	}
 	if _, err := eng.Submit(lineSubmission(10*time.Minute, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(eng.Handler())
@@ -241,7 +245,7 @@ func TestAuditDisabled404(t *testing.T) {
 func TestAuditByteStability(t *testing.T) {
 	run := func() *bytes.Buffer {
 		var sink bytes.Buffer
-		eng := auditedEngine(t, obs.New(), &sink, Options{MaxBatch: 100})
+		eng := auditedEngine(t, obs.New(), &sink, Options{})
 		if _, err := eng.Submit(lineSubmission(61500*time.Millisecond, int(model.Low))); err != nil {
 			t.Fatal(err)
 		}
@@ -266,13 +270,13 @@ func TestAuditByteStability(t *testing.T) {
 }
 
 // TestAuditMetricsAgreement runs a wall-clock engine and checks the /metrics
-// per-class p99 gauge agrees with the quantile re-derived from the audit
-// stream's latencies — same values, same buckets, so they match exactly —
-// and likewise the queue-wait layer histogram with the audit timeline.
+// per-class latency histogram agrees with the audit stream's latencies —
+// same values, same buckets, so their quantiles match exactly — and
+// likewise the queue-wait layer histogram with the audit timeline.
 func TestAuditMetricsAgreement(t *testing.T) {
 	o := obs.New()
 	var sink bytes.Buffer
-	rec := lifecycle.New(lifecycle.Options{Obs: o, Sink: &sink, SLO: time.Nanosecond})
+	rec := lifecycle.New(lifecycle.Options{Obs: o, Sink: &sink})
 	eng, err := New(narrowNet(), Options{
 		Config:    cfgC4(o),
 		TimeScale: 86400,
@@ -318,23 +322,15 @@ func TestAuditMetricsAgreement(t *testing.T) {
 		t.Errorf("serve.layer_queue_wait_seconds count %d sum %v, audit timeline says %d waits summing to %v",
 			h.Count, h.Sum, n, queueWait)
 	}
-	for _, q := range []struct {
-		name string
-		p    float64
-	}{
-		{"serve.decision_latency_class2_p50_seconds", 0.50},
-		{"serve.decision_latency_class2_p99_seconds", 0.99},
-	} {
-		gauge, ok := snap.Gauges[q.name]
-		if !ok {
-			t.Fatalf("gauge %s missing; class %d", q.name, class)
-		}
-		derived := obs.SnapshotValues(obs.DurationBuckets, lats).Quantile(q.p)
-		if gauge != derived {
-			t.Errorf("%s = %v but audit-derived quantile = %v", q.name, gauge, derived)
-		}
+	name := fmt.Sprintf("serve.decision_latency_class%d_seconds", class)
+	h, ok := snap.Histograms[name]
+	if !ok || h.Count != n {
+		t.Fatalf("histogram %s holds %d observations (present %v), want %d", name, h.Count, ok, n)
 	}
-	if got := snap.Counters["serve.slo_decision_latency_violations_total"]; got != n {
-		t.Errorf("slo violations = %d, want %d (1ns budget)", got, n)
+	derived := obs.SnapshotValues(obs.DurationBuckets, lats)
+	for _, p := range []float64{0.50, 0.99} {
+		if got, want := h.Quantile(p), derived.Quantile(p); got != want {
+			t.Errorf("%s p%v = %v but audit-derived quantile = %v", name, p*100, got, want)
+		}
 	}
 }

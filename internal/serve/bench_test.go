@@ -28,7 +28,6 @@ func benchNet() func() *Engine {
 		eng, err := New(sc, Options{
 			Config:       cfgC4(nil),
 			VirtualClock: true,
-			MaxBatch:     1 << 20, // flush only on demand
 			QueueCap:     1 << 20,
 		})
 		if err != nil {
@@ -74,7 +73,6 @@ func BenchmarkServeSoak(b *testing.B) {
 		eng, err := New(sc, Options{
 			Config:       cfgC4(nil),
 			VirtualClock: true,
-			MaxBatch:     1 << 20, // flush only on Advance
 			QueueCap:     1 << 20,
 		})
 		if err != nil {

@@ -67,7 +67,7 @@ func TestHTTPEnvelope(t *testing.T) {
 		schedule = "{\n  \"now\": 0,\n  \"epochs\": 0,\n  \"items\": 0,\n  \"totalRequests\": 0,\n" +
 			"  \"satisfied\": 0,\n  \"weightedValue\": 0,\n  \"transfers\": null\n}\n"
 		info = "{\n  \"scenario\": \"stub\",\n  \"machines\": 0,\n  \"links\": 0,\n  \"items\": 0,\n" +
-			"  \"horizon\": 0,\n  \"now\": 0,\n  \"queue\": 0,\n  \"queueCap\": 0,\n  \"maxBatch\": 0,\n" +
+			"  \"horizon\": 0,\n  \"now\": 0,\n  \"queue\": 0,\n  \"queueCap\": 0,\n" +
 			"  \"virtualClock\": false,\n  \"timeScale\": 0,\n  \"scheduler\": \"\",\n  \"draining\": false\n}\n"
 		jsonType = "application/json"
 	)

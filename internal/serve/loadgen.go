@@ -24,8 +24,6 @@ type LoadReport struct {
 	// instant to its verdict on the wall clock, or the wall duration of the
 	// Advance that flushed its epoch on the virtual clock.
 	Latencies []time.Duration
-	// Ordered holds the same latencies in trace order.
-	Ordered []time.Duration
 }
 
 // Percentile returns the p-th (0–100) latency percentile.
@@ -90,10 +88,9 @@ func SubmissionFromArrival(a workload.Arrival) Submission {
 // On the virtual clock the replay is bit-identical to the offline engine:
 // advance the clock to each distinct arrival instant (flushing the previous
 // instant's batch into one admission epoch), submit that instant's
-// arrivals, and flush the final batch. The service's max-batch and
-// queue-cap must exceed the largest same-instant batch — otherwise a batch
-// would split across epochs and the replay would diverge from the offline
-// schedule. Each decided submission's latency is the wall duration of the
+// arrivals, and flush the final batch. The service's queue-cap must hold
+// the largest same-instant batch — otherwise submissions would be shed and
+// the replay would diverge from the offline schedule. Each decided submission's latency is the wall duration of the
 // Advance call that flushed its epoch.
 //
 // On the wall clock the replay is open-loop (see replayWall).
@@ -119,10 +116,10 @@ func ReplayTrace(ctx context.Context, c *Client, tr *workload.Trace) (*LoadRepor
 			maxGroup = g
 		}
 	}
-	if info.MaxBatch <= maxGroup || info.QueueCap < maxGroup {
+	if info.QueueCap < maxGroup {
 		return nil, fmt.Errorf(
-			"serve: largest same-instant batch is %d submissions; raise -max-batch above it (now %d) and -queue-cap to at least it (now %d)",
-			maxGroup, info.MaxBatch, info.QueueCap)
+			"serve: largest same-instant batch is %d submissions; raise -queue-cap to at least it (now %d)",
+			maxGroup, info.QueueCap)
 	}
 
 	rep := &LoadReport{Requests: len(tr.Arrivals)}
@@ -137,7 +134,6 @@ func ReplayTrace(ctx context.Context, c *Client, tr *workload.Trace) (*LoadRepor
 		d := time.Since(t0)
 		for ; pending > 0; pending-- {
 			rep.Latencies = append(rep.Latencies, d)
-			rep.Ordered = append(rep.Ordered, d)
 		}
 		return nil
 	}
@@ -256,7 +252,6 @@ func replayWall(ctx context.Context, c *Client, tr *workload.Trace, info Info) (
 			continue
 		}
 		rep.Latencies = append(rep.Latencies, out.lat)
-		rep.Ordered = append(rep.Ordered, out.lat)
 	}
 	sort.Slice(rep.Latencies, func(a, b int) bool { return rep.Latencies[a] < rep.Latencies[b] })
 	return rep, nil

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -49,7 +50,7 @@ func TestReplayWallClock(t *testing.T) {
 	)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/info", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, Info{Machines: 2, Now: Instant(svcNow), TimeScale: scale, QueueCap: 8, MaxBatch: 8})
+		WriteJSON(w, http.StatusOK, Info{Machines: 2, Now: Instant(svcNow), TimeScale: scale, QueueCap: 8})
 	})
 	mux.HandleFunc("POST /v1/requests", func(w http.ResponseWriter, r *http.Request) {
 		s := seen{recv: time.Now()}
@@ -85,8 +86,8 @@ func TestReplayWallClock(t *testing.T) {
 	if rep.Requests != 5 || rep.Overloaded != 1 || rep.Admitted != 4 || rep.Errors != 0 {
 		t.Errorf("report %+v, want 5 requests: 4 admitted, 1 overloaded", rep)
 	}
-	if len(rep.Ordered) != 4 {
-		t.Fatalf("%d latencies, want 4", len(rep.Ordered))
+	if len(rep.Latencies) != 4 {
+		t.Fatalf("%d latencies, want 4", len(rep.Latencies))
 	}
 
 	// One offset, svcNow - first, moves every instant of every arrival.
@@ -98,8 +99,7 @@ func TestReplayWallClock(t *testing.T) {
 			recv0 = ss[0].recv
 		}
 	}
-	var sumLat, sumFloor time.Duration
-	j := 0
+	var floors []time.Duration
 	for k, a := range arrivals {
 		s := got[a.Name][0]
 		if d := s.sub.Requests[0].Deadline - Instant(a.Requests[0].Deadline); d != offset {
@@ -117,15 +117,19 @@ func TestReplayWallClock(t *testing.T) {
 		if a.Name == shed {
 			continue
 		}
-		// Its latency covers everything from the due instant to the verdict:
-		// at least the service's own answer time counted from there.
-		lat := rep.Ordered[j]
-		j++
-		if floor := s.out.Sub(recv0) - due; lat < floor {
-			t.Errorf("%s: latency %v, but the verdict left %v after its due instant", a.Name, lat, floor)
+		floors = append(floors, s.out.Sub(recv0)-due)
+	}
+	// Each latency covers everything from its due instant to the verdict:
+	// at least the service's own answer time counted from there. That
+	// elementwise floor survives sorting both sides.
+	sort.Slice(floors, func(a, b int) bool { return floors[a] < floors[b] })
+	var sumLat, sumFloor time.Duration
+	for i, lat := range rep.Latencies {
+		if lat < floors[i] {
+			t.Errorf("latency #%d (sorted) is %v, but the verdicts left at least %v after their due instants", i, lat, floors[i])
 		}
 		sumLat += lat
-		sumFloor += s.out.Sub(recv0) - due
+		sumFloor += floors[i]
 	}
 	// The service decides one submission per hold, so the four decided
 	// arrivals finish at least 1, 2, 3 and 4 holds after the first was due;

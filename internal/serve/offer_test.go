@@ -21,7 +21,6 @@ func newOfferEngine(t *testing.T) *Engine {
 	eng, err := New(b.Build("offer"), Options{
 		Config:       cfgC4(obs.New()),
 		VirtualClock: true,
-		MaxBatch:     1,
 		QueueCap:     16,
 	})
 	if err != nil {

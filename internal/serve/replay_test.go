@@ -28,10 +28,43 @@ func replayNet(t testing.TB) *gen.Params {
 	return &p
 }
 
+// sameInstantTrace compiles a short steady stream and moves its first n
+// arrivals onto the first one's instant, each keeping its deadline slack:
+// one admission epoch of n submissions.
+func sameInstantTrace(t *testing.T, machines, n int) *workload.Trace {
+	t.Helper()
+	spec := workload.Spec{Name: "same-instant", Seed: 4, Phases: []workload.Phase{{
+		Duration: 24 * 3600e9, PerHour: 4, PriorityWeights: []float64{1, 1, 1},
+		SizeMinBytes: 1 << 20, SizeMaxBytes: 64 << 20,
+		SlackMin: 3600e9, SlackMax: 6 * 3600e9,
+	}}}
+	arrivals, err := spec.Compile(machines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arrivals) < n {
+		t.Fatalf("spec compiled %d arrivals, want at least %d", len(arrivals), n)
+	}
+	arrivals = arrivals[:n]
+	at := arrivals[0].At
+	for i := range arrivals {
+		a := &arrivals[i]
+		for j := range a.Sources {
+			a.Sources[j].Available = at
+		}
+		for j := range a.Requests {
+			a.Requests[j].Deadline = at + a.Requests[j].Deadline - a.At
+		}
+		a.At = at
+	}
+	return workload.NewTrace(spec.Name, machines, nil, arrivals)
+}
+
 // TestHTTPEquivalenceBursty extends the equivalence contract to every
-// built-in multi-phase workload: each spec, serialized through the
-// canonical trace format and replayed over HTTP in virtual-clock mode,
-// must produce transfers and a weighted objective bit-identical to
+// built-in multi-phase workload, plus a trace of 17 arrivals at one
+// instant: each trace, serialized through the canonical trace format and
+// replayed over HTTP in virtual-clock mode on default options, must
+// produce transfers and a weighted objective bit-identical to
 // dynamic.Simulate replaying the same trace offline.
 func TestHTTPEquivalenceBursty(t *testing.T) {
 	params := replayNet(t)
@@ -41,23 +74,29 @@ func TestHTTPEquivalenceBursty(t *testing.T) {
 	}
 	machines := base.Network.NumMachines()
 
+	var traces []*workload.Trace
 	for _, spec := range workload.Builtins() {
 		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			t.Parallel()
-			arrivals, err := spec.Compile(machines)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr := workload.NewTrace(spec.Name, machines, &spec, arrivals)
+		arrivals, err := spec.Compile(machines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, workload.NewTrace(spec.Name, machines, &spec, arrivals))
+	}
+	traces = append(traces, sameInstantTrace(t, machines, 17))
 
+	for _, tr := range traces {
+		tr := tr
+		arrivals := tr.Arrivals
+		t.Run(tr.Name, func(t *testing.T) {
+			t.Parallel()
 			// Round-trip through the canonical serialization first: the replayed
 			// artifact is the file format, not the in-memory struct.
 			var buf bytes.Buffer
 			if err := workload.WriteTrace(&buf, tr); err != nil {
 				t.Fatal(err)
 			}
-			tr, err = workload.ReadTrace(bytes.NewReader(buf.Bytes()))
+			tr, err := workload.ReadTrace(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,12 +124,7 @@ func TestHTTPEquivalenceBursty(t *testing.T) {
 
 			// Online replay over a real HTTP server.
 			empty := *base
-			eng, err := serve.New(&empty, serve.Options{
-				Config:       cfg,
-				VirtualClock: true,
-				MaxBatch:     len(arrivals) + 1, // flush only on Advance
-				QueueCap:     len(arrivals) + 1,
-			})
+			eng, err := serve.New(&empty, serve.Options{Config: cfg, VirtualClock: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,8 +170,7 @@ func TestHTTPEquivalenceBursty(t *testing.T) {
 
 // TestReplayTraceGuards pins the preconditions of a replay: a trace that
 // wants more machines than the service has is refused on either clock, and
-// on the virtual clock so is a batching configuration that could split one
-// arrival instant across epochs.
+// on the virtual clock so is a queue too small for one instant's arrivals.
 func TestReplayTraceGuards(t *testing.T) {
 	base, err := gen.NetworkOnly(*replayNet(t), 9)
 	if err != nil {
@@ -175,15 +208,20 @@ func TestReplayTraceGuards(t *testing.T) {
 		t.Fatalf("refused replay still submitted %d items", sv.Items)
 	}
 
-	// Virtual clock but a max-batch small enough to split an epoch: refused.
+	// Virtual clock but a queue that cannot hold two arrivals of one
+	// instant: refused rather than shed.
 	empty2 := *base
-	tiny, err := serve.New(&empty2, serve.Options{Config: cfg, VirtualClock: true, MaxBatch: 1, QueueCap: 1})
+	tiny, err := serve.New(&empty2, serve.Options{Config: cfg, VirtualClock: true, QueueCap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv2 := httptest.NewServer(tiny.Handler())
 	defer srv2.Close()
-	if _, err := serve.ReplayTrace(ctx, &serve.Client{BaseURL: srv2.URL}, tr); err == nil {
-		t.Fatal("replay with max-batch 1 should fail rather than split an epoch")
+	pair := sameInstantTrace(t, base.Network.NumMachines(), 2)
+	if _, err := serve.ReplayTrace(ctx, &serve.Client{BaseURL: srv2.URL}, pair); err == nil {
+		t.Fatal("replay with queue-cap 1 should fail rather than shed an arrival")
+	}
+	if sv := tiny.Schedule(); sv.Items != 0 {
+		t.Fatalf("refused replay still submitted %d items", sv.Items)
 	}
 }

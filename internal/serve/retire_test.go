@@ -26,7 +26,6 @@ func TestBoundRetiredTicketSettlesAtOnce(t *testing.T) {
 	eng, err := New(b.Build("full-forever"), Options{
 		Config:       cfgC4(o),
 		VirtualClock: true,
-		MaxBatch:     100,
 	})
 	if err != nil {
 		t.Fatal(err)

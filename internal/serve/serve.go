@@ -72,16 +72,12 @@ type Options struct {
 	// Config is the heuristic/criterion pair each admission epoch runs
 	// (Config.Obs, when set, receives all serve.* metrics too).
 	Config core.Config
-	// MaxBatch is the virtual-clock size trigger: with VirtualClock, Submit
-	// flushes the intake queue into an epoch when this many submissions are
-	// pending (default 16). The wall-clock loop flushes whatever is queued
-	// and never consults it.
-	MaxBatch int
 	// QueueCap bounds the intake queue; a full queue rejects submissions
 	// with ErrOverloaded (default 256).
 	QueueCap int
 	// VirtualClock freezes time: the current instant only moves via
-	// Advance, and batches flush on MaxBatch, Advance, Flush, or Drain.
+	// Advance, and batches flush on Advance, Flush, Drain, or Propose's
+	// pre-flush, so one trace always forms the same epochs.
 	// Deterministic; used by tests and trace replay.
 	VirtualClock bool
 	// TimeScale maps wall time to simulated time in wall-clock mode:
@@ -110,9 +106,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 16
-	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 256
 	}
@@ -363,9 +356,6 @@ func (e *Engine) Submit(sub Submission) (*Ticket, error) {
 	e.tickets[t.id] = t
 	e.gQueue.Set(float64(len(e.queue)))
 	e.qdepth.Store(int64(len(e.queue)))
-	if e.opts.VirtualClock && len(e.queue) >= e.opts.MaxBatch {
-		e.flushLocked(e.Now())
-	}
 	e.mu.Unlock()
 	if !e.opts.VirtualClock {
 		select {
@@ -416,8 +406,7 @@ func (e *Engine) Advance(to simtime.Instant) error {
 }
 
 // Flush forces a pending batch into an admission epoch at the current
-// instant; under the virtual clock that is without waiting for MaxBatch or
-// Advance.
+// instant; under the virtual clock that is without waiting for Advance.
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -843,7 +832,6 @@ func (e *Engine) Info() Info {
 		Now:       Instant(e.Now()),
 		Queue:     int(e.qdepth.Load()),
 		QueueCap:  e.opts.QueueCap,
-		MaxBatch:  e.opts.MaxBatch,
 		Virtual:   e.opts.VirtualClock,
 		TimeScale: e.opts.TimeScale,
 		Scheduler: fmt.Sprintf("%v/%v", e.opts.Config.Heuristic, e.opts.Config.Criterion),

@@ -105,7 +105,6 @@ func TestHTTPEquivalence(t *testing.T) {
 	eng, err := New(&empty, Options{
 		Config:       cfgC4(obs.New()),
 		VirtualClock: true,
-		MaxBatch:     len(sc.Items) + 1, // flush only on Advance
 		QueueCap:     len(sc.Items) + 1,
 	})
 	if err != nil {
@@ -231,7 +230,6 @@ func TestBackpressure(t *testing.T) {
 	eng, err := New(narrowNet(), Options{
 		Config:       cfgC4(o),
 		VirtualClock: true,
-		MaxBatch:     100, // never flush on batch size
 		QueueCap:     2,
 	})
 	if err != nil {
@@ -374,7 +372,6 @@ func TestHTTPAPI(t *testing.T) {
 	eng, err := New(narrowNet(), Options{
 		Config:       cfgC4(o),
 		VirtualClock: true,
-		MaxBatch:     1, // every submission flushes inline
 		Intro:        intro,
 	})
 	if err != nil {
@@ -385,8 +382,15 @@ func TestHTTPAPI(t *testing.T) {
 	c := &Client{BaseURL: srv.URL}
 	ctx := context.Background()
 
-	view, err := c.Submit(ctx, lineSubmission(10*time.Minute, int(model.Medium)), true)
+	// The virtual clock decides nothing until an advance flushes the batch.
+	view, err := c.Submit(ctx, lineSubmission(10*time.Minute, int(model.Medium)), false)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Advance(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	if view, err = c.Ticket(ctx, view.ID); err != nil {
 		t.Fatal(err)
 	}
 	if view.Status != StatusAdmitted {

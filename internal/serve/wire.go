@@ -243,7 +243,6 @@ type Info struct {
 	Now       Instant `json:"now"`
 	Queue     int     `json:"queue"`
 	QueueCap  int     `json:"queueCap"`
-	MaxBatch  int     `json:"maxBatch"`
 	Virtual   bool    `json:"virtualClock"`
 	TimeScale float64 `json:"timeScale"`
 	Scheduler string  `json:"scheduler"`

@@ -36,7 +36,7 @@ func chordNet(b testing.TB, n int, bps int64) *scenario.Scenario {
 // replans only its own region's world — fewer links for the Dijkstra
 // sweeps, smaller snapshots to copy, and a committed history 1/K the
 // size. One timed iteration is a fixed soak of soakLen submissions, each
-// flushed as its own epoch (MaxBatch 1, virtual clock), matching
+// flushed as its own epoch (an Advance to the virtual now), matching
 // BenchmarkServeSoak's growing-world shape. The ns/op ratio
 // shards1/shards8 is the single-core throughput-scaling figure.
 func BenchmarkShardedAdmission(b *testing.B) {
@@ -71,7 +71,6 @@ func BenchmarkShardedAdmission(b *testing.B) {
 				svc, err := New(sc, plan, serve.Options{
 					Config:       cfgShard(obs.New()),
 					VirtualClock: true,
-					MaxBatch:     1,
 					QueueCap:     soakLen + 1,
 				})
 				if err != nil {
@@ -81,6 +80,9 @@ func BenchmarkShardedAdmission(b *testing.B) {
 				b.StartTimer()
 				for i := 0; i < soakLen; i++ {
 					if _, err := svc.Submit(sub(i)); err != nil {
+						b.Fatal(err)
+					}
+					if err := svc.Advance(svc.Now()); err != nil {
 						b.Fatal(err)
 					}
 				}

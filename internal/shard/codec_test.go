@@ -23,7 +23,7 @@ func TestTicketEncodeSharded(t *testing.T) {
 	const n = 16
 	sc := meshNet(t, n, 5e5)
 	svc, err := New(sc, blockPlan(t, sc, n, 2), serve.Options{
-		Config: cfgShard(obs.New()), VirtualClock: true, MaxBatch: 1 << 20, QueueCap: 1 << 20,
+		Config: cfgShard(obs.New()), VirtualClock: true, QueueCap: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ func newHTTPService(t *testing.T) (*Service, *httptest.Server) {
 	o := obs.New()
 	rec := lifecycle.New(lifecycle.Options{Obs: o})
 	svc, err := New(sc, p, serve.Options{
-		Config: cfgShard(o), VirtualClock: true, MaxBatch: 1, QueueCap: 64,
+		Config: cfgShard(o), VirtualClock: true, QueueCap: 64,
 		Audit: rec,
 	})
 	if err != nil {
@@ -95,13 +95,16 @@ func TestHTTPSharded(t *testing.T) {
 
 	getJSON(t, base+"/healthz", http.StatusOK, nil)
 
-	// A local submission admits inside shard 0 with no coordination.
+	// A local submission admits inside shard 0 with no coordination, in
+	// the epoch an advance to the current instant flushes.
 	var local serve.TicketView
-	postJSON(t, base+"/v1/requests?wait=1", `{
+	postJSON(t, base+"/v1/requests", `{
 		"sizeBytes": 1048576,
 		"sources":  [{"machine": 0}],
 		"requests": [{"machine": 1, "deadline": "2h", "priority": 2}]
 	}`, http.StatusAccepted, &local)
+	postJSON(t, base+"/v1/advance", `{"to": 0}`, http.StatusOK, nil)
+	getJSON(t, base+"/v1/requests/"+local.ID, http.StatusOK, &local)
 	if !strings.HasPrefix(local.ID, "s0-") || local.Status != serve.StatusAdmitted {
 		t.Fatalf("local ticket = %q status %q, want a shard-0 admit", local.ID, local.Status)
 	}
@@ -236,7 +239,7 @@ func TestHTTPSurfaceK1Identity(t *testing.T) {
 	opts := func() serve.Options {
 		o := obs.New()
 		return serve.Options{
-			Config: cfgShard(o), VirtualClock: true, MaxBatch: 100, QueueCap: 2,
+			Config: cfgShard(o), VirtualClock: true, QueueCap: 2,
 			Audit: lifecycle.New(lifecycle.Options{Obs: o}),
 		}
 	}

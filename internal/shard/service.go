@@ -254,8 +254,9 @@ func (s *Service) submitLocal(sub serve.Submission, k int) (*Ticket, error) {
 	gid := s.allocGID(sub)
 	s.smu[k].Lock()
 	// The registry entry must exist before the engine can publish a
-	// snapshot containing the item (a MaxBatch flush can run inside
-	// Submit), so it goes in first and is popped if intake refuses.
+	// snapshot containing the item (the wall-clock loop can flush it
+	// before Submit returns), so it goes in first and is popped if intake
+	// refuses.
 	s.reg[k] = append(s.reg[k], gid)
 	t, err := s.engines[k].Submit(lsub)
 	if err != nil {
@@ -484,7 +485,6 @@ func (s *Service) Info() serve.Info {
 		Horizon:   serve.Instant(s.base.Horizon),
 		Now:       serve.Instant(s.Now()),
 		QueueCap:  first.QueueCap,
-		MaxBatch:  first.MaxBatch,
 		Virtual:   first.Virtual,
 		TimeScale: first.TimeScale,
 		Scheduler: first.Scheduler,
@@ -498,9 +498,6 @@ func (s *Service) Info() serve.Info {
 		out.Queue += ei.Queue
 		if ei.QueueCap < out.QueueCap {
 			out.QueueCap = ei.QueueCap
-		}
-		if ei.MaxBatch < out.MaxBatch {
-			out.MaxBatch = ei.MaxBatch
 		}
 		out.Draining = out.Draining || ei.Draining
 		sv := eng.Schedule()

@@ -120,7 +120,7 @@ func TestShardedK1Identity(t *testing.T) {
 			}},
 		})
 	}
-	eo := serve.Options{Config: cfgShard(obs.New()), VirtualClock: true, MaxBatch: 1, QueueCap: 64}
+	eo := serve.Options{Config: cfgShard(obs.New()), VirtualClock: true, QueueCap: 64}
 	eng, err := serve.New(sc, eo)
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +134,13 @@ func TestShardedK1Identity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One epoch per submission on both sides.
 	for i, sub := range subs {
 		if _, err := eng.Submit(sub); err != nil {
 			t.Fatalf("engine submit %d: %v", i, err)
+		}
+		if err := eng.Flush(); err != nil {
+			t.Fatal(err)
 		}
 		tk, err := svc.Submit(sub)
 		if err != nil {
@@ -144,6 +148,9 @@ func TestShardedK1Identity(t *testing.T) {
 		}
 		if !strings.HasPrefix(tk.ID(), "s0-") {
 			t.Fatalf("K=1 ticket %q is not a shard-0 local ticket", tk.ID())
+		}
+		if err := svc.Advance(svc.Now()); err != nil {
+			t.Fatal(err)
 		}
 	}
 	ev, sv := eng.Schedule(), svc.Schedule()
@@ -179,7 +186,7 @@ func TestCrossShardAdmit(t *testing.T) {
 	}
 	o := obs.New()
 	svc, err := New(sc, p, serve.Options{
-		Config: cfgShard(o), VirtualClock: true, MaxBatch: 1, QueueCap: 64,
+		Config: cfgShard(o), VirtualClock: true, QueueCap: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,6 +265,9 @@ func TestCrossShardAdmit(t *testing.T) {
 	if !strings.HasPrefix(lt.ID(), "s1-") {
 		t.Fatalf("local ticket id = %q, want shard-1 prefix", lt.ID())
 	}
+	if err := svc.Advance(svc.Now()); err != nil {
+		t.Fatal(err)
+	}
 	if got, ok := svc.TicketView(lt.ID()); !ok || got.Status != serve.StatusAdmitted {
 		t.Fatalf("local ticket lookup: ok=%v view=%+v", ok, got)
 	}
@@ -286,7 +296,7 @@ func TestCrossShardNoCutLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc, err := New(sc, p, serve.Options{
-		Config: cfgShard(obs.New()), VirtualClock: true, MaxBatch: 1, QueueCap: 64,
+		Config: cfgShard(obs.New()), VirtualClock: true, QueueCap: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +344,7 @@ func TestCrossShardLateDestSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc, err := New(sc, p, serve.Options{
-		Config: cfgShard(obs.New()), VirtualClock: true, MaxBatch: 1, QueueCap: 64,
+		Config: cfgShard(obs.New()), VirtualClock: true, QueueCap: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +406,7 @@ func TestShardedDifferential(t *testing.T) {
 			sc := meshNet(t, n, 1e9)
 			eo := serve.Options{
 				Config: cfgShard(obs.New()), VirtualClock: true,
-				MaxBatch: len(arrivals) + 1, QueueCap: len(arrivals) + 1,
+				QueueCap: len(arrivals) + 1,
 			}
 			eng, err := serve.New(sc, eo)
 			if err != nil {
